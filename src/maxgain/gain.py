@@ -196,7 +196,7 @@ def _layer_linear_ops(layer, input_shape):
         def atmap(u):
             return layer.apply_linear_adjoint(u.reshape(input_shape)).reshape(-1)
     else:
-        out_shape = layer.apply_linear(np.zeros(input_shape, dtype=DTYPE)).shape
+        out_shape = layer.out_shape(input_shape)
 
         def atmap(u):
             return layer.apply_linear_adjoint(u.reshape(out_shape), input_shape).reshape(-1)
@@ -231,14 +231,7 @@ def _stage_out_shape(stage, shape):
             raise ShapeError(f"dense expects shape ({stage.in_features},), got {shape}")
         return (stage.out_features,)
     if isinstance(stage, Conv2d):
-        oc, ic, kh, kw = stage.kernel.shape
-        if len(shape) != 3 or shape[0] != ic:
-            raise ShapeError(f"conv expects ({ic}, H, W), got {shape}")
-        oh = (shape[1] + 2 * stage.pad - kh) // stage.stride + 1
-        ow = (shape[2] + 2 * stage.pad - kw) // stage.stride + 1
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(f"conv kernel does not fit input shape {shape}")
-        return (oc, oh, ow)
+        return stage.out_shape(shape)
     if isinstance(stage, MaxPool2d):
         if len(shape) != 3:
             raise ShapeError(f"maxpool expects (C, H, W), got {shape}")

@@ -77,43 +77,13 @@ class Dense:
         return self.w.T @ y
 
 
-def _im2col(x, kh, kw, stride, pad):
-    """Unfold (N, C, H, W) into rows of flattened receptive fields.
-
-    Returns (cols, oh, ow) with cols of shape (N*oh*ow, C*kh*kw). Row order is
-    instance-major then output position row-major, matching _col2im below.
-    """
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"kernel ({kh}x{kw}) does not fit input ({h}x{w}) with pad {pad}")
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=DTYPE)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j, :, :] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw), oh, ow
-
-
-def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
-    """Adjoint of _im2col: scatter-add rows back onto the input grid."""
-    n, c, h, w = x_shape
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=DTYPE)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols6[:, :, i, j, :, :]
-    if pad:
-        out = out[:, :, pad:pad + h, pad:pad + w]
-    return out
-
-
 class Conv2d:
     """2-d convolution (cross-correlation) with stride and zero padding.
 
     kernel has shape (out_ch, in_ch, kh, kw); bias is per output channel.
+    The linear map is computed as one GEMM per kernel tap (i, j) on a
+    zero-padded channels-last copy of the input, so no unfolded im2col
+    buffer is ever built; backward and the adjoint reuse the same taps.
     """
 
     param_names = ("kernel", "b")
@@ -133,46 +103,90 @@ class Conv2d:
         self.stride = int(stride)
         self.pad = int(pad)
 
-    def _linear(self, x):
+    def out_shape(self, in_shape):
+        """Instance output shape (out_ch, oh, ow) for an instance shape (C, H, W)."""
         oc, ic, kh, kw = self.kernel.shape
-        if x.shape[1] != ic:
-            raise ShapeError(f"conv expects {ic} input channels, got {x.shape[1]}")
-        cols, oh, ow = _im2col(x, kh, kw, self.stride, self.pad)
-        z = cols @ self.kernel.reshape(oc, -1).T
-        z = z.reshape(x.shape[0], oh, ow, oc).transpose(0, 3, 1, 2)
-        return z, cols, oh, ow
+        if len(in_shape) != 3 or in_shape[0] != ic:
+            raise ShapeError(f"conv expects ({ic}, H, W) instances, got {tuple(in_shape)}")
+        h, w = in_shape[1], in_shape[2]
+        oh = (h + 2 * self.pad - kh) // self.stride + 1
+        ow = (w + 2 * self.pad - kw) // self.stride + 1
+        if oh <= 0 or ow <= 0:
+            raise ShapeError(f"kernel ({kh}x{kw}) does not fit input ({h}x{w}) with pad {self.pad}")
+        return oc, oh, ow
+
+    def _taps(self, buf, oh, ow):
+        """(i, j, view) per kernel tap: the (N, oh, ow, C) positions of a
+        padded channels-last buffer that tap (i, j) reads from (or writes to)."""
+        kh, kw = self.kernel.shape[2:]
+        s = self.stride
+        for i in range(kh):
+            for j in range(kw):
+                yield i, j, buf[:, i:i + s * oh:s, j:j + s * ow:s, :]
+
+    def _tap_rows(self, xt, oh, ow):
+        """(i, j, rows) per kernel tap: the (N*oh*ow, C) input rows tap (i, j)
+        reads, copied into one buffer that every tap reuses."""
+        n, c = xt.shape[0], xt.shape[3]
+        rows = np.empty((n, oh, ow, c), dtype=DTYPE)
+        for i, j, tap in self._taps(xt, oh, ow):
+            np.copyto(rows, tap)
+            yield i, j, rows.reshape(-1, c)
+
+    def _linear(self, x):
+        """Bias-free output (N, out_ch, oh, ow) and the padded channels-last input."""
+        n, c, h, w = x.shape
+        oc, oh, ow = self.out_shape(x.shape[1:])
+        p = self.pad
+        xt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=DTYPE)
+        xt[:, p:p + h, p:p + w, :] = x.transpose(0, 2, 3, 1)
+        z = np.zeros((n * oh * ow, oc), dtype=DTYPE)
+        prod = np.empty_like(z)
+        for i, j, rows in self._tap_rows(xt, oh, ow):
+            z += np.matmul(rows, self.kernel[:, :, i, j].T, out=prod)
+        return z.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2), xt
+
+    def _grad_input(self, g2, x_shape, oh, ow):
+        """Adjoint of the linear map: scatter-add g2 (N*oh*ow, out_ch) back
+        onto the input grid, tap by tap, and crop the padding."""
+        n, c, h, w = x_shape
+        p = self.pad
+        gxt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=DTYPE)
+        prod = np.empty((n, oh, ow, c), dtype=DTYPE)
+        for i, j, tap in self._taps(gxt, oh, ow):
+            np.matmul(g2, self.kernel[:, :, i, j], out=prod.reshape(-1, c))
+            tap += prod
+        return gxt[:, p:p + h, p:p + w, :].transpose(0, 3, 1, 2)
 
     def forward(self, x, mode, rng=None):
         _check_batch(x, 4, "conv")
-        z, cols, oh, ow = self._linear(x)
+        z, xt = self._linear(x)
         y = z + self.b[None, :, None, None]
-        return y, {"x": x, "z": z, "cols": cols, "oh": oh, "ow": ow}
+        return y, {"z": z, "xt": xt, "x_shape": x.shape}
 
     def backward(self, grad_y, cache):
-        oc, ic, kh, kw = self.kernel.shape
-        x, cols, oh, ow = cache["x"], cache["cols"], cache["oh"], cache["ow"]
+        oc = self.kernel.shape[0]
+        oh, ow = grad_y.shape[2:]
         g2 = grad_y.transpose(0, 2, 3, 1).reshape(-1, oc)
-        grad_kernel = (g2.T @ cols).reshape(self.kernel.shape)
+        grad_kernel = np.empty_like(self.kernel)
+        for i, j, rows in self._tap_rows(cache["xt"], oh, ow):
+            grad_kernel[:, :, i, j] = g2.T @ rows
         grad_b = grad_y.sum(axis=(0, 2, 3))
-        grad_cols = g2 @ self.kernel.reshape(oc, -1)
-        grad_x = _col2im(grad_cols, x.shape, kh, kw, self.stride, self.pad, oh, ow)
+        grad_x = self._grad_input(g2, cache["x_shape"], oh, ow)
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
         if x.ndim != 3:
             raise ShapeError(f"expected a single (C, H, W) instance, got shape {x.shape}")
-        z, _, _, _ = self._linear(x[None])
+        z, _ = self._linear(x[None])
         return z[0]
 
     def apply_linear_adjoint(self, y, input_shape):
-        oc, ic, kh, kw = self.kernel.shape
-        if y.ndim != 3 or y.shape[0] != oc:
-            raise ShapeError(f"adjoint input must be a single ({oc}, oh, ow) instance")
-        oh, ow = y.shape[1], y.shape[2]
-        g2 = y[None].transpose(0, 2, 3, 1).reshape(-1, oc)
-        grad_cols = g2 @ self.kernel.reshape(oc, -1)
-        out = _col2im(grad_cols, (1,) + tuple(input_shape), kh, kw, self.stride, self.pad, oh, ow)
-        return out[0]
+        oc, oh, ow = self.out_shape(input_shape)
+        if y.shape != (oc, oh, ow):
+            raise ShapeError(f"adjoint input must be a single {(oc, oh, ow)} instance, got shape {y.shape}")
+        g2 = y.transpose(1, 2, 0).reshape(-1, oc)
+        return self._grad_input(g2, (1,) + tuple(input_shape), oh, ow)[0]
 
 
 class BatchNorm:

@@ -205,9 +205,8 @@ class EpochRecord:
     split: str
     loss: float
     accuracy: float
-    gamma_hat_max: list = None        # per learned layer, max over the epoch's steps
-    scale_min: list = None            # per learned layer, smallest applied multiplier
-    gamma_hat_quartiles: list = None  # per learned layer (min, median, max) over steps
+    gamma_hat_max: list = None  # per learned layer, max over the epoch's steps
+    scale_min: list = None      # per learned layer, smallest applied multiplier
 
 
 @dataclass
@@ -313,8 +312,6 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
         if maxgain is not None:
             record.gamma_hat_max = [max(g) for g in gh_steps]
             record.scale_min = [min(s) for s in scale_steps]
-            record.gamma_hat_quartiles = [
-                (min(g), float(np.median(g)), max(g)) for g in gh_steps]
         ledger.records.append(record)
         if test is not None:
             test_loss, test_acc = eval_metrics(net, test.x, test.y)

@@ -101,3 +101,27 @@ def quartiles_oracle(values):
         float(np.percentile(v, 75, method="linear")),
         float(v.max()),
     )
+
+
+def conv2d_oracle(x, kernel, stride, pad):
+    """Cross-correlation by direct summation: every output position, input
+    channel and kernel tap in nested loops, reading zero outside the input."""
+    n, c, h, w = x.shape
+    oc, _, kh, kw = kernel.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    out = np.zeros((n, oc, oh, ow), dtype=np.float64)
+    for b in range(n):
+        for o in range(oc):
+            for r in range(oh):
+                for q in range(ow):
+                    acc = 0.0
+                    for ch in range(c):
+                        for i in range(kh):
+                            for j in range(kw):
+                                row = r * stride + i - pad
+                                col = q * stride + j - pad
+                                if 0 <= row < h and 0 <= col < w:
+                                    acc += x[b, ch, row, col] * kernel[o, ch, i, j]
+                    out[b, o, r, q] = acc
+    return out
