@@ -162,6 +162,8 @@ def per_layer_gains(net, x, p, batch_size=256):
     n_layers = len(net.learned_layers())
     if n_layers == 0:
         raise InvalidValueError("network has no learned layers")
+    if x.shape[0] == 0:
+        raise EmptySampleError("per_layer_gains needs at least one instance")
     chunks = [[] for _ in range(n_layers)]
     for i in range(0, x.shape[0], batch_size):
         _, caches = forward(net, x[i:i + batch_size], "eval")

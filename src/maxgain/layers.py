@@ -74,7 +74,24 @@ class Dense:
         return self.w @ x
 
     def apply_linear_adjoint(self, y, input_shape=None):
+        if y.shape != (self.out_features,):
+            raise ShapeError(
+                f"adjoint input must be a single ({self.out_features},) instance, got shape {y.shape}")
         return self.w.T @ y
+
+
+# Output positions per Conv2d block of images: one 32x32 image, or four
+# 16x16 ones. A block's tap rows and per-tap products then stay in cache
+# instead of making a full-batch pass through memory for every tap.
+_BLOCK_POSITIONS = 1024
+
+
+def _blocks(n, oh, ow):
+    """(nb, slices): images per block, as many as fit _BLOCK_POSITIONS output
+    positions but at least one, and the slices of nb images covering a batch
+    of n (the last may be short)."""
+    nb = min(n, max(1, _BLOCK_POSITIONS // (oh * ow)))
+    return nb, [slice(b, b + nb) for b in range(0, n, nb)]
 
 
 class Conv2d:
@@ -82,8 +99,10 @@ class Conv2d:
 
     kernel has shape (out_ch, in_ch, kh, kw); bias is per output channel.
     The linear map is computed as one GEMM per kernel tap (i, j) on a
-    zero-padded channels-last copy of the input, so no unfolded im2col
-    buffer is ever built; backward and the adjoint reuse the same taps.
+    zero-padded channels-last copy of the input, in cache-sized blocks of
+    images, so no unfolded im2col buffer is ever built and each block's tap
+    rows and products stay in cache; backward and the adjoint reuse the
+    same taps and blocks.
     """
 
     param_names = ("kernel", "b")
@@ -124,14 +143,13 @@ class Conv2d:
             for j in range(kw):
                 yield i, j, buf[:, i:i + s * oh:s, j:j + s * ow:s, :]
 
-    def _tap_rows(self, xt, oh, ow):
-        """(i, j, rows) per kernel tap: the (N*oh*ow, C) input rows tap (i, j)
-        reads, copied into one buffer that every tap reuses."""
-        n, c = xt.shape[0], xt.shape[3]
-        rows = np.empty((n, oh, ow, c), dtype=DTYPE)
-        for i, j, tap in self._taps(xt, oh, ow):
+    def _tap_rows(self, xt, rows):
+        """(i, j, rows) per kernel tap: the (m*oh*ow, C) input rows tap (i, j)
+        reads from the m-image padded block xt, copied into rows[:m]."""
+        rows = rows[:xt.shape[0]]
+        for i, j, tap in self._taps(xt, *rows.shape[1:3]):
             np.copyto(rows, tap)
-            yield i, j, rows.reshape(-1, c)
+            yield i, j, rows.reshape(-1, rows.shape[3])
 
     def _linear(self, x):
         """Bias-free output (N, out_ch, oh, ow) and the padded channels-last input."""
@@ -140,22 +158,32 @@ class Conv2d:
         p = self.pad
         xt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=DTYPE)
         xt[:, p:p + h, p:p + w, :] = x.transpose(0, 2, 3, 1)
-        z = np.zeros((n * oh * ow, oc), dtype=DTYPE)
-        prod = np.empty_like(z)
-        for i, j, rows in self._tap_rows(xt, oh, ow):
-            z += np.matmul(rows, self.kernel[:, :, i, j].T, out=prod)
-        return z.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2), xt
+        z = np.zeros((n, oh, ow, oc), dtype=DTYPE)
+        nb, blocks = _blocks(n, oh, ow)
+        rows = np.empty((nb, oh, ow, c), dtype=DTYPE)
+        prod = np.empty((nb * oh * ow, oc), dtype=DTYPE)
+        for blk in blocks:
+            zb = z[blk].reshape(-1, oc)
+            pb = prod[:len(zb)]
+            for i, j, r in self._tap_rows(xt[blk], rows):
+                zb += np.matmul(r, self.kernel[:, :, i, j].T, out=pb)
+        return z.transpose(0, 3, 1, 2), xt
 
-    def _grad_input(self, g2, x_shape, oh, ow):
-        """Adjoint of the linear map: scatter-add g2 (N*oh*ow, out_ch) back
-        onto the input grid, tap by tap, and crop the padding."""
+    def _grad_input(self, g, x_shape):
+        """Adjoint of the linear map: scatter-add g, the (N, oh, ow, out_ch)
+        output gradient, back onto the input grid tap by tap, block by block,
+        and crop the padding."""
         n, c, h, w = x_shape
+        oh, ow, oc = g.shape[1:]
         p = self.pad
         gxt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=DTYPE)
-        prod = np.empty((n, oh, ow, c), dtype=DTYPE)
-        for i, j, tap in self._taps(gxt, oh, ow):
-            np.matmul(g2, self.kernel[:, :, i, j], out=prod.reshape(-1, c))
-            tap += prod
+        nb, blocks = _blocks(n, oh, ow)
+        prod = np.empty((nb * oh * ow, c), dtype=DTYPE)
+        for blk in blocks:
+            gb = g[blk].reshape(-1, oc)
+            pb = prod[:len(gb)]
+            for i, j, tap in self._taps(gxt[blk], oh, ow):
+                tap += np.matmul(gb, self.kernel[:, :, i, j], out=pb).reshape(tap.shape)
         return gxt[:, p:p + h, p:p + w, :].transpose(0, 3, 1, 2)
 
     def forward(self, x, mode, rng=None):
@@ -165,14 +193,18 @@ class Conv2d:
         return y, {"z": z, "xt": xt, "x_shape": x.shape}
 
     def backward(self, grad_y, cache):
-        oc = self.kernel.shape[0]
-        oh, ow = grad_y.shape[2:]
-        g2 = grad_y.transpose(0, 2, 3, 1).reshape(-1, oc)
-        grad_kernel = np.empty_like(self.kernel)
-        for i, j, rows in self._tap_rows(cache["xt"], oh, ow):
-            grad_kernel[:, :, i, j] = g2.T @ rows
+        xt = cache["xt"]
+        n, oc, oh, ow = grad_y.shape
+        g = grad_y.transpose(0, 2, 3, 1)
+        nb, blocks = _blocks(n, oh, ow)
+        rows = np.empty((nb, oh, ow, xt.shape[3]), dtype=DTYPE)
+        grad_kernel = np.zeros_like(self.kernel)
+        for blk in blocks:
+            gb = g[blk].reshape(-1, oc)
+            for i, j, r in self._tap_rows(xt[blk], rows):
+                grad_kernel[:, :, i, j] += gb.T @ r
         grad_b = grad_y.sum(axis=(0, 2, 3))
-        grad_x = self._grad_input(g2, cache["x_shape"], oh, ow)
+        grad_x = self._grad_input(g, cache["x_shape"])
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
@@ -182,11 +214,10 @@ class Conv2d:
         return z[0]
 
     def apply_linear_adjoint(self, y, input_shape):
-        oc, oh, ow = self.out_shape(input_shape)
-        if y.shape != (oc, oh, ow):
-            raise ShapeError(f"adjoint input must be a single {(oc, oh, ow)} instance, got shape {y.shape}")
-        g2 = y.transpose(1, 2, 0).reshape(-1, oc)
-        return self._grad_input(g2, (1,) + tuple(input_shape), oh, ow)[0]
+        out = self.out_shape(input_shape)
+        if y.shape != out:
+            raise ShapeError(f"adjoint input must be a single {out} instance, got shape {y.shape}")
+        return self._grad_input(y.transpose(1, 2, 0)[None], (1,) + tuple(input_shape))[0]
 
 
 class BatchNorm:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InvalidValueError
+from .errors import ConfigError, DivergenceError, EmptySampleError, InvalidValueError
 from .gain import batch_max_gain
 from .layers import backward, forward, softmax, softmax_cross_entropy
 from .tensor import check_norm_order, spawn_rngs
@@ -243,6 +243,8 @@ class TrainingLedger:
 def eval_metrics(net, x, y, batch_size=256):
     """Mean cross-entropy loss and accuracy of the eval-mode network."""
     n = x.shape[0]
+    if n == 0:
+        raise EmptySampleError("eval_metrics needs at least one instance")
     loss_sum = 0.0
     correct = 0
     for i in range(0, n, batch_size):
@@ -256,6 +258,8 @@ def eval_metrics(net, x, y, batch_size=256):
 
 def predict_proba(net, x, batch_size=256):
     """Eval-mode class probabilities, batched."""
+    if x.shape[0] == 0:
+        raise EmptySampleError("predict_proba needs at least one instance")
     out = []
     for i in range(0, x.shape[0], batch_size):
         logits, _ = forward(net, x[i:i + batch_size], "eval")

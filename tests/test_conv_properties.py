@@ -1,13 +1,16 @@
 """Conv2d on generated geometries: values against a direct-summation oracle,
 gradients against finite differences, the adjoint identity, the shape guard,
-and the size of what a forward pass keeps for backward."""
+the size of what a forward pass keeps for backward, and batches that span
+several blocks of images."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxgain import Conv2d, ShapeError, make_rng
+from maxgain import Conv2d, ShapeError, layers, make_rng
 from oracles import conv2d_oracle, gradient_rel_error, numeric_gradient
 
 GRAD_TOL = 1e-6
@@ -111,3 +114,61 @@ def test_forward_cache_holds_nothing_larger_than_padded_input(ic, oc, kh, kw, st
     padded = n * ic * (h + 2 * pad) * (w + 2 * pad)
     sizes = {name: root(v).size for name, v in cache.items() if isinstance(v, np.ndarray)}
     assert sizes and max(sizes.values()) <= padded, f"{sizes} against a padded input of {padded}"
+
+
+# (block budget in output positions, batch, in/out channels, kernel, stride, pad, input h/w).
+# Each batch spans several blocks.
+BLOCKED_CASES = [
+    (None, 9, 2, 3, 3, 3, 1, 1, 16, 16),  # the library's budget: four 16x16 outputs a block, 4+4+1
+    (40, 7, 2, 3, 3, 2, 2, 1, 7, 5),      # 4x3 outputs, three images a block, 3+3+1
+    (4, 3, 3, 2, 2, 3, 1, 0, 4, 5),       # budget below one image: one image a block
+]
+
+
+@pytest.fixture(params=BLOCKED_CASES, ids=lambda case: f"budget{case[0]}-n{case[1]}")
+def blocked_case(request, monkeypatch):
+    budget, n, ic, oc, kh, kw, stride, pad, h, w = request.param
+    if budget is not None:
+        monkeypatch.setattr(layers, "_BLOCK_POSITIONS", budget)
+    rng = make_rng(3)
+    layer = Conv2d(rng.normal(size=(oc, ic, kh, kw)), rng.normal(size=oc), stride=stride, pad=pad)
+    _, oh, ow = layer.out_shape((ic, h, w))
+    nb, blocks = layers._blocks(n, oh, ow)
+    assert len(blocks) > 1, f"{n} images fit one block of {nb}"
+    return layer, rng.normal(size=(n, ic, h, w))
+
+
+def rel_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_blocked_forward_matches_direct_oracle(blocked_case):
+    layer, x = blocked_case
+    _, cache = layer.forward(x, "train")
+    assert rel_error(cache["z"], conv2d_oracle(x, layer.kernel, layer.stride, layer.pad)) <= 1e-12
+
+
+def test_blocked_backward_matches_per_image_sums(blocked_case):
+    layer, x = blocked_case
+    y, cache = layer.forward(x, "train")
+    r = make_rng(4).normal(size=y.shape)
+    grad_x, pgrads = layer.backward(r, cache)
+    per_image = [layer.backward(r[b:b + 1], layer.forward(x[b:b + 1], "train")[1]) for b in range(len(x))]
+    assert rel_error(grad_x, np.concatenate([gx for gx, _ in per_image])) <= 1e-12
+    assert rel_error(pgrads["kernel"], sum(pg["kernel"] for _, pg in per_image)) <= 1e-12
+
+
+def test_forward_peak_memory_is_its_outputs():
+    # tap rows and products are block-sized, so a forward's peak allocation
+    # is about what it returns: the padded input xt, the output z and y = z + b
+    rng = make_rng(5)
+    layer = Conv2d(rng.normal(size=(16, 16, 3, 3)), np.zeros(16), stride=1, pad=1)
+    x = rng.normal(size=(16, 16, 32, 32))
+    tracemalloc.start()
+    try:
+        y, cache = layer.forward(x, "train")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = root(cache["xt"]).nbytes + root(cache["z"]).nbytes + y.nbytes
+    assert peak <= 1.1 * outputs, f"peak {peak} bytes against {outputs} bytes of outputs"

@@ -228,6 +228,10 @@ class TestGainReports:
         for ga, gb in zip(a, b):
             np.testing.assert_array_equal(ga, gb)
 
+    def test_per_layer_gains_rejects_empty_split(self):
+        with pytest.raises(EmptySampleError):
+            per_layer_gains(tiny_net(8), np.zeros((0, 2)), 2)
+
     def test_report_layout(self):
         net = tiny_net(9)
         train = synth_blobs(24, make_rng(10), centers=[(0.0, 0.0), (2.0, 2.0)])

@@ -53,6 +53,12 @@ class TestDense:
         x = rng.normal(size=3)
         np.testing.assert_allclose(apply_linear(layer, x), layer.w @ x, rtol=1e-15)
 
+    def test_adjoint_rejects_anything_but_one_output_instance(self):
+        layer = Dense(make_rng(1).normal(size=(3, 4)), np.zeros(3))
+        for y in (np.ones((3, 1)), np.ones(5)):
+            with pytest.raises(ShapeError):
+                layer.apply_linear_adjoint(y)
+
     def test_gradients(self):
         rng = make_rng(2)
         for _ in range(5):

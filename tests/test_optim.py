@@ -12,6 +12,7 @@ from maxgain import (
     Dataset,
     Dense,
     DivergenceError,
+    EmptySampleError,
     InvalidValueError,
     MaxGainConfig,
     Network,
@@ -20,6 +21,7 @@ from maxgain import (
     SgdNesterov,
     backward,
     batch_max_gain,
+    build_network,
     eval_metrics,
     fit,
     forward,
@@ -330,6 +332,30 @@ class TestFit:
             results.append((ledger.to_text(), network_to_text(net)))
         assert results[0] == results[1]
 
+    def test_identical_conv_runs_produce_identical_bytes(self):
+        # 8x8 images give 64 conv outputs each, so a batch of 24 spans two
+        # blocks of Conv2d work (16 + 8 images)
+        config = {"model": [
+            {"type": "conv", "in": 3, "out": 4, "kernel": 3, "pad": 1},
+            {"type": "batchnorm", "channels": 4}, {"type": "relu"},
+            {"type": "residual", "main": [
+                {"type": "conv", "in": 4, "out": 4, "kernel": 3, "pad": 1},
+                {"type": "batchnorm", "channels": 4}, {"type": "relu"},
+                {"type": "conv", "in": 4, "out": 4, "kernel": 3, "pad": 1}]},
+            {"type": "maxpool", "kernel": 2}, {"type": "flatten"},
+            {"type": "dense", "in": 64, "out": 2}]}
+        rng = make_rng(18)
+        data = Dataset(rng.normal(size=(48, 3, 8, 8)), rng.integers(0, 2, size=48), 2)
+        test = Dataset(rng.normal(size=(16, 3, 8, 8)), rng.integers(0, 2, size=16), 2)
+        results = []
+        for _ in range(2):
+            net = build_network(config, make_rng(19))
+            ledger = fit(net, data, optimizer=Adam(), schedule=Schedule(0.01),
+                         epochs=2, batch_size=24, seed=4, test=test,
+                         maxgain=MaxGainConfig(gamma=2.0, p=2))
+            results.append((ledger.to_text(), network_to_text(net)))
+        assert results[0] == results[1]
+
     def test_ledger_row_shapes(self):
         net = small_mlp(17)
         data = blob_data(18, n=32)
@@ -444,6 +470,14 @@ class TestEvalHelpers:
         logits, _ = forward(net, data.x, "eval")
         np.testing.assert_allclose(probs, softmax(logits), rtol=1e-12)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
+
+    def test_eval_metrics_rejects_empty_split(self):
+        with pytest.raises(EmptySampleError):
+            eval_metrics(small_mlp(34), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    def test_predict_proba_rejects_empty_split(self):
+        with pytest.raises(EmptySampleError):
+            predict_proba(small_mlp(35), np.zeros((0, 2)))
 
     def test_dataset_validation(self):
         with pytest.raises(Exception):
