@@ -108,6 +108,6 @@ from .optim import (
     projection_scale,
     train_step,
 )
-from .tensor import init_weights, make_rng, matmul, spawn_rngs, vector_p_norm
+from .tensor import init_weights, make_rng, spawn_rngs
 
 __version__ = "0.1.0"

@@ -4,31 +4,24 @@ Layout (version 1):
 
     maxgain-checkpoint v1
     stages <count>
-    stage <type> [key=value ...]
+    stage <kind> [key=value ...]
     array <name> <ndim> <dim...>
     <values, space separated, 17 significant digits>
     ...
     end
 
-Residual blocks nest: `stage residual`, `main <k>`, k stage blocks,
-`shortcut <m>` (0 means identity), m stage blocks, `end`. 17 significant
-digits are enough to reproduce every float64 exactly on parse.
+A stage's kind, attributes and arrays are the ones its class declares
+(layers.STAGE_TYPES): every hyperparameter as key=value, then the learned
+arrays and any state arrays, in declared order. Residual blocks nest:
+`stage residual`, `main <k>`, k stage blocks, `shortcut <m>` (0 means
+identity), m stage blocks, `end`. 17 significant digits are enough to
+reproduce every float64 exactly on parse.
 """
 
 import numpy as np
 
-from .errors import FormatError, InvalidValueError
-from .layers import (
-    BatchNorm,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2d,
-    Network,
-    ReLU,
-    ResidualBlock,
-)
+from .errors import FormatError, InvalidValueError, ShapeError
+from .layers import STAGE_TYPES, Network, ResidualBlock, stage_hyper
 from .tensor import DTYPE
 
 _HEADER = "maxgain-checkpoint v1"
@@ -45,39 +38,18 @@ def _emit_array(lines, name, arr):
 
 
 def _emit_stage(lines, st):
-    if isinstance(st, Dense):
-        lines.append("stage dense")
-        _emit_array(lines, "w", st.w)
-        _emit_array(lines, "b", st.b)
-    elif isinstance(st, Conv2d):
-        lines.append(f"stage conv stride={st.stride} pad={st.pad}")
-        _emit_array(lines, "kernel", st.kernel)
-        _emit_array(lines, "b", st.b)
-    elif isinstance(st, BatchNorm):
-        lines.append(f"stage batchnorm momentum={_fmt(st.momentum)} eps={_fmt(st.eps)}")
-        _emit_array(lines, "alpha", st.alpha)
-        _emit_array(lines, "beta", st.beta)
-        _emit_array(lines, "running_mean", st.running_mean)
-        _emit_array(lines, "running_var", st.running_var)
-    elif isinstance(st, Dropout):
-        lines.append(f"stage dropout rate={_fmt(st.rate)}")
-    elif isinstance(st, ReLU):
-        lines.append("stage relu")
-    elif isinstance(st, MaxPool2d):
-        lines.append(f"stage maxpool kernel={st.kernel} stride={st.stride}")
-    elif isinstance(st, Flatten):
-        lines.append("stage flatten")
-    elif isinstance(st, ResidualBlock):
-        lines.append("stage residual")
-        lines.append(f"main {len(st.main)}")
-        for sub in st.main:
-            _emit_stage(lines, sub)
-        shortcut = st.shortcut or []
-        lines.append(f"shortcut {len(shortcut)}")
-        for sub in shortcut:
-            _emit_stage(lines, sub)
-    else:
-        raise InvalidValueError(f"cannot checkpoint stage type {type(st).__name__}")
+    cls = type(st)
+    if STAGE_TYPES.get(getattr(cls, "kind", None)) is not cls:
+        raise InvalidValueError(f"cannot checkpoint stage type {cls.__name__}")
+    lines.append(" ".join([f"stage {cls.kind}"] + [f"{k}={_fmt(getattr(st, k))}" for k in cls.hyper]))
+    for name in cls.param_names + cls.state:
+        _emit_array(lines, name, getattr(st, name))
+    if cls is ResidualBlock:
+        for part in ("main", "shortcut"):
+            subs = getattr(st, part) or []
+            lines.append(f"{part} {len(subs)}")
+            for sub in subs:
+                _emit_stage(lines, sub)
     lines.append("end")
 
 
@@ -155,6 +127,13 @@ def _expect_end(reader, what):
         raise FormatError(f"expected 'end' closing {what}, got {line!r}")
 
 
+def _parse_stages(reader, part):
+    head = reader.next(f"{part} count").split()
+    if len(head) != 2 or head[0] != part:
+        raise FormatError(f"expected '{part} <count>', got {' '.join(head)!r}")
+    return [_parse_stage(reader) for _ in range(_parse_int(head[1], f"{part} count"))]
+
+
 def _parse_stage(reader):
     head = reader.next("stage header").split()
     if not head or head[0] != "stage":
@@ -162,60 +141,23 @@ def _parse_stage(reader):
     if len(head) < 2:
         raise FormatError("stage header is missing its type")
     kind = head[1]
-    attrs = _parse_attrs(head[2:], f"{kind} stage")
-    if kind == "dense":
-        w = _read_array(reader, "w")
-        b = _read_array(reader, "b")
-        _expect_end(reader, "dense stage")
-        return Dense(w, b)
-    if kind == "conv":
-        stride = _parse_int(attrs.get("stride", "1"), "conv stride")
-        pad = _parse_int(attrs.get("pad", "0"), "conv pad")
-        kernel = _read_array(reader, "kernel")
-        b = _read_array(reader, "b")
-        _expect_end(reader, "conv stage")
-        return Conv2d(kernel, b, stride=stride, pad=pad)
-    if kind == "batchnorm":
-        momentum = _parse_float(attrs.get("momentum", "0.9"), "batchnorm momentum")
-        eps = _parse_float(attrs.get("eps", "1e-05"), "batchnorm eps")
-        alpha = _read_array(reader, "alpha")
-        beta = _read_array(reader, "beta")
-        running_mean = _read_array(reader, "running_mean")
-        running_var = _read_array(reader, "running_var")
-        _expect_end(reader, "batchnorm stage")
-        layer = BatchNorm(alpha, beta, momentum=momentum, eps=eps)
-        layer.running_mean = running_mean
-        layer.running_var = running_var
-        return layer
-    if kind == "dropout":
-        _expect_end(reader, "dropout stage")
-        return Dropout(_parse_float(attrs.get("rate", "0"), "dropout rate"))
-    if kind == "relu":
-        _expect_end(reader, "relu stage")
-        return ReLU()
-    if kind == "maxpool":
-        if "kernel" not in attrs:
-            raise FormatError("maxpool stage is missing its kernel= attribute")
-        kernel = _parse_int(attrs["kernel"], "maxpool kernel")
-        stride = _parse_int(attrs.get("stride", str(kernel)), "maxpool stride")
-        _expect_end(reader, "maxpool stage")
-        return MaxPool2d(kernel, stride=stride)
-    if kind == "flatten":
-        _expect_end(reader, "flatten stage")
-        return Flatten()
-    if kind == "residual":
-        head = reader.next("main count").split()
-        if len(head) != 2 or head[0] != "main":
-            raise FormatError(f"expected 'main <count>', got {' '.join(head)!r}")
-        main = [_parse_stage(reader) for _ in range(_parse_int(head[1], "main count"))]
-        head = reader.next("shortcut count").split()
-        if len(head) != 2 or head[0] != "shortcut":
-            raise FormatError(f"expected 'shortcut <count>', got {' '.join(head)!r}")
-        n_short = _parse_int(head[1], "shortcut count")
-        shortcut = [_parse_stage(reader) for _ in range(n_short)] if n_short else None
-        _expect_end(reader, "residual stage")
-        return ResidualBlock(main, shortcut)
-    raise FormatError(f"unknown stage type {kind!r}")
+    cls = STAGE_TYPES.get(kind)
+    if cls is None:
+        raise FormatError(f"unknown stage type {kind!r}")
+    hyper = stage_hyper(cls, _parse_attrs(head[2:], f"{kind} stage"), FormatError)
+    if cls is ResidualBlock:
+        args = _parse_stages(reader, "main"), _parse_stages(reader, "shortcut")
+    else:
+        args = [_read_array(reader, name) for name in cls.param_names]
+    state = [_read_array(reader, name) for name in cls.state]
+    _expect_end(reader, f"{kind} stage")
+    try:
+        st = cls(*args, **hyper)
+    except (InvalidValueError, ShapeError) as err:
+        raise FormatError(f"bad {kind} stage: {err}") from None
+    for name, arr in zip(cls.state, state):
+        setattr(st, name, arr)
+    return st
 
 
 def network_from_text(text):

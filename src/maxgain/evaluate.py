@@ -216,6 +216,16 @@ def gain_report(net, train, test, p, batch_size=256):
 # --- gamma sweep ---------------------------------------------------------
 
 
+def run_jobs(fn, tasks, jobs):
+    """[fn(t) for t in tasks], mapped over a pool of `jobs` worker processes
+    when jobs > 1; results keep the order of tasks either way."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 @dataclass(frozen=True)
 class SweepRow:
     gamma: float
@@ -254,13 +264,7 @@ def gamma_sweep(config, gammas, jobs=1):
     gammas = sorted(float(g) for g in gammas)
     if not gammas:
         raise EmptySampleError("gamma sweep needs at least one gamma")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(experiment.run_sweep_point,
-                                    [(config, g) for g in gammas]))
-    else:
-        results = [experiment.run_sweep_point((config, g)) for g in gammas]
+    results = run_jobs(experiment.run_sweep_point, [(config, g) for g in gammas], jobs)
     rows = []
     for g, res in zip(gammas, results):
         rows.append(SweepRow(

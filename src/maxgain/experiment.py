@@ -4,7 +4,7 @@ The config is a plain dict (the CLI reads it from JSON):
 
     {
       "seed": 7,
-      "model": [{"type": "dense", "in": 2, "out": 64}, {"type": "relu"}, ...],
+      "model": [{"type": <kind>, ...}, ...],  # stages: layers.STAGE_TYPES
       "init": "he-normal",
       "optimizer": "adam",                  # or "sgd"
       "lr": 1e-3,
@@ -32,20 +32,10 @@ import numpy as np
 
 from .data import augment, load_csv, load_idx, make_folds, synth_blobs, synth_spirals
 from .errors import ConfigError, InvalidValueError, ShapeError
-from .evaluate import per_layer_gains
-from .layers import (
-    BatchNorm,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2d,
-    Network,
-    ReLU,
-    ResidualBlock,
-)
+from .evaluate import per_layer_gains, run_jobs
+from .layers import STAGE_TYPES, Network, ResidualBlock, stage_hyper
 from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, eval_metrics, fit
-from .tensor import init_weights, make_rng
+from .tensor import make_rng
 
 _TOP_KEYS = {"seed", "model", "init", "optimizer", "lr", "momentum", "schedule",
              "epochs", "batch_size", "maxgain", "dataset", "test_dataset",
@@ -81,50 +71,27 @@ def check_config(config):
 
 
 def build_stage(spec, scheme, rng):
+    """One stage from its config spec: {"type": <kind>, ...} with the keys
+    the stage class declares (its hyperparameters and config_keys)."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"model stage must be a mapping with a \"type\", got {spec!r}")
     kind = spec["type"]
+    cls = STAGE_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown stage type {kind!r}")
+    what = f"{kind} stage"
+    given = {k: v for k, v in spec.items() if k != "type"}
+    hyper = stage_hyper(cls, given, ConfigError, cls.config_keys)
     try:
-        return _build_stage_inner(spec, kind, scheme, rng)
-    except ConfigError:
-        raise
+        if cls is ResidualBlock:
+            shortcut = spec.get("shortcut")
+            args = ([build_stage(s, scheme, rng) for s in _need(spec, "main", what)],
+                    None if shortcut is None else [build_stage(s, scheme, rng) for s in shortcut])
+        else:
+            args = cls.initial(scheme, rng, *(int(_need(spec, k, what)) for k in cls.config_keys))
+        return cls(*args, **hyper)
     except (InvalidValueError, ShapeError) as err:
-        raise ConfigError(f"bad {kind} stage: {err}") from None
-
-
-def _build_stage_inner(spec, kind, scheme, rng):
-    if kind == "dense":
-        n_in, n_out = int(_need(spec, "in", "dense stage")), int(_need(spec, "out", "dense stage"))
-        w = init_weights((n_out, n_in), scheme, rng)
-        return Dense(w, np.zeros(n_out))
-    if kind == "conv":
-        n_in, n_out = int(_need(spec, "in", "conv stage")), int(_need(spec, "out", "conv stage"))
-        k = int(_need(spec, "kernel", "conv stage"))
-        kernel = init_weights((n_out, n_in, k, k), scheme, rng)
-        return Conv2d(kernel, np.zeros(n_out),
-                      stride=int(spec.get("stride", 1)), pad=int(spec.get("pad", 0)))
-    if kind == "batchnorm":
-        c = int(_need(spec, "channels", "batchnorm stage"))
-        return BatchNorm(np.ones(c), np.zeros(c),
-                         momentum=float(spec.get("momentum", 0.9)),
-                         eps=float(spec.get("eps", 1e-5)))
-    if kind == "dropout":
-        return Dropout(float(_need(spec, "rate", "dropout stage")))
-    if kind == "relu":
-        return ReLU()
-    if kind == "maxpool":
-        k = int(_need(spec, "kernel", "maxpool stage"))
-        stride = spec.get("stride")
-        return MaxPool2d(k, stride=int(stride) if stride is not None else None)
-    if kind == "flatten":
-        return Flatten()
-    if kind == "residual":
-        main = [build_stage(s, scheme, rng) for s in _need(spec, "main", "residual stage")]
-        shortcut = spec.get("shortcut")
-        if shortcut is not None:
-            shortcut = [build_stage(s, scheme, rng) for s in shortcut]
-        return ResidualBlock(main, shortcut)
-    raise ConfigError(f"unknown stage type {kind!r}")
+        raise ConfigError(f"bad {what}: {err}") from None
 
 
 def build_network(config, rng):
@@ -203,6 +170,22 @@ def build_schedule(config):
         raise ConfigError(f"bad lr/schedule: {err}") from None
 
 
+def _train(config, train, seed, maxgain, test=None):
+    """A network built from the config's model with init seed `seed`, then
+    fit on train under the config's optimizer settings; returns (net, ledger)."""
+    net = build_network(config, make_rng(seed))
+    ledger = fit(net, train,
+                 optimizer=build_optimizer(config),
+                 schedule=build_schedule(config),
+                 epochs=int(config["epochs"]),
+                 batch_size=int(config.get("batch_size", 64)),
+                 maxgain=maxgain,
+                 seed=seed,
+                 test=test,
+                 augment_fn=build_augment_fn(config))
+    return net, ledger
+
+
 @dataclass
 class RunResult:
     net: object
@@ -225,20 +208,11 @@ def run_config(config, gamma_override=None, seed_override=None):
     seed = int(seed_override if seed_override is not None else config.get("seed", 0))
     train = build_dataset(config["dataset"])
     test = build_dataset(config["test_dataset"]) if config.get("test_dataset") else None
-    net = build_network(config, make_rng(seed))
     maxgain = build_maxgain(config)
     if gamma_override is not None:
         base_p = maxgain.p if maxgain is not None else 2
         maxgain = MaxGainConfig(gamma=float(gamma_override), p=base_p)
-    ledger = fit(net, train,
-                 optimizer=build_optimizer(config),
-                 schedule=build_schedule(config),
-                 epochs=int(config["epochs"]),
-                 batch_size=int(config.get("batch_size", 64)),
-                 maxgain=maxgain,
-                 seed=seed,
-                 test=test,
-                 augment_fn=build_augment_fn(config))
+    net, ledger = _train(config, train, seed, maxgain, test)
     train_loss, train_acc = eval_metrics(net, train.x, train.y)
     result = RunResult(net=net, ledger=ledger, train_loss=train_loss, train_accuracy=train_acc)
     if test is not None:
@@ -292,15 +266,7 @@ def run_fold_point(args):
     seed = int(config.get("seed", 0)) + int(fold_index)
     full = build_dataset(config["dataset"])
     train, test = full.subset(np.asarray(train_idx)), full.subset(np.asarray(test_idx))
-    net = build_network(config, make_rng(seed))
-    fit(net, train,
-        optimizer=build_optimizer(config),
-        schedule=build_schedule(config),
-        epochs=int(config["epochs"]),
-        batch_size=int(config.get("batch_size", 64)),
-        maxgain=build_maxgain(config),
-        seed=seed,
-        augment_fn=build_augment_fn(config))
+    net, _ = _train(config, train, seed, build_maxgain(config))
     _, acc = eval_metrics(net, test.x, test.y)
     return fold_index, acc
 
@@ -315,10 +281,4 @@ def run_folds(config, protocol=None, jobs=1):
     if protocol is None:
         protocol = build_fold_protocol(config, build_dataset(config["dataset"]))
     tasks = [(config, f, fold.train, fold.test) for f, fold in enumerate(protocol.folds)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_fold_point, tasks))
-    else:
-        results = [run_fold_point(t) for t in tasks]
-    return FoldScores(scores=tuple(results))
+    return FoldScores(scores=tuple(run_jobs(run_fold_point, tasks, jobs)))

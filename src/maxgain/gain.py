@@ -20,27 +20,20 @@ from .errors import (
 )
 from .layers import (
     BatchNorm,
-    Conv2d,
     Dense,
     Dropout,
-    Flatten,
     LEARNED_TYPES,
-    MaxPool2d,
     ResidualBlock,
     apply_linear,
 )
-from .tensor import DTYPE, check_norm_order, make_rng, vector_p_norm
+from .tensor import DTYPE, check_norm_order, make_rng
 
 
 def gain(layer, x, p):
     """Gain of one learned layer on one instance; zero input has gain 0."""
-    check_norm_order(p)
     x = np.asarray(x, dtype=DTYPE)
-    nx = vector_p_norm(x, p)
-    if nx == 0.0:
-        return 0.0
     z = apply_linear(layer, x)
-    return vector_p_norm(z, p) / nx
+    return float(instance_gains(x[None], z[None], p)[0])
 
 
 def batch_norms(arr, p):
@@ -184,24 +177,15 @@ def materialize_linear(layer, input_shape):
 def _layer_linear_ops(layer, input_shape):
     """Wrap a learned layer as flat-vector maps (A, A^T, input_dim)."""
     input_shape = (input_shape,) if isinstance(input_shape, int) else tuple(input_shape)
-    dim = int(np.prod(input_shape))
+    out_shape = layer.out_shape(input_shape)
 
     def amap(v):
         return layer.apply_linear(v.reshape(input_shape)).reshape(-1)
 
-    if isinstance(layer, Dense):
-        def atmap(u):
-            return layer.apply_linear_adjoint(u)
-    elif isinstance(layer, BatchNorm):
-        def atmap(u):
-            return layer.apply_linear_adjoint(u.reshape(input_shape)).reshape(-1)
-    else:
-        out_shape = layer.out_shape(input_shape)
+    def atmap(u):
+        return layer.apply_linear_adjoint(u.reshape(out_shape), input_shape).reshape(-1)
 
-        def atmap(u):
-            return layer.apply_linear_adjoint(u.reshape(out_shape), input_shape).reshape(-1)
-
-    return amap, atmap, dim
+    return amap, atmap, int(np.prod(input_shape))
 
 
 def layer_operator_norm(layer, p, input_shape, rng=None, iters=100, tol=1e-9):
@@ -224,33 +208,6 @@ def layer_operator_norm(layer, p, input_shape, rng=None, iters=100, tol=1e-9):
     return operator_norm_exact(materialize_linear(layer, input_shape), p)
 
 
-def _stage_out_shape(stage, shape):
-    """Instance shape (no batch axis) after one stage."""
-    if isinstance(stage, Dense):
-        if shape != (stage.in_features,):
-            raise ShapeError(f"dense expects shape ({stage.in_features},), got {shape}")
-        return (stage.out_features,)
-    if isinstance(stage, Conv2d):
-        return stage.out_shape(shape)
-    if isinstance(stage, MaxPool2d):
-        if len(shape) != 3:
-            raise ShapeError(f"maxpool expects (C, H, W), got {shape}")
-        oh = (shape[1] - stage.kernel) // stage.stride + 1
-        ow = (shape[2] - stage.kernel) // stage.stride + 1
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(f"pooling window does not fit input shape {shape}")
-        return (shape[0], oh, ow)
-    if isinstance(stage, Flatten):
-        return (int(np.prod(shape)),)
-    if isinstance(stage, ResidualBlock):
-        out = shape
-        for st in stage.main:
-            out = _stage_out_shape(st, out)
-        return out
-    # BatchNorm, Dropout, ReLU keep the shape
-    return shape
-
-
 def _stages_bound(stages, p, shape, rng):
     bound = 1.0
     for stage in stages:
@@ -263,7 +220,7 @@ def _stages_bound(stages, p, shape, rng):
         elif isinstance(stage, Dropout):
             bound *= 1.0 - stage.rate
         # ReLU, MaxPool2d, Flatten contribute a factor of 1
-        shape = _stage_out_shape(stage, shape)
+        shape = stage.out_shape(shape)
     return bound
 
 

@@ -5,6 +5,18 @@ returns the output plus a cache object; backward consumes that cache and
 returns the input gradient along with parameter gradients. Learned stages
 (Dense, Conv2d, BatchNorm) additionally record, for every step, the batch of
 inputs X and the bias-free linear outputs Z that the gain machinery consumes.
+
+Each stage class describes itself once, for config JSON and checkpoints
+alike (STAGE_TYPES lists the classes):
+
+- kind: its name in both;
+- hyper: its hyperparameters, name -> (type, default), REQUIRED where there
+  is no default;
+- param_names and state: the learned arrays and the other arrays a
+  checkpoint stores;
+- config_keys and initial(scheme, rng, *sizes): the config keys that size a
+  new stage, and the arrays drawn from them;
+- out_shape(in_shape): the instance shape it maps an instance shape to.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheError, InvalidValueError, ShapeError
-from .tensor import DTYPE, as_tensor, check_finite
+from .tensor import DTYPE, as_tensor, check_finite, init_weights
 
 MODES = ("train", "eval")
 
@@ -29,11 +41,61 @@ def _check_batch(x, rank, what):
         raise ShapeError(f"{what} got an empty batch")
 
 
-class Dense:
+# The default of a hyperparameter that has none.
+REQUIRED = object()
+
+
+class Stage:
+    """Declaration defaults: no hyperparameters, no arrays, and instances
+    keep their shape."""
+
+    hyper = {}
+    param_names = ()
+    state = ()
+    config_keys = ()
+
+    @staticmethod
+    def initial(scheme, rng):
+        return ()
+
+    def out_shape(self, in_shape):
+        return tuple(in_shape)
+
+
+def stage_hyper(cls, given, error, other_keys=()):
+    """Constructor keywords of stage class cls from `given`, its
+    hyperparameters as strings (checkpoint) or JSON values (config), each
+    converted to its declared type, with defaults filled in. A key that is
+    neither a hyperparameter nor in other_keys, a value that does not
+    convert, or a missing required one raises `error` naming the key."""
+    for key in given:
+        if key not in cls.hyper and key not in other_keys:
+            raise error(f"unknown key {key!r} in {cls.kind} stage")
+    out = {}
+    for name, (typ, default) in cls.hyper.items():
+        if name in given:
+            try:
+                out[name] = typ(given[name])
+            except (TypeError, ValueError):
+                raise error(f"bad {name} {given[name]!r} in {cls.kind} stage") from None
+        elif default is REQUIRED:
+            raise error(f"{cls.kind} stage is missing required key {name!r}")
+        else:
+            out[name] = default
+    return out
+
+
+class Dense(Stage):
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
+    kind = "dense"
     param_names = ("w", "b")
     weight_param = "w"
+    config_keys = ("in", "out")
+
+    @staticmethod
+    def initial(scheme, rng, n_in, n_out):
+        return init_weights((n_out, n_in), scheme, rng), np.zeros(n_out)
 
     def __init__(self, w, b):
         w = as_tensor(w, "dense weights")
@@ -53,10 +115,14 @@ class Dense:
     def out_features(self):
         return self.w.shape[0]
 
+    def out_shape(self, in_shape):
+        if tuple(in_shape) != (self.in_features,):
+            raise ShapeError(f"dense expects shape ({self.in_features},), got {tuple(in_shape)}")
+        return (self.out_features,)
+
     def forward(self, x, mode, rng=None):
         _check_batch(x, 2, "dense")
-        if x.shape[1] != self.in_features:
-            raise ShapeError(f"dense expects {self.in_features} features, got {x.shape[1]}")
+        self.out_shape(x.shape[1:])
         z = x @ self.w.T
         y = z + self.b
         return y, {"x": x, "z": z}
@@ -69,8 +135,7 @@ class Dense:
         return grad_x, {"w": grad_w, "b": grad_b}
 
     def apply_linear(self, x):
-        if x.shape != (self.in_features,):
-            raise ShapeError(f"expected a single instance of shape ({self.in_features},)")
+        self.out_shape(x.shape)
         return self.w @ x
 
     def apply_linear_adjoint(self, y, input_shape=None):
@@ -94,7 +159,7 @@ def _blocks(n, oh, ow):
     return nb, [slice(b, b + nb) for b in range(0, n, nb)]
 
 
-class Conv2d:
+class Conv2d(Stage):
     """2-d convolution (cross-correlation) with stride and zero padding.
 
     kernel has shape (out_ch, in_ch, kh, kw); bias is per output channel.
@@ -105,8 +170,15 @@ class Conv2d:
     same taps and blocks.
     """
 
+    kind = "conv"
+    hyper = {"stride": (int, 1), "pad": (int, 0)}
     param_names = ("kernel", "b")
     weight_param = "kernel"
+    config_keys = ("in", "out", "kernel")
+
+    @staticmethod
+    def initial(scheme, rng, n_in, n_out, k):
+        return init_weights((n_out, n_in, k, k), scheme, rng), np.zeros(n_out)
 
     def __init__(self, kernel, b, stride=1, pad=0):
         kernel = as_tensor(kernel, "conv kernel")
@@ -153,8 +225,8 @@ class Conv2d:
 
     def _linear(self, x):
         """Bias-free output (N, out_ch, oh, ow) and the padded channels-last input."""
-        n, c, h, w = x.shape
         oc, oh, ow = self.out_shape(x.shape[1:])
+        n, c, h, w = x.shape
         p = self.pad
         xt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=DTYPE)
         xt[:, p:p + h, p:p + w, :] = x.transpose(0, 2, 3, 1)
@@ -208,8 +280,6 @@ class Conv2d:
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
-        if x.ndim != 3:
-            raise ShapeError(f"expected a single (C, H, W) instance, got shape {x.shape}")
         z, _ = self._linear(x[None])
         return z[0]
 
@@ -220,7 +290,7 @@ class Conv2d:
         return self._grad_input(y.transpose(1, 2, 0)[None], (1,) + tuple(input_shape))[0]
 
 
-class BatchNorm:
+class BatchNorm(Stage):
     """Per-channel normalization with learned scale alpha and shift beta.
 
     Train mode normalizes with minibatch statistics (and the gradient flows
@@ -231,8 +301,16 @@ class BatchNorm:
     throughout.
     """
 
+    kind = "batchnorm"
+    hyper = {"momentum": (float, 0.9), "eps": (float, 1e-5)}
     param_names = ("alpha", "beta")
+    state = ("running_mean", "running_var")
     weight_param = "alpha"
+    config_keys = ("channels",)
+
+    @staticmethod
+    def initial(scheme, rng, channels):
+        return np.ones(channels), np.zeros(channels)
 
     def __init__(self, alpha, beta, momentum=0.9, eps=1e-5):
         alpha = as_tensor(alpha, "batchnorm alpha")
@@ -262,15 +340,15 @@ class BatchNorm:
             return (1, self.channels, 1, 1)
         raise ShapeError(f"batchnorm expects rank-2 or rank-4 input, got shape {x.shape}")
 
-    def _check_channels(self, x):
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
+    def out_shape(self, in_shape):
+        if len(in_shape) not in (1, 3) or in_shape[0] != self.channels:
+            raise ShapeError(f"batchnorm expects ({self.channels},) or ({self.channels}, H, W) "
+                             f"instances, got {tuple(in_shape)}")
+        return tuple(in_shape)
 
-    def forward(self, x, mode, rng=None, batch_stat_caches=False):
-        if x.ndim not in (2, 4):
-            raise ShapeError(f"batchnorm expects rank-2 or rank-4 input, got shape {x.shape}")
+    def forward(self, x, mode, rng=None):
+        self.out_shape(x.shape[1:])
         _check_batch(x, x.ndim, "batchnorm")
-        self._check_channels(x)
         bshape = self._bshape(x)
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
         if mode == "train":
@@ -284,10 +362,7 @@ class BatchNorm:
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
-            if batch_stat_caches:
-                z = x * (self.alpha * inv_std).reshape(bshape)
-            else:
-                z = x * (self.alpha / np.sqrt(self.running_var + self.eps)).reshape(bshape)
+            z = x * (self.alpha / np.sqrt(self.running_var + self.eps)).reshape(bshape)
             cache = {"x": x, "z": z, "mu": mu, "var": var, "inv_std": inv_std, "xhat": xhat}
             return y, cache
         scale = self.alpha / np.sqrt(self.running_var + self.eps)
@@ -310,25 +385,23 @@ class BatchNorm:
         return grad_x, {"alpha": grad_alpha, "beta": grad_beta}
 
     def apply_linear(self, x):
-        if x.shape[0] != self.channels:
-            raise ShapeError(f"expected a single instance with {self.channels} leading channels")
+        self.out_shape(x.shape)
         scale = self.alpha / np.sqrt(self.running_var + self.eps)
-        if x.ndim == 1:
-            return x * scale
-        if x.ndim == 3:
-            return x * scale[:, None, None]
-        raise ShapeError(f"expected a rank-1 or rank-3 instance, got shape {x.shape}")
+        return x * scale.reshape((-1,) + (1,) * (x.ndim - 1))
 
     def apply_linear_adjoint(self, y, input_shape=None):
         return self.apply_linear(y)
 
 
-class Dropout:
+class Dropout(Stage):
     """Zeroes activations with the given probability while training.
 
     Standard (non-inverted) form: train mode applies the binary mask with no
     rescaling, eval mode multiplies by the keep probability (1 - rate).
     """
+
+    kind = "dropout"
+    hyper = {"rate": (float, REQUIRED)}
 
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
@@ -347,7 +420,9 @@ class Dropout:
         return grad_y * cache["mask"], None
 
 
-class ReLU:
+class ReLU(Stage):
+    kind = "relu"
+
     def forward(self, x, mode, rng=None):
         return np.maximum(x, 0.0), {"x": x}
 
@@ -355,12 +430,15 @@ class ReLU:
         return grad_y * (cache["x"] > 0.0), None
 
 
-class MaxPool2d:
+class MaxPool2d(Stage):
     """Max pooling over square windows; stride defaults to the window size.
 
     When a window holds tied maxima the gradient is routed to the first
     position in row-major window order (what argmax returns).
     """
+
+    kind = "maxpool"
+    hyper = {"kernel": (int, REQUIRED), "stride": (int, None)}
 
     def __init__(self, kernel, stride=None):
         if kernel < 1:
@@ -370,13 +448,20 @@ class MaxPool2d:
         if self.stride < 1:
             raise InvalidValueError(f"pooling stride must be >= 1, got {self.stride}")
 
-    def _windows(self, x):
-        n, c, h, w = x.shape
-        k, s = self.kernel, self.stride
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
+    def out_shape(self, in_shape):
+        if len(in_shape) != 3:
+            raise ShapeError(f"maxpool expects (C, H, W) instances, got {tuple(in_shape)}")
+        c, h, w = in_shape
+        oh = (h - self.kernel) // self.stride + 1
+        ow = (w - self.kernel) // self.stride + 1
         if oh <= 0 or ow <= 0:
-            raise ShapeError(f"pooling window {k} does not fit input ({h}x{w})")
+            raise ShapeError(f"pooling window {self.kernel} does not fit input ({h}x{w})")
+        return c, oh, ow
+
+    def _windows(self, x):
+        n = x.shape[0]
+        c, oh, ow = self.out_shape(x.shape[1:])
+        k, s = self.kernel, self.stride
         cols = np.empty((n, c, k, k, oh, ow), dtype=DTYPE)
         for i in range(k):
             for j in range(k):
@@ -404,7 +489,12 @@ class MaxPool2d:
         return grad_x, None
 
 
-class Flatten:
+class Flatten(Stage):
+    kind = "flatten"
+
+    def out_shape(self, in_shape):
+        return (int(np.prod(in_shape)),)
+
     def forward(self, x, mode, rng=None):
         _check_batch(x, x.ndim, "flatten")
         if x.ndim < 2:
@@ -415,12 +505,16 @@ class Flatten:
         return grad_y.reshape(cache["x_shape"]), None
 
 
-class ResidualBlock:
+class ResidualBlock(Stage):
     """Sum of a main stage sequence and a shortcut (identity when None).
 
     The block itself is not a learned layer; gain constraints see only the
-    learned stages inside it, main path first, then the shortcut.
+    learned stages inside it, main path first, then the shortcut. Config JSON
+    and checkpoints nest both stage lists.
     """
+
+    kind = "residual"
+    config_keys = ("main", "shortcut")
 
     def __init__(self, main, shortcut=None):
         if not main:
@@ -428,14 +522,23 @@ class ResidualBlock:
         self.main = list(main)
         self.shortcut = list(shortcut) if shortcut else None
 
-    def forward(self, x, mode, rng=None, collector=None, bn_batch_stat_caches=False):
-        y_main, caches_main = _forward_stages(
-            self.main, x, mode, rng, collector, bn_batch_stat_caches)
+    def out_shape(self, in_shape):
+        out = in_shape
+        for st in self.main:
+            out = st.out_shape(out)
+        short = tuple(in_shape)
+        for st in self.shortcut or ():
+            short = st.out_shape(short)
+        if out != short:
+            raise ShapeError(f"residual branches disagree: main {out} vs shortcut {short}")
+        return out
+
+    def forward(self, x, mode, rng=None, collector=None):
+        y_main, caches_main = _forward_stages(self.main, x, mode, rng, collector)
         if self.shortcut is None:
             y_short, caches_short = x, None
         else:
-            y_short, caches_short = _forward_stages(
-                self.shortcut, x, mode, rng, collector, bn_batch_stat_caches)
+            y_short, caches_short = _forward_stages(self.shortcut, x, mode, rng, collector)
         if y_main.shape != y_short.shape:
             raise ShapeError(
                 f"residual branches disagree: main {y_main.shape} vs shortcut {y_short.shape}")
@@ -451,6 +554,8 @@ class ResidualBlock:
 
 
 LEARNED_TYPES = (Dense, Conv2d, BatchNorm)
+STAGE_TYPES = {cls.kind: cls for cls in (
+    Dense, Conv2d, BatchNorm, Dropout, ReLU, MaxPool2d, Flatten, ResidualBlock)}
 
 
 class Network:
@@ -509,17 +614,11 @@ class _Collector:
         self.zs = []
 
 
-def _forward_stages(stages, x, mode, rng, collector, bn_flag):
+def _forward_stages(stages, x, mode, rng, collector):
     caches = []
     for st in stages:
         if isinstance(st, ResidualBlock):
-            x, cache = st.forward(x, mode, rng, collector, bn_flag)
-        elif isinstance(st, BatchNorm):
-            x_in = x
-            x, cache = st.forward(x, mode, rng, batch_stat_caches=bn_flag)
-            if collector is not None:
-                collector.xs.append(x_in)
-                collector.zs.append(cache["z"])
+            x, cache = st.forward(x, mode, rng, collector)
         else:
             x_in = x
             x, cache = st.forward(x, mode, rng)
@@ -541,20 +640,18 @@ def _backward_stages(stages, grad, caches, grad_sink):
     return grad
 
 
-def forward(net, x, mode, rng=None, bn_batch_stat_caches=False):
+def forward(net, x, mode, rng=None):
     """Run the network on a batch; returns (output, StepCaches).
 
     Train mode updates BatchNorm running statistics as a side effect and needs
-    an rng whenever a Dropout stage is present. bn_batch_stat_caches switches
-    the recorded BatchNorm Z caches to minibatch statistics; it exists to
-    demonstrate why the default (running statistics) is used, not for training.
+    an rng whenever a Dropout stage is present.
     """
     _check_mode(mode)
     x = as_tensor(x, "network input")
     if x.shape[0] == 0:
         raise ShapeError("network got an empty batch")
     collector = _Collector()
-    y, stage_caches = _forward_stages(net.stages, x, mode, rng, collector, bn_batch_stat_caches)
+    y, stage_caches = _forward_stages(net.stages, x, mode, rng, collector)
     caches = StepCaches(
         net_id=id(net), mode=mode, batch_size=x.shape[0],
         stage_caches=stage_caches, xs=collector.xs, zs=collector.zs)

@@ -1,4 +1,4 @@
-"""Array helpers: dtype policy, norms, matrix product, weight init, RNG.
+"""Array helpers: dtype policy, finiteness and norm-order checks, weight init, RNG.
 
 All numerics in the package run in 64-bit floats. Arrays are numpy ndarrays;
 reductions delegate to numpy's kernels, whose accumulation order is fixed for
@@ -32,35 +32,6 @@ def check_finite(arr, name="tensor"):
 def check_norm_order(p):
     if p not in NORM_ORDERS:
         raise InvalidValueError(f"norm order must be 1, 2 or inf, got {p!r}")
-
-
-def vector_p_norm(x, p):
-    """p-norm of x viewed as a flat vector, p in {1, 2, inf}.
-
-    Returns exactly 0.0 for a zero vector.
-    """
-    check_norm_order(p)
-    x = np.asarray(x, dtype=DTYPE)
-    if x.size == 0:
-        raise ShapeError("norm of an empty vector is undefined")
-    check_finite(x, "norm argument")
-    flat = np.abs(x.reshape(-1))
-    if p == 1:
-        return float(np.sum(flat))
-    if p == 2:
-        return float(np.sqrt(np.sum(flat * flat)))
-    return float(np.max(flat))
-
-
-def matmul(a, b):
-    """Matrix product of two rank-2 float64 arrays with shape checking."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _fan_in_out(shape):

@@ -10,21 +10,6 @@ import mpmath
 import numpy as np
 
 
-def naive_matmul(a, b):
-    """Triple-loop matrix product, summing left to right."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def brute_force_operator_norm_p1(w):
     """max over signed basis vectors e of ||W e||_1 (exact for p=1)."""
     best = 0.0

@@ -24,6 +24,8 @@ from maxgain import (
     synth_blobs,
     train_step,
 )
+from maxgain.experiment import build_stage
+from maxgain.layers import STAGE_TYPES
 
 
 def make_mixed_network(rng):
@@ -61,6 +63,43 @@ def assert_networks_identical(a, b):
             assert sa.rate == sb.rate
         elif isinstance(sa, MaxPool2d):
             assert sa.kernel == sb.kernel and sa.stride == sb.stride
+
+
+def _conv(c_in, c_out, kernel, **hyper):
+    return {"type": "conv", "in": c_in, "out": c_out, "kernel": kernel, **hyper}
+
+
+# A config spec per stage kind, and the instance shape it is applied to. A kind
+# added to STAGE_TYPES without an entry here fails the round-trip test.
+STAGE_SPECS = {
+    "dense": ({"type": "dense", "in": 6, "out": 4}, (6,)),
+    "conv": (_conv(2, 3, 3, stride=2, pad=1), (2, 7, 7)),
+    "batchnorm": ({"type": "batchnorm", "channels": 2, "momentum": 0.8, "eps": 1e-3}, (2, 5, 5)),
+    "dropout": ({"type": "dropout", "rate": 0.3}, (2, 5, 5)),
+    "relu": ({"type": "relu"}, (4,)),
+    "maxpool": ({"type": "maxpool", "kernel": 3, "stride": 2}, (2, 7, 7)),
+    "flatten": ({"type": "flatten"}, (2, 3, 3)),
+    "residual": ({"type": "residual", "main": [_conv(2, 2, 3, pad=1), {"type": "relu"}]}, (2, 5, 5)),
+    "residual with shortcut": ({"type": "residual",
+                                "main": [_conv(2, 3, 3, stride=2, pad=1),
+                                         {"type": "batchnorm", "channels": 3}],
+                                "shortcut": [_conv(2, 3, 1, stride=2)]}, (2, 6, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STAGE_TYPES) + ["residual with shortcut"])
+def test_every_stage_kind_round_trips_and_declares_its_out_shape(kind):
+    spec, in_shape = STAGE_SPECS[kind]
+    stage = build_stage(spec, "he-normal", make_rng(0))
+    net = Network([stage])
+    x = make_rng(1).normal(size=(3,) + in_shape)
+    # a train-mode pass moves batchnorm running statistics off their defaults
+    y, _ = forward(net, x, "train", rng=make_rng(2))
+    assert stage.out_shape(in_shape) == y.shape[1:]
+    text = network_to_text(net)
+    restored = network_from_text(text)
+    assert network_to_text(restored) == text
+    np.testing.assert_array_equal(forward(restored, x, "eval")[0], forward(net, x, "eval")[0])
 
 
 class TestRoundTrip:
@@ -161,6 +200,33 @@ class TestMalformedInput:
     def test_maxpool_missing_kernel(self):
         text = "maxgain-checkpoint v1\nstages 1\nstage maxpool\nend\n"
         with pytest.raises(FormatError):
+            network_from_text(text)
+
+    def test_dropout_rate_is_required(self):
+        text = "maxgain-checkpoint v1\nstages 1\nstage dropout\nend\n"
+        with pytest.raises(FormatError, match="rate"):
+            network_from_text(text)
+
+    @pytest.mark.parametrize("stage, named", [
+        ("stage dropout rate=1.5\nend", "dropout"),
+        ("stage maxpool kernel=2 stride=0\nend", "maxpool"),
+        ("stage conv stride=0 pad=0\narray kernel 4 1 1 1 1\n1\narray b 1 1\n0\nend", "conv"),
+        ("stage dense\narray w 2 1 2\n1 2\narray b 1 2\n0 0\nend", "dense"),
+        ("stage residual\nmain 0\nshortcut 0\nend", "residual"),
+    ])
+    def test_constructor_errors_name_the_stage(self, stage, named):
+        text = f"maxgain-checkpoint v1\nstages 1\n{stage}\n"
+        with pytest.raises(FormatError, match=f"bad {named} stage"):
+            network_from_text(text)
+
+    @pytest.mark.parametrize("stage, key", [
+        ("stage conv strid=2 pad=0\narray kernel 4 1 1 1 1\n1\narray b 1 1\n0\nend", "strid"),
+        ("stage relu rate=0.5\nend", "rate"),
+        ("stage residual depth=2\nmain 1\nstage relu\nend\nshortcut 0\nend", "depth"),
+    ])
+    def test_unknown_attribute_is_named(self, stage, key):
+        text = f"maxgain-checkpoint v1\nstages 1\n{stage}\n"
+        with pytest.raises(FormatError, match=f"unknown key '{key}'"):
             network_from_text(text)
 
     def test_missing_file(self, tmp_path):

@@ -164,6 +164,19 @@ class TestGainReport:
         bare.write_text("{}")
         assert main(["gain-report", str(checkpoint), str(bare)]) == 2
 
+    @pytest.mark.parametrize("stage", [
+        "stage dropout rate=1.5\nend",
+        "stage conv stride=0 pad=0\narray kernel 4 1 1 1 1\n1\narray b 1 1\n0\nend",
+        "stage conv strid=2 pad=0\narray kernel 4 1 1 1 1\n1\narray b 1 1\n0\nend",
+    ])
+    def test_malformed_checkpoint_stage_is_a_format_error(self, tmp_path, capsys, stage):
+        config = write_config(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"maxgain-checkpoint v1\nstages 1\n{stage}\n")
+        assert main(["gain-report", str(bad), str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{stage.split()[1]} stage" in err
+
 
 class TestFolds:
     def fold_args(self, tmp_path):

@@ -132,6 +132,15 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="mystery"):
             build_network({"model": [{"type": "mystery"}]}, make_rng(0))
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"type": "conv", "in": 1, "out": 2, "kernel": 3, "strde": 2}, "strde"),
+        ({"type": "relu", "rate": 0.5}, "rate"),
+        ({"type": "residual", "main": [{"type": "relu"}], "shortcuts": []}, "shortcuts"),
+    ])
+    def test_unknown_stage_key_is_named(self, spec, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            build_network({"model": [spec]}, make_rng(0))
+
     def test_missing_stage_key_is_named(self):
         with pytest.raises(ConfigError, match="kernel"):
             build_network({"model": [{"type": "conv", "in": 1, "out": 2}]}, make_rng(0))

@@ -362,6 +362,15 @@ class TestLipschitzUpperBound:
         with pytest.raises(InvalidValueError):
             lipschitz_upper_bound(net, 2)
 
+    def test_stages_that_do_not_chain_are_rejected(self):
+        # forward refuses this network, so there is no function to bound
+        net = Network([Dense(np.ones((3, 2)), np.zeros(3)), BatchNorm(np.ones(4), np.zeros(4))])
+        with pytest.raises(ShapeError):
+            forward(net, np.ones((2, 2)), "eval")
+        for p in ALL_P:
+            with pytest.raises(ShapeError):
+                lipschitz_upper_bound(net, p)
+
     def test_trained_batchnorm_state_enters_the_bound(self):
         layer = BatchNorm(np.ones(2), np.zeros(2))
         layer.running_var = np.array([0.25 - layer.eps, 1.0])

@@ -1,74 +1,11 @@
-"""Array helpers: norms, matmul, init schemes, rng determinism."""
+"""Array helpers: init schemes, rng determinism."""
 
 import math
 
 import numpy as np
 import pytest
 
-from maxgain import InvalidValueError, ShapeError, init_weights, make_rng, matmul, vector_p_norm
-from oracles import naive_matmul
-
-
-class TestVectorPNorm:
-    def test_three_four_vector(self):
-        x = np.array([3.0, -4.0])
-        assert vector_p_norm(x, 1) == 7.0
-        assert vector_p_norm(x, 2) == 5.0
-        assert vector_p_norm(x, math.inf) == 4.0
-
-    def test_zero_vector_is_exactly_zero(self):
-        z = np.zeros(17)
-        for p in (1, 2, math.inf):
-            assert vector_p_norm(z, p) == 0.0
-
-    def test_flattens_higher_rank(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 4))
-        assert vector_p_norm(x, 1) == pytest.approx(np.abs(x).sum(), rel=1e-15)
-
-    def test_matches_numpy_norms(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            x = rng.normal(size=rng.integers(1, 40))
-            for p, ref in ((1, np.linalg.norm(x, 1)), (2, np.linalg.norm(x, 2)),
-                           (math.inf, np.linalg.norm(x, math.inf))):
-                assert vector_p_norm(x, p) == pytest.approx(ref, rel=1e-12)
-
-    def test_bad_norm_order(self):
-        with pytest.raises(InvalidValueError):
-            vector_p_norm(np.ones(3), 3)
-
-    def test_empty_vector(self):
-        with pytest.raises(ShapeError):
-            vector_p_norm(np.zeros(0), 2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidValueError):
-            vector_p_norm(np.array([1.0, np.nan]), 2)
-
-
-class TestMatmul:
-    def test_small_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n, k, m = rng.integers(1, 65, size=3)
-            a = rng.normal(size=(n, k))
-            b = rng.normal(size=(k, m))
-            got = matmul(a, b)
-            want = naive_matmul(a, b)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_rank_check(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones(3), np.ones((3, 2)))
+from maxgain import InvalidValueError, ShapeError, init_weights, make_rng
 
 
 class TestInitWeights:
