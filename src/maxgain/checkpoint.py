@@ -21,7 +21,8 @@ reproduce every float64 exactly on parse.
 import numpy as np
 
 from .errors import FormatError, InvalidValueError, ShapeError
-from .layers import STAGE_TYPES, Network, ResidualBlock, stage_hyper
+from .data import write_text
+from .layers import STAGE_TYPES, Network, ResidualBlock, parse_fields
 from .tensor import DTYPE
 
 _HEADER = "maxgain-checkpoint v1"
@@ -61,8 +62,7 @@ def network_to_text(net):
 
 
 def save_network(net, path):
-    with open(path, "w") as fh:
-        fh.write(network_to_text(net))
+    write_text(path, network_to_text(net))
 
 
 class _Reader:
@@ -140,21 +140,21 @@ def _parse_stage(reader):
         raise FormatError(f"expected a stage header, got {' '.join(head)!r}")
     if len(head) < 2:
         raise FormatError("stage header is missing its type")
-    kind = head[1]
+    kind, what = head[1], f"{head[1]} stage"
     cls = STAGE_TYPES.get(kind)
     if cls is None:
         raise FormatError(f"unknown stage type {kind!r}")
-    hyper = stage_hyper(cls, _parse_attrs(head[2:], f"{kind} stage"), FormatError)
+    hyper = parse_fields(what, cls.hyper, _parse_attrs(head[2:], what), FormatError)
     if cls is ResidualBlock:
         args = _parse_stages(reader, "main"), _parse_stages(reader, "shortcut")
     else:
         args = [_read_array(reader, name) for name in cls.param_names]
     state = [_read_array(reader, name) for name in cls.state]
-    _expect_end(reader, f"{kind} stage")
+    _expect_end(reader, what)
     try:
         st = cls(*args, **hyper)
     except (InvalidValueError, ShapeError) as err:
-        raise FormatError(f"bad {kind} stage: {err}") from None
+        raise FormatError(f"bad {what}: {err}") from None
     for name, arr in zip(cls.state, state):
         setattr(st, name, arr)
     return st

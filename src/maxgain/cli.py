@@ -12,7 +12,7 @@ import os
 import sys
 
 from .checkpoint import load_network, save_network
-from .data import FoldProtocol
+from .data import FoldProtocol, write_text
 from .errors import (
     AdjointMismatchError,
     CacheError,
@@ -26,15 +26,18 @@ from .errors import (
 )
 from .evaluate import gain_report, gamma_sweep, paired_t_test
 from .experiment import (
+    CONFIG_FIELDS,
     build_dataset,
     build_fold_protocol,
     build_maxgain,
+    check_config,
     run_config,
     run_folds,
 )
+from .layers import parse_fields
 
-_USAGE_ERRORS = (ConfigError, FormatError, ShapeError, EmptySampleError,
-                 DegenerateSampleError, FileNotFoundError, IsADirectoryError)
+_USAGE_ERRORS = (ConfigError, FormatError, ShapeError, EmptySampleError, DegenerateSampleError,
+                 FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
 _NUMERIC_ERRORS = (DivergenceError, InvalidValueError, AdjointMismatchError, CacheError)
 
 
@@ -48,22 +51,30 @@ def _load_config(path):
 
 def _write_or_print(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
 
-def _apply_seed_override(config, args):
-    if getattr(args, "seed", None) is not None:
+def _training_config(args):
+    """The checked config file, with --seed applied."""
+    config = check_config(_load_config(args.config))
+    if args.seed is not None:
         config["seed"] = args.seed
+    return config
+
+
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def cmd_train(args):
-    config = _load_config(args.config)
-    _apply_seed_override(config, args)
-    result = run_config(config)
+    config = _training_config(args)
     os.makedirs(args.out, exist_ok=True)
+    result = run_config(config)
     ledger_path = os.path.join(args.out, "ledger.tsv")
     checkpoint_path = os.path.join(args.out, "checkpoint.txt")
     result.ledger.write(ledger_path)
@@ -86,11 +97,10 @@ def _parse_gammas(text):
 
 
 def cmd_sweep(args):
-    config = _load_config(args.config)
-    _apply_seed_override(config, args)
+    config = _training_config(args)
     if build_maxgain(config) is None:
         raise ConfigError("sweep needs a \"maxgain\" section to carry the norm order")
-    if not config.get("test_dataset"):
+    if not config["test_dataset"]:
         raise ConfigError("sweep needs a \"test_dataset\" to report test metrics")
     result = gamma_sweep(config, _parse_gammas(args.gammas), jobs=args.jobs)
     _write_or_print(result.to_text(), args.out)
@@ -102,9 +112,11 @@ _NORMS = {"1": 1, "2": 2, "inf": math.inf}
 
 def cmd_gain_report(args):
     net = load_network(args.checkpoint)
-    config = _load_config(args.config)
-    train = build_dataset(config["dataset"]) if config.get("dataset") else None
-    test = build_dataset(config["test_dataset"]) if config.get("test_dataset") else None
+    # the report reads the datasets only, and either one may be absent
+    optional = CONFIG_FIELDS["test_dataset"]
+    specs = parse_fields("config", {"dataset": optional, "test_dataset": optional},
+                         _load_config(args.config), ConfigError, CONFIG_FIELDS)
+    train, test = (build_dataset(spec) if spec else None for spec in specs.values())
     if train is None and test is None:
         raise ConfigError("gain-report needs a dataset or test_dataset in the config")
     report = gain_report(net, train, test, _NORMS[args.norm])
@@ -113,8 +125,7 @@ def cmd_gain_report(args):
 
 
 def cmd_folds(args):
-    config = _load_config(args.config)
-    _apply_seed_override(config, args)
+    config = _training_config(args)
     dataset = build_dataset(config["dataset"])
     if args.folds_file:
         protocol = FoldProtocol.load(args.folds_file)
@@ -187,7 +198,7 @@ def _build_parser():
     p = sub.add_parser("sweep", help="train one model per gamma and tabulate the results")
     p.add_argument("config")
     p.add_argument("--gammas", required=True, help="comma-separated gamma values")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (default 1)")
     p.add_argument("--out", help="write the table here instead of stdout")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_sweep)
@@ -203,7 +214,7 @@ def _build_parser():
     p.add_argument("config")
     p.add_argument("--folds-file", help="use a saved fold protocol instead of building one")
     p.add_argument("--save-folds", help="write the fold protocol here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", help="write the scores here instead of stdout")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_folds)

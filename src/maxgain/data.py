@@ -1,17 +1,35 @@
-"""Datasets: IDX and CSV loading, synthetic generators, augmentation, folds."""
+"""Datasets: IDX and CSV loading, synthetic generators, augmentation, folds,
+and the atomic text writes every output file goes through."""
 
+import contextlib
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptySampleError, FormatError, ShapeError
+from .layers import REQUIRED, integer, of_type, one_of, parse_fields
 from .tensor import DTYPE
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+
+def write_text(path, text):
+    """Write text to path through a temporary file beside it and os.replace,
+    so path holds either its previous bytes or all of text, never a part."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -237,25 +255,37 @@ class FoldProtocol:
             "n_instances": self.n_instances,
             "folds": [{"train": f.train.tolist(), "test": f.test.tolist()} for f in self.folds],
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        write_text(path, json.dumps(doc) + "\n")
 
     @staticmethod
     def load(path):
+        """The protocol saved at path. A file that is not one, an index
+        outside [0, n_instances) or an instance used twice is a FormatError."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise FormatError(f"{path}: not valid JSON ({err})") from None
-        if not isinstance(doc, dict) or doc.get("format") != "maxgain-folds":
-            raise FormatError(f"{path}: not a fold-protocol file")
-        if doc.get("version") != 1:
-            raise FormatError(f"{path}: unsupported fold-protocol version {doc.get('version')!r}")
-        folds = tuple(
-            Fold(np.asarray(f["train"], dtype=np.int64), np.asarray(f["test"], dtype=np.int64))
-            for f in doc["folds"])
-        return FoldProtocol(n_instances=int(doc["n_instances"]), folds=folds)
+        doc = parse_fields(f"fold-protocol file {path}", _FOLDS_FILE, doc, FormatError)
+        n, folds, seen = doc["n_instances"], [], set()
+        for f, spec in enumerate(doc["folds"]):
+            parts = parse_fields(f"fold {f} of {path}", _FOLD, spec, FormatError)
+            for part, ids in parts.items():
+                for i in ids:
+                    if type(i) is not int or not 0 <= i < n:
+                        raise FormatError(f"{path}: fold {f} {part} index {i!r} is not in [0, {n})")
+                    if i in seen:
+                        raise FormatError(f"{path}: instance {i} is used twice (fold {f} {part})")
+                    seen.add(i)
+            folds.append(Fold(np.asarray(parts["train"], dtype=np.int64),
+                              np.asarray(parts["test"], dtype=np.int64)))
+        return FoldProtocol(n_instances=n, folds=tuple(folds))
+
+
+# A saved FoldProtocol, and one fold of it.
+_FOLDS_FILE = {"format": (one_of("maxgain-folds"), REQUIRED), "version": (one_of(1), REQUIRED),
+               "n_instances": (integer, REQUIRED), "folds": (of_type(list), REQUIRED)}
+_FOLD = {"train": (of_type(list), REQUIRED), "test": (of_type(list), REQUIRED)}
 
 
 def make_folds(data, k, train_per_fold, test_per_fold, rng):

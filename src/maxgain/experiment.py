@@ -1,24 +1,9 @@
 """Experiment assembly: config dicts to networks, datasets, and training runs.
 
-The config is a plain dict (the CLI reads it from JSON):
-
-    {
-      "seed": 7,
-      "model": [{"type": <kind>, ...}, ...],  # stages: layers.STAGE_TYPES
-      "init": "he-normal",
-      "optimizer": "adam",                  # or "sgd"
-      "lr": 1e-3,
-      "momentum": 0.9,                      # sgd only
-      "schedule": [[100, 0.1]],             # optional (epoch, factor) drops
-      "epochs": 200,
-      "batch_size": 64,
-      "maxgain": {"gamma": 2.0, "p": 2},    # optional; p in {1, 2, "inf"}
-      "dataset": {"type": "spirals", "n": 2000, "seed": 7},
-      "test_dataset": {...},                # optional
-      "augment": {"flip": true, "pad": 4},  # optional
-      "folds": {"k": 10, "train_per_fold": 9000,
-                "test_per_fold": 1000, "seed": 0}   # cmd-folds only
-    }
+A config is a plain dict (the CLI reads it from JSON). CONFIG_FIELDS declares
+its top level, the tables above it its sections, and layers.STAGE_TYPES the
+model stages. Every section rejects unknown keys, and a domain error met while
+building from one is a config error naming it.
 
 Every run is a pure function of the config: weight init draws from the root
 stream of `seed`, while shuffling / dropout / augmentation use child streams
@@ -26,6 +11,7 @@ spawned from the same seed inside fit().
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,156 +19,156 @@ import numpy as np
 from .data import augment, load_csv, load_idx, make_folds, synth_blobs, synth_spirals
 from .errors import ConfigError, InvalidValueError, ShapeError
 from .evaluate import per_layer_gains, run_jobs
-from .layers import STAGE_TYPES, Network, ResidualBlock, stage_hyper
+from .layers import (
+    REQUIRED, SIZE, STAGE_TYPES, Network, ResidualBlock, integer, of_type, one_of, parse_fields)
 from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, eval_metrics, fit
 from .tensor import make_rng
 
-_TOP_KEYS = {"seed", "model", "init", "optimizer", "lr", "momentum", "schedule",
-             "epochs", "batch_size", "maxgain", "dataset", "test_dataset",
-             "augment", "folds"}
-_REQUIRED_KEYS = ("model", "optimizer", "lr", "epochs", "dataset")
-
-
-def _need(spec, key, what):
-    if key not in spec:
-        raise ConfigError(f"{what} is missing required key {key!r}")
-    return spec[key]
-
 
 def parse_norm_order(value):
-    if value in (1, 2):
+    if value in (1, 2) and not isinstance(value, bool):
         return value
     if value == "inf" or value == math.inf:
         return math.inf
     raise ConfigError(f"norm order must be 1, 2 or \"inf\", got {value!r}")
 
 
-def check_config(config):
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a mapping")
-    for key in config:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-    for key in _REQUIRED_KEYS:
-        if key not in config:
-            raise ConfigError(f"config is missing required key {key!r}")
-    if config["optimizer"] not in ("adam", "sgd"):
-        raise ConfigError(f"optimizer must be \"adam\" or \"sgd\", got {config['optimizer']!r}")
-
-
-def build_stage(spec, scheme, rng):
-    """One stage from its config spec: {"type": <kind>, ...} with the keys
-    the stage class declares (its hyperparameters and config_keys)."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"model stage must be a mapping with a \"type\", got {spec!r}")
-    kind = spec["type"]
-    cls = STAGE_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(f"unknown stage type {kind!r}")
-    what = f"{kind} stage"
-    given = {k: v for k, v in spec.items() if k != "type"}
-    hyper = stage_hyper(cls, given, ConfigError, cls.config_keys)
+@contextmanager
+def _building(what):
+    """Domain errors raised while building from config section `what`
+    become config errors naming it."""
     try:
-        if cls is ResidualBlock:
-            shortcut = spec.get("shortcut")
-            args = ([build_stage(s, scheme, rng) for s in _need(spec, "main", what)],
-                    None if shortcut is None else [build_stage(s, scheme, rng) for s in shortcut])
-        else:
-            args = cls.initial(scheme, rng, *(int(_need(spec, k, what)) for k in cls.config_keys))
-        return cls(*args, **hyper)
+        yield
     except (InvalidValueError, ShapeError) as err:
         raise ConfigError(f"bad {what}: {err}") from None
 
 
+def _kind(what, kinds, spec):
+    """The key of kinds that spec["type"] names; other keys are for its own table."""
+    return parse_fields(what, {"type": (one_of(*kinds), REQUIRED)}, spec, ConfigError, spec)["type"]
+
+
+def _section(what, fields):
+    """A field type: a mapping parsed by the table `fields`."""
+    return lambda spec: parse_fields(what, fields, spec, ConfigError)
+
+
+def _dataset(spec):
+    """A field type: a dataset spec parsed by the table of its "type"."""
+    kind = _kind("dataset", DATASET_FIELDS, spec)
+    return dict(parse_fields(f"{kind} dataset", DATASET_FIELDS[kind], spec, ConfigError, ("type",)), type=kind)
+
+
+def _drops(pairs):
+    """A field type: a list of [epoch, factor] learning-rate drops."""
+    if not all(isinstance(p, list) and len(p) == len(DROP_FIELDS) for p in of_type(list)(pairs)):
+        raise TypeError(f"expected a list of [epoch, factor] pairs, got {pairs!r}")
+    drops = [parse_fields("schedule pair", DROP_FIELDS, dict(zip(DROP_FIELDS, p)), ConfigError) for p in pairs]
+    return [[d["epoch"], d["factor"]] for d in drops]
+
+
+DATASET_FIELDS = {
+    "spirals": {"n": SIZE, "seed": (integer, 0), "classes": (integer, 2), "turns": (float, 1.75),
+                "noise_sd": (float, 0.15)},
+    "blobs": {"n": SIZE, "seed": (integer, 0), "centers": (of_type(list), REQUIRED), "sd": (float, 1.0)},
+    "idx": {"images": (of_type(str), REQUIRED), "labels": (of_type(str), REQUIRED)},
+    "csv": {"path": (of_type(str), REQUIRED), "label_col": (integer, -1),
+            "feature_cols": (of_type(list), None)}}
+DROP_FIELDS = {"epoch": (integer, REQUIRED), "factor": (float, REQUIRED)}
+MAXGAIN_FIELDS = {"gamma": (float, REQUIRED), "p": (parse_norm_order, 2)}
+AUGMENT_FIELDS = {"flip": (of_type(bool), False), "pad": (integer, 0), "crop": (integer, None)}
+FOLD_FIELDS = {"k": SIZE, "train_per_fold": SIZE, "test_per_fold": SIZE, "seed": (integer, 0)}
+CONFIG_FIELDS = {
+    "seed": (integer, 0), "model": (of_type(list), REQUIRED), "init": (of_type(str), "he-normal"),
+    "optimizer": (one_of("adam", "sgd"), REQUIRED), "lr": (float, REQUIRED),
+    "momentum": (float, 0.9), "schedule": (_drops, []), "epochs": (integer, REQUIRED),
+    "batch_size": (integer, 64), "maxgain": (_section("maxgain", MAXGAIN_FIELDS), None),
+    "dataset": (_dataset, REQUIRED), "test_dataset": (_dataset, None),
+    "augment": (_section("augment", AUGMENT_FIELDS), None),
+    "folds": (_section("folds", FOLD_FIELDS), None)}
+
+
+def _fields(config, *keys):
+    """The named top-level fields of config, whose other keys are top-level keys."""
+    return parse_fields("config", {k: CONFIG_FIELDS[k] for k in keys}, config, ConfigError, CONFIG_FIELDS)
+
+
+def check_config(config):
+    """The top-level fields and sections of config, checked, defaults filled in."""
+    return _fields(config, *CONFIG_FIELDS)
+
+
+def build_stage(spec, scheme, rng):
+    """One stage from its config spec: {"type": <kind>, ...} with the fields
+    the stage class declares (its hyper and config_keys tables)."""
+    cls = STAGE_TYPES[_kind("model stage", STAGE_TYPES, spec)]
+    what = f"{cls.kind} stage"
+    hyper = parse_fields(what, {**cls.hyper, **cls.config_keys}, spec, ConfigError, ("type",))
+    sizes = [hyper.pop(k) for k in cls.config_keys]
+    with _building(what):
+        if cls is ResidualBlock:
+            args = [None if part is None else [build_stage(s, scheme, rng) for s in part]
+                    for part in sizes]
+        else:
+            args = cls.initial(scheme, rng, *sizes)
+        return cls(*args, **hyper)
+
+
 def build_network(config, rng):
-    scheme = config.get("init", "he-normal")
-    stages = [build_stage(s, scheme, rng) for s in config["model"]]
-    return Network(stages)
+    cfg = _fields(config, "model", "init")
+    return Network([build_stage(s, cfg["init"], rng) for s in cfg["model"]])
 
 
 def build_dataset(spec):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"dataset spec must be a mapping with a \"type\", got {spec!r}")
-    kind = spec["type"]
-    if kind == "spirals":
-        rng = make_rng(int(spec.get("seed", 0)))
-        return synth_spirals(int(_need(spec, "n", "spirals dataset")), rng,
-                             classes=int(spec.get("classes", 2)),
-                             turns=float(spec.get("turns", 1.75)),
-                             noise_sd=float(spec.get("noise_sd", 0.15)))
-    if kind == "blobs":
-        rng = make_rng(int(spec.get("seed", 0)))
-        return synth_blobs(int(_need(spec, "n", "blobs dataset")), rng,
-                           centers=_need(spec, "centers", "blobs dataset"),
-                           sd=float(spec.get("sd", 1.0)))
-    if kind == "idx":
-        return load_idx(_need(spec, "images", "idx dataset"), _need(spec, "labels", "idx dataset"))
-    if kind == "csv":
-        return load_csv(_need(spec, "path", "csv dataset"),
-                        label_col=int(spec.get("label_col", -1)),
-                        feature_cols=spec.get("feature_cols"))
-    raise ConfigError(f"unknown dataset type {kind!r}")
+    a = _dataset(spec)
+    with _building(f"{a['type']} dataset"):
+        if a["type"] == "spirals":
+            return synth_spirals(a["n"], make_rng(a["seed"]), a["classes"], a["turns"], a["noise_sd"])
+        if a["type"] == "blobs":
+            return synth_blobs(a["n"], make_rng(a["seed"]), a["centers"], a["sd"])
+        if a["type"] == "idx":
+            return load_idx(a["images"], a["labels"])
+        return load_csv(a["path"], a["label_col"], a["feature_cols"])
 
 
 def build_optimizer(config):
-    if config["optimizer"] == "adam":
+    cfg = _fields(config, "optimizer", "momentum")
+    if cfg["optimizer"] == "adam":
         return Adam()
-    return SgdNesterov(momentum=float(config.get("momentum", 0.9)))
+    with _building("momentum"):
+        return SgdNesterov(momentum=cfg["momentum"])
 
 
 def build_maxgain(config):
-    spec = config.get("maxgain")
+    spec = _fields(config, "maxgain")["maxgain"]
     if spec is None:
         return None
-    if not isinstance(spec, dict):
-        raise ConfigError(f"maxgain must be a mapping or null, got {spec!r}")
-    try:
-        return MaxGainConfig(gamma=float(_need(spec, "gamma", "maxgain")),
-                             p=parse_norm_order(spec.get("p", 2)))
-    except InvalidValueError as err:
-        raise ConfigError(f"bad maxgain settings: {err}") from None
+    with _building("maxgain"):
+        return MaxGainConfig(**spec)
 
 
 def build_augment_fn(config):
-    spec = config.get("augment")
-    if not spec:
+    a = _fields(config, "augment")["augment"]
+    if a is None or not a["flip"] and a["pad"] == 0:
         return None
-    flip = bool(spec.get("flip", False))
-    pad = int(spec.get("pad", 0))
-    crop = spec.get("crop")
-    if not flip and pad == 0:
-        return None
-
-    def apply(xb, rng):
-        return augment(xb, rng, flip=flip, pad=pad,
-                       crop=int(crop) if crop is not None else None)
-
-    return apply
+    return lambda xb, rng: augment(xb, rng, **a)
 
 
 def build_schedule(config):
-    try:
-        drops = tuple((int(e), float(f)) for e, f in config.get("schedule", ()))
-        return Schedule(base_lr=float(config["lr"]), drops=drops)
-    except ConfigError:
-        raise
-    except (InvalidValueError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad lr/schedule: {err}") from None
+    cfg = _fields(config, "lr", "schedule")
+    with _building("lr/schedule"):
+        return Schedule(base_lr=cfg["lr"], drops=tuple(map(tuple, cfg["schedule"])))
 
 
-def _train(config, train, seed, maxgain, test=None):
-    """A network built from the config's model with init seed `seed`, then
-    fit on train under the config's optimizer settings; returns (net, ledger)."""
-    net = build_network(config, make_rng(seed))
-    ledger = fit(net, train,
-                 optimizer=build_optimizer(config),
-                 schedule=build_schedule(config),
-                 epochs=int(config["epochs"]),
-                 batch_size=int(config.get("batch_size", 64)),
-                 maxgain=maxgain,
-                 seed=seed,
-                 test=test,
-                 augment_fn=build_augment_fn(config))
+def _train(cfg, train, seed, maxgain, test=None):
+    """A network built from the checked config cfg with init seed `seed`,
+    then fit on train under its optimizer settings; returns (net, ledger)."""
+    with _building("seed"):
+        rng = make_rng(seed)
+    net = build_network(cfg, rng)
+    ledger = fit(net, train, optimizer=build_optimizer(cfg), schedule=build_schedule(cfg),
+                 epochs=cfg["epochs"], batch_size=cfg["batch_size"], maxgain=maxgain, seed=seed,
+                 test=test, augment_fn=build_augment_fn(cfg))
     return net, ledger
 
 
@@ -204,15 +190,14 @@ def run_config(config, gamma_override=None, seed_override=None):
     seed_override replaces the training/init seed while the dataset seeds stay
     as configured.
     """
-    check_config(config)
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
-    train = build_dataset(config["dataset"])
-    test = build_dataset(config["test_dataset"]) if config.get("test_dataset") else None
-    maxgain = build_maxgain(config)
+    cfg = check_config(config)
+    seed = cfg["seed"] if seed_override is None else seed_override
+    train = build_dataset(cfg["dataset"])
+    test = build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None
+    maxgain = build_maxgain(cfg)
     if gamma_override is not None:
-        base_p = maxgain.p if maxgain is not None else 2
-        maxgain = MaxGainConfig(gamma=float(gamma_override), p=base_p)
-    net, ledger = _train(config, train, seed, maxgain, test)
+        maxgain = MaxGainConfig(gamma=gamma_override, p=maxgain.p if maxgain is not None else 2)
+    net, ledger = _train(cfg, train, seed, maxgain, test)
     train_loss, train_acc = eval_metrics(net, train.x, train.y)
     result = RunResult(net=net, ledger=ledger, train_loss=train_loss, train_accuracy=train_acc)
     if test is not None:
@@ -249,24 +234,20 @@ class FoldScores:
 
 
 def build_fold_protocol(config, dataset):
-    spec = config.get("folds")
-    if not isinstance(spec, dict):
-        raise ConfigError("config needs a \"folds\" mapping with k/train_per_fold/test_per_fold")
-    return make_folds(dataset,
-                      int(_need(spec, "k", "folds")),
-                      int(_need(spec, "train_per_fold", "folds")),
-                      int(_need(spec, "test_per_fold", "folds")),
-                      make_rng(int(spec.get("seed", 0))))
+    f = _fields(config, "folds")["folds"]
+    if f is None:
+        raise ConfigError("config needs a \"folds\" section with k/train_per_fold/test_per_fold")
+    with _building("folds"):
+        return make_folds(dataset, f["k"], f["train_per_fold"], f["test_per_fold"], make_rng(f["seed"]))
 
 
 def run_fold_point(args):
     """Train on one fold; takes (config, fold_index, train_idx, test_idx)."""
     config, fold_index, train_idx, test_idx = args
-    check_config(config)
-    seed = int(config.get("seed", 0)) + int(fold_index)
-    full = build_dataset(config["dataset"])
+    cfg = check_config(config)
+    full = build_dataset(cfg["dataset"])
     train, test = full.subset(np.asarray(train_idx)), full.subset(np.asarray(test_idx))
-    net, _ = _train(config, train, seed, build_maxgain(config))
+    net, _ = _train(cfg, train, cfg["seed"] + fold_index, build_maxgain(cfg))
     _, acc = eval_metrics(net, test.x, test.y)
     return fold_index, acc
 
@@ -277,8 +258,8 @@ def run_folds(config, protocol=None, jobs=1):
     Each fold trains a fresh network with seed (config seed + fold index).
     Returns FoldScores ordered by fold index.
     """
-    check_config(config)
+    cfg = check_config(config)
     if protocol is None:
-        protocol = build_fold_protocol(config, build_dataset(config["dataset"]))
+        protocol = build_fold_protocol(cfg, build_dataset(cfg["dataset"]))
     tasks = [(config, f, fold.train, fold.test) for f, fold in enumerate(protocol.folds)]
     return FoldScores(scores=tuple(run_jobs(run_fold_point, tasks, jobs)))

@@ -10,12 +10,11 @@ Each stage class describes itself once, for config JSON and checkpoints
 alike (STAGE_TYPES lists the classes):
 
 - kind: its name in both;
-- hyper: its hyperparameters, name -> (type, default), REQUIRED where there
-  is no default;
+- hyper: its hyperparameters, a parse_fields table;
 - param_names and state: the learned arrays and the other arrays a
   checkpoint stores;
-- config_keys and initial(scheme, rng, *sizes): the config keys that size a
-  new stage, and the arrays drawn from them;
+- config_keys and initial(scheme, rng, *sizes): the config fields that size
+  a new stage (a parse_fields table), and the arrays drawn from them;
 - out_shape(in_shape): the instance shape it maps an instance shape to.
 """
 
@@ -41,8 +40,60 @@ def _check_batch(x, rank, what):
         raise ShapeError(f"{what} got an empty batch")
 
 
-# The default of a hyperparameter that has none.
+def integer(value):
+    """int(value), refusing a fractional number, a bool or a non-integer string."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+# The default of a field that has none, and a required integer field (a size
+# or a count).
 REQUIRED = object()
+SIZE = (integer, REQUIRED)
+
+
+def of_type(typ):
+    """A field type that takes a value of type typ as it is."""
+    def check(value):
+        if not isinstance(value, typ):
+            raise TypeError(f"expected a {typ.__name__}, got {value!r}")
+        return value
+    return check
+
+
+def one_of(*choices):
+    """A field type that takes one of the given values."""
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(map(repr, choices))}, got {value!r}")
+        return value
+    return check
+
+
+def parse_fields(what, fields, given, error, other_keys=()):
+    """Mapping `given` (checkpoint strings or JSON values) converted by the
+    table `fields`, name -> (type, default); defaults, and nulls where the
+    default is None, stay as they are. A non-mapping, a key in neither fields
+    nor other_keys, a value its type rejects or a missing REQUIRED field
+    raises `error` naming `what` and the key."""
+    if not isinstance(given, dict):
+        raise error(f"{what} must be a mapping, got {given!r}")
+    for key in given:
+        if key not in fields and key not in other_keys:
+            raise error(f"unknown key {key!r} in {what}")
+    out = {}
+    for name, (typ, default) in fields.items():
+        value = given.get(name, default)
+        if value is REQUIRED:
+            raise error(f"{what} is missing required key {name!r}")
+        if value is not default:
+            try:
+                value = typ(value)
+            except (TypeError, ValueError) as err:
+                raise error(f"bad {name!r} in {what}: {err}") from None
+        out[name] = value
+    return out
 
 
 class Stage:
@@ -52,7 +103,7 @@ class Stage:
     hyper = {}
     param_names = ()
     state = ()
-    config_keys = ()
+    config_keys = {}
 
     @staticmethod
     def initial(scheme, rng):
@@ -62,36 +113,13 @@ class Stage:
         return tuple(in_shape)
 
 
-def stage_hyper(cls, given, error, other_keys=()):
-    """Constructor keywords of stage class cls from `given`, its
-    hyperparameters as strings (checkpoint) or JSON values (config), each
-    converted to its declared type, with defaults filled in. A key that is
-    neither a hyperparameter nor in other_keys, a value that does not
-    convert, or a missing required one raises `error` naming the key."""
-    for key in given:
-        if key not in cls.hyper and key not in other_keys:
-            raise error(f"unknown key {key!r} in {cls.kind} stage")
-    out = {}
-    for name, (typ, default) in cls.hyper.items():
-        if name in given:
-            try:
-                out[name] = typ(given[name])
-            except (TypeError, ValueError):
-                raise error(f"bad {name} {given[name]!r} in {cls.kind} stage") from None
-        elif default is REQUIRED:
-            raise error(f"{cls.kind} stage is missing required key {name!r}")
-        else:
-            out[name] = default
-    return out
-
-
 class Dense(Stage):
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
     kind = "dense"
     param_names = ("w", "b")
     weight_param = "w"
-    config_keys = ("in", "out")
+    config_keys = {"in": SIZE, "out": SIZE}
 
     @staticmethod
     def initial(scheme, rng, n_in, n_out):
@@ -171,10 +199,10 @@ class Conv2d(Stage):
     """
 
     kind = "conv"
-    hyper = {"stride": (int, 1), "pad": (int, 0)}
+    hyper = {"stride": (integer, 1), "pad": (integer, 0)}
     param_names = ("kernel", "b")
     weight_param = "kernel"
-    config_keys = ("in", "out", "kernel")
+    config_keys = {"in": SIZE, "out": SIZE, "kernel": SIZE}
 
     @staticmethod
     def initial(scheme, rng, n_in, n_out, k):
@@ -306,7 +334,7 @@ class BatchNorm(Stage):
     param_names = ("alpha", "beta")
     state = ("running_mean", "running_var")
     weight_param = "alpha"
-    config_keys = ("channels",)
+    config_keys = {"channels": SIZE}
 
     @staticmethod
     def initial(scheme, rng, channels):
@@ -438,7 +466,7 @@ class MaxPool2d(Stage):
     """
 
     kind = "maxpool"
-    hyper = {"kernel": (int, REQUIRED), "stride": (int, None)}
+    hyper = {"kernel": (integer, REQUIRED), "stride": (integer, None)}
 
     def __init__(self, kernel, stride=None):
         if kernel < 1:
@@ -514,7 +542,7 @@ class ResidualBlock(Stage):
     """
 
     kind = "residual"
-    config_keys = ("main", "shortcut")
+    config_keys = {"main": (of_type(list), REQUIRED), "shortcut": (of_type(list), None)}
 
     def __init__(self, main, shortcut=None):
         if not main:
@@ -606,14 +634,6 @@ class Gradients:
     input_grad: np.ndarray
 
 
-class _Collector:
-    __slots__ = ("xs", "zs")
-
-    def __init__(self):
-        self.xs = []
-        self.zs = []
-
-
 def _forward_stages(stages, x, mode, rng, collector):
     caches = []
     for st in stages:
@@ -650,11 +670,8 @@ def forward(net, x, mode, rng=None):
     x = as_tensor(x, "network input")
     if x.shape[0] == 0:
         raise ShapeError("network got an empty batch")
-    collector = _Collector()
-    y, stage_caches = _forward_stages(net.stages, x, mode, rng, collector)
-    caches = StepCaches(
-        net_id=id(net), mode=mode, batch_size=x.shape[0],
-        stage_caches=stage_caches, xs=collector.xs, zs=collector.zs)
+    caches = StepCaches(net_id=id(net), mode=mode, batch_size=x.shape[0])
+    y, caches.stage_caches = _forward_stages(net.stages, x, mode, rng, caches)
     return y, caches
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_text
 from .errors import ConfigError, DivergenceError, EmptySampleError, InvalidValueError
 from .gain import batch_max_gain
 from .layers import backward, forward, softmax, softmax_cross_entropy
@@ -236,8 +237,7 @@ class TrainingLedger:
         return "\n".join(self.to_lines()) + "\n"
 
     def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
+        write_text(path, self.to_text())
 
 
 def eval_metrics(net, x, y, batch_size=256):

@@ -1,11 +1,12 @@
 """End-to-end command line behavior, run in process via main(argv)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from maxgain import load_network
+from maxgain import load_network, make_folds, make_rng, run_config, save_network
 from maxgain.cli import main
 
 
@@ -280,3 +281,148 @@ class TestTtest:
         write_scores(a, [(0, 0.9), (0, 0.8)])
         write_scores(b, [(0, 0.7), (1, 0.6)])
         assert main(["ttest", str(a), str(b)]) == 2
+
+
+BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5}
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"epochs": "ten"}, "'epochs'"),
+    ({"epochs": 1.7}, "'epochs'"),
+    ({"batch_size": "many"}, "'batch_size'"),
+    ({"seed": "x"}, "'seed'"),
+    ({"seed": -3}, "bad seed"),
+    ({"dataset": {**BLOBS, "n": "lots"}}, "'n' in blobs dataset"),
+    ({"dataset": {**BLOBS, "seed": -1}}, "bad blobs dataset"),
+    ({"dataset": {**BLOBS, "std": 1.0}}, "'std' in blobs dataset"),
+    ({"dataset": {"type": "spirals", "n": 40, "noise": 0.1}}, "'noise' in spirals dataset"),
+    ({"dataset": {"type": "parquet"}}, "'type' in dataset"),
+    ({"augment": {"pad": "four"}}, "'pad' in augment"),
+    ({"augment": {"flipp": True}}, "'flipp' in augment"),
+    ({"augment": {"flip": "yes"}}, "'flip' in augment"),
+    ({"augment": [1]}, "'augment'"),
+    ({"maxgain": {"gamma": "tight"}}, "'gamma' in maxgain"),
+    ({"maxgain": {"gamma": 2.0, "norm": 1}}, "'norm' in maxgain"),
+    ({"maxgain": {"gamma": -1.0}}, "bad maxgain"),
+    ({"optimizer": "sgd", "momentum": "heavy"}, "'momentum'"),
+    ({"optimizer": "sgd", "momentum": 1.5}, "bad momentum"),
+    ({"schedule": [[1.5, 0.1]]}, "'epoch' in schedule pair"),
+    ({"schedule": [[1, 0.1, 2]]}, "'schedule'"),
+    ({"folds": {"k": 2, "train_per_fold": 4, "test_per_fold": 2, "sed": 1}}, "'sed' in folds"),
+    ({"model": [{"type": "dense", "in": 2.5, "out": 2}]}, "'in' in dense stage"),
+    ({"model": [{"type": "maxpool", "kernel": 2.5}]}, "'kernel' in maxpool stage"),
+    ({"model": [{"type": "conv", "in": 2, "out": 2, "kernel": 1, "stride": 1.7}]},
+     "'stride' in conv stage"),
+    ({"learning_rate": 0.1}, "'learning_rate'"),
+])
+def test_malformed_train_configs_exit_2_naming_the_key(tmp_path, capsys, overrides, named):
+    config = write_config(tmp_path, **overrides)
+    assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["train", "CONFIG", "--out", "OUT"],
+        ["sweep", "CONFIG", "--gammas", "1"],
+        ["sweep", "CONFIG", "--gammas", "1", "--seed", "3"],
+        ["gain-report", "CHECKPOINT", "CONFIG"],
+        ["folds", "CONFIG"],
+    ])
+    def test_non_mapping_config_exits_2(self, tmp_path, capsys, argv):
+        checkpoint = tmp_path / "checkpoint.txt"
+        checkpoint.write_text("maxgain-checkpoint v1\nstages 1\nstage relu\nend\n")
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]")
+        names = {"CONFIG": str(config), "CHECKPOINT": str(checkpoint), "OUT": str(tmp_path / "o")}
+        assert main([names.get(a, a) for a in argv]) == 2
+        assert "config must be a mapping" in capsys.readouterr().err
+
+    def test_gain_report_needs_only_a_dataset(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        only_test = tmp_path / "only_test.json"
+        only_test.write_text(json.dumps({"test_dataset": BLOBS}))
+        capsys.readouterr()
+        assert main(["gain-report", str(out / "checkpoint.txt"), str(only_test)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3  # header + 2 layers
+
+    def test_out_that_is_a_file_or_under_one(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        a_file = tmp_path / "taken"
+        a_file.write_text("keep me\n")
+        assert main(["train", str(config), "--out", str(a_file)]) == 2
+        assert main(["train", str(config), "--out", str(a_file / "run")]) == 2
+        sweep_config = write_config(tmp_path, "sweep.json", maxgain={"gamma": 1.0}, epochs=1)
+        assert main(["sweep", str(sweep_config), "--gammas", "1",
+                     "--out", str(a_file / "sweep.tsv")]) == 2
+        assert capsys.readouterr().err.count("error:") == 3
+        assert a_file.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "folds"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, command, jobs):
+        argv = [command, str(write_config(tmp_path)), "--jobs", jobs]
+        if command == "sweep":
+            argv += ["--gammas", "1"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("folds, named", [
+        (None, "'folds'"),
+        ([{"train": [0, 1], "test": [60]}], "index 60"),
+        ([{"train": [0, 1], "test": [1]}], "instance 1 is used twice"),
+        ([{"train": [0, 1], "test": [2]}, {"train": [2, 3], "test": [4]}], "instance 2"),
+    ])
+    def test_malformed_folds_file_exits_2(self, tmp_path, capsys, folds, named):
+        config = write_config(tmp_path, epochs=1, test_dataset=None, dataset={**BLOBS, "n": 60})
+        doc = {"format": "maxgain-folds", "version": 1, "n_instances": 60}
+        if folds is not None:
+            doc["folds"] = folds
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps(doc))
+        assert main(["folds", str(config), "--folds-file", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+
+class TestAtomicOutputs:
+    """Every file the CLI writes goes through a temporary file and
+    os.replace: a failed write leaves the previous bytes and no temp file."""
+
+    def fail_replace(self, monkeypatch):
+        def replace(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_train_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "ledger.tsv").write_text("old ledger\n")
+        (out / "checkpoint.txt").write_text("old checkpoint\n")
+        result = run_config(json.loads(write_config(tmp_path).read_text()))
+        self.fail_replace(monkeypatch)
+        with pytest.raises(OSError):
+            result.ledger.write(out / "ledger.tsv")
+        with pytest.raises(OSError):
+            save_network(result.net, out / "checkpoint.txt")
+        assert (out / "ledger.tsv").read_text() == "old ledger\n"
+        assert (out / "checkpoint.txt").read_text() == "old checkpoint\n"
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.txt", "ledger.tsv"]
+
+    def test_table_and_fold_outputs(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, epochs=1, maxgain={"gamma": 1.0},
+                              folds={"k": 2, "train_per_fold": 10, "test_per_fold": 5})
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("sweep.tsv", "folds.json"):
+            (out / name).write_text(f"old {name}\n")
+        self.fail_replace(monkeypatch)
+        with pytest.raises(OSError):
+            main(["sweep", str(config), "--gammas", "1", "--out", str(out / "sweep.tsv")])
+        with pytest.raises(OSError):
+            make_folds(48, 2, 10, 5, make_rng(0)).save(out / "folds.json")
+        for name in ("sweep.tsv", "folds.json"):
+            assert (out / name).read_text() == f"old {name}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["folds.json", "sweep.tsv"]

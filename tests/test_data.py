@@ -1,9 +1,12 @@
 """Data loading, synthetic generators, augmentation, and fold protocols."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
+
+import maxgain.data as data_module
 
 from maxgain import (
     ConfigError,
@@ -22,6 +25,7 @@ from maxgain import (
     synth_blobs,
     synth_spirals,
 )
+from maxgain.data import write_text
 
 
 def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801,
@@ -334,6 +338,71 @@ class TestFolds:
         path.write_text('{"format": "maxgain-folds", "version": 2, "n_instances": 1, "folds": []}\n')
         with pytest.raises(FormatError):
             FoldProtocol.load(path)
+
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10}, "folds"),
+        ({"format": "maxgain-folds", "version": 1, "folds": []}, "n_instances"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10, "folds": [],
+          "seed": 3}, "seed"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, 1]}]}, "test"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, 10], "test": [2]}]}, "index 10"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, -1], "test": [2]}]}, "index -1"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, 1.5], "test": [2]}]}, "index 1.5"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, 1, 2], "test": [2]}]}, "instance 2 is used twice"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, 0], "test": [2]}]}, "instance 0 is used twice"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, 1], "test": [2]}, {"train": [3, 4], "test": [1]}]},
+         "instance 1 is used twice"),
+    ])
+    def test_load_rejects_malformed_protocols(self, tmp_path, doc, named):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=named):
+            FoldProtocol.load(path)
+
+
+class _TornFile:
+    """A text file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+class TestWriteText:
+    def test_replaces_the_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        write_text(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_a_write_failing_mid_file_keeps_the_previous_bytes(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_text("previous contents\n")
+        monkeypatch.setattr(data_module, "open", lambda path, mode: _TornFile(open(path, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_text(target, "replacement contents that never land\n")
+        assert target.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 class TestDataset:

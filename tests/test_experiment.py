@@ -1,6 +1,8 @@
 """Config-driven experiment assembly and the sweep/fold drivers."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,15 @@ from maxgain import (
     run_config,
     run_folds,
 )
+from maxgain.experiment import (
+    AUGMENT_FIELDS,
+    CONFIG_FIELDS,
+    DATASET_FIELDS,
+    DROP_FIELDS,
+    FOLD_FIELDS,
+    MAXGAIN_FIELDS,
+)
+from maxgain.layers import STAGE_TYPES
 
 
 def base_config(**overrides):
@@ -312,3 +323,117 @@ class TestFolds:
         proto = build_fold_protocol(config, build_dataset(config["dataset"]))
         scores = run_folds(config, protocol=proto)
         assert run_folds(config).to_text() == scores.to_text()
+
+
+class TestStrictSections:
+    """Every config section rejects unknown keys, fractional integers and
+    values of the wrong JSON type, and names the key."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"dataset": {"type": "spirals", "n": 10, "noise": 0.1}}, "noise"),
+        ({"dataset": {"type": "blobs", "n": 10, "centers": [[0.0], [1.0]], "std": 1.0}}, "std"),
+        ({"test_dataset": {"type": "idx", "images": "a", "labels": "b", "count": 3}}, "count"),
+        ({"maxgain": {"gamma": 2.0, "norm": 1}}, "norm"),
+        ({"augment": {"flipp": True}}, "flipp"),
+        ({"folds": {"k": 2, "train_per_fold": 4, "test_per_fold": 2, "sed": 1}}, "sed"),
+    ])
+    def test_unknown_section_key_is_named(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            check_config(base_config(**overrides))
+
+    def test_unknown_folds_key_in_fold_protocol(self):
+        config = base_config(folds={"k": 2, "train_per_fold": 4, "test_per_fold": 2, "sed": 1})
+        with pytest.raises(ConfigError, match="sed"):
+            build_fold_protocol(config, build_dataset(config["dataset"]))
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"dataset": {"type": "spirals", "n": 10.5}}, "n"),
+        ({"folds": {"k": 1.5, "train_per_fold": 4, "test_per_fold": 2}}, "k"),
+        ({"epochs": 1.7}, "epochs"),
+        ({"schedule": [[2.5, 0.1]]}, "epoch"),
+        ({"batch_size": "16.0"}, "batch_size"),
+        ({"seed": True}, "seed"),
+    ])
+    def test_fractional_integer_section_values(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            check_config(base_config(**overrides))
+
+    @pytest.mark.parametrize("stage, key", [
+        ({"type": "dense", "in": 1.9, "out": 2}, "in"),
+        ({"type": "maxpool", "kernel": 2.5}, "kernel"),
+        ({"type": "conv", "in": 1, "out": 2, "kernel": 3, "stride": 1.7}, "stride"),
+        ({"type": "batchnorm", "channels": "two"}, "channels"),
+        ({"type": "residual", "main": {"type": "relu"}}, "main"),
+    ])
+    def test_fractional_or_mistyped_stage_values(self, stage, key):
+        with pytest.raises(ConfigError, match=f"'{key}' in {stage['type']} stage"):
+            build_network({"model": [stage]}, make_rng(0))
+
+    def test_integral_floats_and_digit_strings_still_parse(self):
+        net = build_network({"model": [{"type": "conv", "in": 1.0, "out": "2", "kernel": 3,
+                                        "stride": 2.0}]}, make_rng(0))
+        assert net.stages[0].kernel.shape == (2, 1, 3, 3)
+        assert net.stages[0].stride == 2 and isinstance(net.stages[0].stride, int)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"augment": {"flip": 1}}, "flip"),
+        ({"augment": [1]}, "augment"),
+        ({"dataset": {"type": "blobs", "n": 10, "centers": {"a": 1, "b": 2}}}, "centers"),
+        ({"dataset": {"type": "idx", "images": 3, "labels": "b"}}, "images"),
+        ({"maxgain": {"gamma": "tight"}}, "gamma"),
+        ({"maxgain": {"gamma": 2.0, "p": True}}, "p"),
+        ({"model": {"type": "relu"}}, "model"),
+        ({"schedule": [[3, 0.1, 7]]}, "schedule"),
+        ({"optimizer": "adagrad"}, "optimizer"),
+        ({"lr": None}, "lr"),
+    ])
+    def test_mistyped_section_values(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            check_config(base_config(**overrides))
+
+    def test_nulls_mean_the_default_where_it_is_none(self):
+        cfg = check_config(base_config(maxgain=None, augment=None, test_dataset=None, folds=None))
+        assert cfg["maxgain"] is cfg["augment"] is cfg["test_dataset"] is cfg["folds"] is None
+        assert build_maxgain(cfg) is None
+
+    def test_check_config_is_idempotent(self):
+        cfg = check_config(base_config(schedule=[[2, 0.5]], maxgain={"gamma": 2, "p": "inf"},
+                                       augment={"flip": True}))
+        assert check_config(cfg) == cfg
+        assert cfg["maxgain"] == {"gamma": 2.0, "p": math.inf}
+        assert cfg["schedule"] == [[2, 0.5]]
+
+    @pytest.mark.parametrize("overrides, section", [
+        ({"seed": -3}, "seed"),
+        ({"dataset": {"type": "spirals", "n": 10, "seed": -1}}, "spirals dataset"),
+        ({"optimizer": "sgd", "momentum": 1.5}, "momentum"),
+        ({"maxgain": {"gamma": 0.0}}, "maxgain"),
+        ({"lr": -1.0}, "lr/schedule"),
+    ])
+    def test_domain_errors_while_building_name_the_section(self, overrides, section):
+        with pytest.raises(ConfigError, match=f"bad {section}: "):
+            run_config(base_config(**overrides))
+
+    def test_negative_fold_seed_names_the_folds_section(self):
+        config = base_config(folds={"k": 2, "train_per_fold": 4, "test_per_fold": 2, "seed": -1})
+        with pytest.raises(ConfigError, match="bad folds: "):
+            build_fold_protocol(config, build_dataset(config["dataset"]))
+
+    def test_partial_configs_still_build_what_they_name(self):
+        build_network({"model": [{"type": "relu"}]}, make_rng(0))
+        with pytest.raises(ConfigError, match="unknown key 'modle'"):
+            build_network({"model": [{"type": "relu"}], "modle": []}, make_rng(0))
+
+
+def test_readme_names_every_declared_key():
+    """The README's "Model stages" section, "Dataset types" included, names
+    in code spans every kind and key that the config tables and the stage
+    classes declare, so the docs cannot drift from the tables."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("### Model stages"):text.index("## File formats")]
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", section))))
+    tables = [CONFIG_FIELDS, MAXGAIN_FIELDS, AUGMENT_FIELDS, FOLD_FIELDS, DROP_FIELDS,
+              *DATASET_FIELDS.values()]
+    tables += [{**cls.hyper, **cls.config_keys} for cls in STAGE_TYPES.values()]
+    declared = {*DATASET_FIELDS, *STAGE_TYPES} | {key for table in tables for key in table}
+    assert declared - named == set()
