@@ -10,11 +10,11 @@ Layout (version 1):
     ...
     end
 
-A stage's kind, attributes and arrays are the ones its class declares
+A stage's kind, attributes, arrays and parts are the ones its class declares
 (layers.STAGE_TYPES): every hyperparameter as key=value, then the learned
-arrays and any state arrays, in declared order. Residual blocks nest:
-`stage residual`, `main <k>`, k stage blocks, `shortcut <m>` (0 means
-identity), m stage blocks, `end`. 17 significant digits are enough to
+arrays, any state arrays and each part's stage blocks, in declared order. So
+a residual block is `stage residual`, `main <k>`, k stage blocks, `shortcut <m>`
+(0 means identity), m stage blocks, `end`. 17 significant digits are enough to
 reproduce every float64 exactly on parse.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidValueError, ShapeError
 from .data import write_text
-from .layers import STAGE_TYPES, Network, ResidualBlock, parse_fields
+from .layers import STAGE_TYPES, Network, parse_fields
 from .tensor import DTYPE
 
 _HEADER = "maxgain-checkpoint v1"
@@ -45,12 +45,11 @@ def _emit_stage(lines, st):
     lines.append(" ".join([f"stage {cls.kind}"] + [f"{k}={_fmt(getattr(st, k))}" for k in cls.hyper]))
     for name in cls.param_names + cls.state:
         _emit_array(lines, name, getattr(st, name))
-    if cls is ResidualBlock:
-        for part in ("main", "shortcut"):
-            subs = getattr(st, part) or []
-            lines.append(f"{part} {len(subs)}")
-            for sub in subs:
-                _emit_stage(lines, sub)
+    for part in cls.parts:
+        subs = getattr(st, part) or []
+        lines.append(f"{part} {len(subs)}")
+        for sub in subs:
+            _emit_stage(lines, sub)
     lines.append("end")
 
 
@@ -145,11 +144,9 @@ def _parse_stage(reader):
     if cls is None:
         raise FormatError(f"unknown stage type {kind!r}")
     hyper = parse_fields(what, cls.hyper, _parse_attrs(head[2:], what), FormatError)
-    if cls is ResidualBlock:
-        args = _parse_stages(reader, "main"), _parse_stages(reader, "shortcut")
-    else:
-        args = [_read_array(reader, name) for name in cls.param_names]
+    args = [_read_array(reader, name) for name in cls.param_names]
     state = [_read_array(reader, name) for name in cls.state]
+    args += [_parse_stages(reader, part) for part in cls.parts]
     _expect_end(reader, what)
     try:
         st = cls(*args, **hyper)
@@ -164,10 +161,7 @@ def network_from_text(text):
     reader = _Reader(text)
     if reader.next("header") != _HEADER:
         raise FormatError(f"not a checkpoint file (expected {_HEADER!r} header)")
-    head = reader.next("stage count").split()
-    if len(head) != 2 or head[0] != "stages":
-        raise FormatError(f"expected 'stages <count>', got {' '.join(head)!r}")
-    stages = [_parse_stage(reader) for _ in range(_parse_int(head[1], "stage count"))]
+    stages = _parse_stages(reader, "stages")
     if not reader.at_end():
         raise FormatError(f"trailing content after the last stage: {reader.next()!r}")
     return Network(stages)

@@ -170,7 +170,10 @@ def synth_spirals(n, rng, classes=2, turns=1.75, noise_sd=0.15):
 
 def synth_blobs(n, rng, centers, sd=1.0):
     """Isotropic gaussian blobs, one per row of centers, balanced within one."""
-    centers = np.asarray(centers, dtype=DTYPE)
+    try:
+        centers = np.asarray(centers, dtype=DTYPE)
+    except ValueError:
+        raise ConfigError(f"centers must be a (K>=2, d) array of numbers, got {centers!r}") from None
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise ConfigError(f"centers must be a (K>=2, d) array, got shape {centers.shape}")
     if n < 1:
@@ -210,16 +213,16 @@ def pad_crop_images(x, pad, size, offsets):
 def augment(x, rng, flip=False, pad=0, crop=None):
     """Random horizontal flips (p=0.5) and random zero-pad crops on a batch.
 
-    Flips happen first, then cropping. crop defaults to the original height
-    (images are assumed square for cropping). Labels are untouched; pass the
-    image batch only.
+    Flips happen first, then cropping, whenever pad or crop is set. crop
+    defaults to the original height (images are assumed square for
+    cropping). Labels are untouched; pass the image batch only.
     """
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
         raise ShapeError(f"augment expects an (N, C, H, W) batch, got shape {x.shape}")
     if flip:
         x = flip_images(x, rng.random(x.shape[0]) < 0.5)
-    if pad:
+    if pad or crop is not None:
         size = crop if crop is not None else x.shape[2]
         high = x.shape[2] + 2 * pad - size
         if high < 0:

@@ -264,12 +264,5 @@ def gamma_sweep(config, gammas, jobs=1):
     gammas = sorted(float(g) for g in gammas)
     if not gammas:
         raise EmptySampleError("gamma sweep needs at least one gamma")
-    results = run_jobs(experiment.run_sweep_point, [(config, g) for g in gammas], jobs)
-    rows = []
-    for g, res in zip(gammas, results):
-        rows.append(SweepRow(
-            gamma=g,
-            train_accuracy=res.train_accuracy, train_loss=res.train_loss,
-            test_accuracy=res.test_accuracy, test_loss=res.test_loss,
-            test_max_gains=tuple(res.test_max_gains)))
+    rows = run_jobs(experiment.run_sweep_point, [(config, g) for g in gammas], jobs)
     return SweepResult(rows=tuple(rows))

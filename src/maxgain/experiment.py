@@ -18,9 +18,9 @@ import numpy as np
 
 from .data import augment, load_csv, load_idx, make_folds, synth_blobs, synth_spirals
 from .errors import ConfigError, InvalidValueError, ShapeError
-from .evaluate import per_layer_gains, run_jobs
+from .evaluate import SweepRow, per_layer_gains, run_jobs
 from .layers import (
-    REQUIRED, SIZE, STAGE_TYPES, Network, ResidualBlock, integer, of_type, one_of, parse_fields)
+    REQUIRED, SIZE, STAGE_TYPES, Network, at_least, integer, of_type, one_of, parse_fields, real)
 from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, eval_metrics, fit
 from .tensor import make_rng
 
@@ -67,21 +67,28 @@ def _drops(pairs):
     return [[d["epoch"], d["factor"]] for d in drops]
 
 
+def _centers(rows):
+    """A field type: a list of rows of numbers (blob centres)."""
+    return [[real(v) for v in of_type(list)(row)] for row in of_type(list)(rows)]
+
+
 DATASET_FIELDS = {
-    "spirals": {"n": SIZE, "seed": (integer, 0), "classes": (integer, 2), "turns": (float, 1.75),
-                "noise_sd": (float, 0.15)},
-    "blobs": {"n": SIZE, "seed": (integer, 0), "centers": (of_type(list), REQUIRED), "sd": (float, 1.0)},
+    "spirals": {"n": SIZE, "seed": (integer, 0), "classes": (integer, 2), "turns": (real, 1.75),
+                "noise_sd": (at_least(0, real), 0.15)},
+    "blobs": {"n": SIZE, "seed": (integer, 0), "centers": (_centers, REQUIRED),
+              "sd": (at_least(0, real), 1.0)},
     "idx": {"images": (of_type(str), REQUIRED), "labels": (of_type(str), REQUIRED)},
     "csv": {"path": (of_type(str), REQUIRED), "label_col": (integer, -1),
             "feature_cols": (of_type(list), None)}}
-DROP_FIELDS = {"epoch": (integer, REQUIRED), "factor": (float, REQUIRED)}
-MAXGAIN_FIELDS = {"gamma": (float, REQUIRED), "p": (parse_norm_order, 2)}
-AUGMENT_FIELDS = {"flip": (of_type(bool), False), "pad": (integer, 0), "crop": (integer, None)}
+DROP_FIELDS = {"epoch": (integer, REQUIRED), "factor": (real, REQUIRED)}
+MAXGAIN_FIELDS = {"gamma": (real, REQUIRED), "p": (parse_norm_order, 2)}
+AUGMENT_FIELDS = {"flip": (of_type(bool), False), "pad": (at_least(0, integer), 0),
+                  "crop": (at_least(1, integer), None)}
 FOLD_FIELDS = {"k": SIZE, "train_per_fold": SIZE, "test_per_fold": SIZE, "seed": (integer, 0)}
 CONFIG_FIELDS = {
     "seed": (integer, 0), "model": (of_type(list), REQUIRED), "init": (of_type(str), "he-normal"),
-    "optimizer": (one_of("adam", "sgd"), REQUIRED), "lr": (float, REQUIRED),
-    "momentum": (float, 0.9), "schedule": (_drops, []), "epochs": (integer, REQUIRED),
+    "optimizer": (one_of("adam", "sgd"), REQUIRED), "lr": (real, REQUIRED),
+    "momentum": (real, 0.9), "schedule": (_drops, []), "epochs": (integer, REQUIRED),
     "batch_size": (integer, 64), "maxgain": (_section("maxgain", MAXGAIN_FIELDS), None),
     "dataset": (_dataset, REQUIRED), "test_dataset": (_dataset, None),
     "augment": (_section("augment", AUGMENT_FIELDS), None),
@@ -100,18 +107,15 @@ def check_config(config):
 
 def build_stage(spec, scheme, rng):
     """One stage from its config spec: {"type": <kind>, ...} with the fields
-    the stage class declares (its hyper and config_keys tables)."""
+    the stage class declares (its hyper and config_keys tables; parts are spec lists)."""
     cls = STAGE_TYPES[_kind("model stage", STAGE_TYPES, spec)]
     what = f"{cls.kind} stage"
     hyper = parse_fields(what, {**cls.hyper, **cls.config_keys}, spec, ConfigError, ("type",))
+    for part in cls.parts:
+        hyper[part] = [build_stage(s, scheme, rng) for s in hyper[part] or ()]
     sizes = [hyper.pop(k) for k in cls.config_keys]
     with _building(what):
-        if cls is ResidualBlock:
-            args = [None if part is None else [build_stage(s, scheme, rng) for s in part]
-                    for part in sizes]
-        else:
-            args = cls.initial(scheme, rng, *sizes)
-        return cls(*args, **hyper)
+        return cls(*cls.initial(scheme, rng, *sizes), **hyper)
 
 
 def build_network(config, rng):
@@ -149,7 +153,7 @@ def build_maxgain(config):
 
 def build_augment_fn(config):
     a = _fields(config, "augment")["augment"]
-    if a is None or not a["flip"] and a["pad"] == 0:
+    if a is None or not a["flip"] and a["pad"] == 0 and a["crop"] is None:
         return None
     return lambda xb, rng: augment(xb, rng, **a)
 
@@ -208,9 +212,11 @@ def run_config(config, gamma_override=None, seed_override=None):
 
 
 def run_sweep_point(args):
-    """One gamma sweep point; takes (config, gamma) so it maps over a pool."""
+    """One gamma sweep point's SweepRow; takes (config, gamma) so it maps over a pool."""
     config, gamma = args
-    return run_config(config, gamma_override=gamma)
+    r = run_config(config, gamma_override=gamma)
+    return SweepRow(gamma, r.train_accuracy, r.train_loss, r.test_accuracy, r.test_loss,
+                    tuple(r.test_max_gains))
 
 
 @dataclass(frozen=True)

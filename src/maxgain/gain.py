@@ -18,14 +18,7 @@ from .errors import (
     InvalidValueError,
     ShapeError,
 )
-from .layers import (
-    BatchNorm,
-    Dense,
-    Dropout,
-    LEARNED_TYPES,
-    ResidualBlock,
-    apply_linear,
-)
+from .layers import BatchNorm, Dense, apply_linear
 from .tensor import DTYPE, check_norm_order, make_rng
 
 
@@ -211,15 +204,13 @@ def layer_operator_norm(layer, p, input_shape, rng=None, iters=100, tol=1e-9):
 def _stages_bound(stages, p, shape, rng):
     bound = 1.0
     for stage in stages:
-        if isinstance(stage, ResidualBlock):
-            main_bound = _stages_bound(stage.main, p, shape, rng)
-            short_bound = 1.0 if stage.shortcut is None else _stages_bound(stage.shortcut, p, shape, rng)
-            bound *= main_bound + short_bound
-        elif isinstance(stage, LEARNED_TYPES):
+        if stage.parts:
+            bound *= sum(_stages_bound(getattr(stage, part) or (), p, shape, rng)
+                         for part in stage.parts)
+        elif stage.weight_param is not None:
             bound *= layer_operator_norm(stage, p, shape, rng=rng)
-        elif isinstance(stage, Dropout):
-            bound *= 1.0 - stage.rate
-        # ReLU, MaxPool2d, Flatten contribute a factor of 1
+        else:
+            bound *= stage.lipschitz
         shape = stage.out_shape(shape)
     return bound
 
@@ -227,9 +218,9 @@ def _stages_bound(stages, p, shape, rng):
 def lipschitz_upper_bound(net, p, input_shape=None, rng=None):
     """Product-of-stages upper bound on the network's Lipschitz constant.
 
-    Learned layers contribute their operator norm, ReLU/MaxPool/Flatten
-    contribute 1, eval-mode Dropout contributes (1 - rate), and a residual
-    block contributes (bound of main path) + (bound of shortcut). The bound
+    Learned layers contribute their operator norm, other stages their declared
+    lipschitz factor (1, or 1 - rate for dropout), and a residual block (a
+    stage with parts) the sum of its parts' bounds, 1 for an empty part. The bound
     describes the eval-mode function. input_shape (instance shape, no batch
     axis) can be omitted only when the first stage is Dense.
     """

@@ -1,20 +1,25 @@
 """Network stages with explicit forward/backward passes.
 
-Stages are plain objects holding float64 parameter arrays. A forward pass
-returns the output plus a cache object; backward consumes that cache and
-returns the input gradient along with parameter gradients. Learned stages
-(Dense, Conv2d, BatchNorm) additionally record, for every step, the batch of
-inputs X and the bias-free linear outputs Z that the gain machinery consumes.
+Stages are plain objects holding float64 parameter arrays. Every stage,
+residual blocks included, has forward(x, mode, rng=None) -> (y, cache) and
+backward(grad_y, cache) -> (grad_x, param_grads). A learned stage's cache
+holds the input batch X ("x") and bias-free linear outputs Z ("z") that the
+gain machinery consumes.
 
-Each stage class describes itself once, for config JSON and checkpoints
-alike (STAGE_TYPES lists the classes):
+Each stage class describes itself once, for config JSON, checkpoints and
+every walk over a network (STAGE_TYPES lists the classes):
 
-- kind: its name in both;
+- kind: its name in config JSON and checkpoints;
 - hyper: its hyperparameters, a parse_fields table;
 - param_names and state: the learned arrays and the other arrays a
   checkpoint stores;
+- weight_param: the array a gain constraint rescales; only learned layers declare one;
+- parts: attributes holding nested stage lists (None is empty), run as
+  branches whose outputs add; cache and param_grads map each part to a list;
+- lipschitz: the eval-mode Lipschitz factor of a stage without weights;
 - config_keys and initial(scheme, rng, *sizes): the config fields that size
-  a new stage (a parse_fields table), and the arrays drawn from them;
+  a new stage (a parse_fields table), and the constructor arguments made
+  from them (by default the values themselves, as a residual block's parts);
 - out_shape(in_shape): the instance shape it maps an instance shape to.
 """
 
@@ -47,10 +52,27 @@ def integer(value):
     return int(value)
 
 
+def real(value):
+    """float(value) of a number or a numeric string (checkpoints hold text),
+    refusing a bool and a non-finite result."""
+    if isinstance(value, bool) or not np.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def at_least(low, typ):
+    """A field type: typ(value), refusing a result below low."""
+    def check(value):
+        if typ(value) < low:
+            raise ValueError(f"expected at least {low}, got {value!r}")
+        return typ(value)
+    return check
+
+
 # The default of a field that has none, and a required integer field (a size
 # or a count).
 REQUIRED = object()
-SIZE = (integer, REQUIRED)
+SIZE = (at_least(1, integer), REQUIRED)
 
 
 def of_type(typ):
@@ -90,24 +112,28 @@ def parse_fields(what, fields, given, error, other_keys=()):
         if value is not default:
             try:
                 value = typ(value)
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise error(f"bad {name!r} in {what}: {err}") from None
         out[name] = value
     return out
 
 
 class Stage:
-    """Declaration defaults: no hyperparameters, no arrays, and instances
-    keep their shape."""
+    """Declaration defaults: no hyperparameters, no arrays, not learned, no
+    parts, Lipschitz factor 1, config values passed to the constructor as
+    they are, and instances keep their shape."""
 
     hyper = {}
     param_names = ()
     state = ()
+    weight_param = None
+    parts = ()
+    lipschitz = 1.0
     config_keys = {}
 
     @staticmethod
-    def initial(scheme, rng):
-        return ()
+    def initial(scheme, rng, *sizes):
+        return sizes
 
     def out_shape(self, in_shape):
         return tuple(in_shape)
@@ -290,7 +316,7 @@ class Conv2d(Stage):
         _check_batch(x, 4, "conv")
         z, xt = self._linear(x)
         y = z + self.b[None, :, None, None]
-        return y, {"z": z, "xt": xt, "x_shape": x.shape}
+        return y, {"x": x, "z": z, "xt": xt}
 
     def backward(self, grad_y, cache):
         xt = cache["xt"]
@@ -304,7 +330,7 @@ class Conv2d(Stage):
             for i, j, r in self._tap_rows(xt[blk], rows):
                 grad_kernel[:, :, i, j] += gb.T @ r
         grad_b = grad_y.sum(axis=(0, 2, 3))
-        grad_x = self._grad_input(g, cache["x_shape"])
+        grad_x = self._grad_input(g, cache["x"].shape)
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
@@ -330,7 +356,7 @@ class BatchNorm(Stage):
     """
 
     kind = "batchnorm"
-    hyper = {"momentum": (float, 0.9), "eps": (float, 1e-5)}
+    hyper = {"momentum": (real, 0.9), "eps": (real, 1e-5)}
     param_names = ("alpha", "beta")
     state = ("running_mean", "running_var")
     weight_param = "alpha"
@@ -429,12 +455,16 @@ class Dropout(Stage):
     """
 
     kind = "dropout"
-    hyper = {"rate": (float, REQUIRED)}
+    hyper = {"rate": (real, REQUIRED)}
 
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
             raise InvalidValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
+
+    @property
+    def lipschitz(self):
+        return 1.0 - self.rate
 
     def forward(self, x, mode, rng=None):
         if mode == "train":
@@ -542,6 +572,7 @@ class ResidualBlock(Stage):
     """
 
     kind = "residual"
+    parts = ("main", "shortcut")
     config_keys = {"main": (of_type(list), REQUIRED), "shortcut": (of_type(list), None)}
 
     def __init__(self, main, shortcut=None):
@@ -561,27 +592,18 @@ class ResidualBlock(Stage):
             raise ShapeError(f"residual branches disagree: main {out} vs shortcut {short}")
         return out
 
-    def forward(self, x, mode, rng=None, collector=None):
-        y_main, caches_main = _forward_stages(self.main, x, mode, rng, collector)
-        if self.shortcut is None:
-            y_short, caches_short = x, None
-        else:
-            y_short, caches_short = _forward_stages(self.shortcut, x, mode, rng, collector)
-        if y_main.shape != y_short.shape:
-            raise ShapeError(
-                f"residual branches disagree: main {y_main.shape} vs shortcut {y_short.shape}")
+    def forward(self, x, mode, rng=None):
+        self.out_shape(x.shape[1:])
+        y_main, caches_main = _forward_stages(self.main, x, mode, rng)
+        y_short, caches_short = _forward_stages(self.shortcut or (), x, mode, rng)
         return y_main + y_short, {"main": caches_main, "shortcut": caches_short}
 
-    def backward(self, grad_y, cache, grad_sink=None):
-        grad_main = _backward_stages(self.main, grad_y, cache["main"], grad_sink)
-        if self.shortcut is None:
-            grad_short = grad_y
-        else:
-            grad_short = _backward_stages(self.shortcut, grad_y, cache["shortcut"], grad_sink)
-        return grad_main + grad_short, None
+    def backward(self, grad_y, cache):
+        grad_main, grads_main = _backward_stages(self.main, grad_y, cache["main"])
+        grad_short, grads_short = _backward_stages(self.shortcut or (), grad_y, cache["shortcut"])
+        return grad_main + grad_short, {"main": grads_main, "shortcut": grads_short}
 
 
-LEARNED_TYPES = (Dense, Conv2d, BatchNorm)
 STAGE_TYPES = {cls.kind: cls for cls in (
     Dense, Conv2d, BatchNorm, Dropout, ReLU, MaxPool2d, Flatten, ResidualBlock)}
 
@@ -596,19 +618,18 @@ class Network:
 
     def learned_layers(self):
         """Learned stages in forward traversal order (residual: main, then shortcut)."""
-        out = []
-        _collect_learned(self.stages, out)
-        return out
+        return [st for st, _ in _learned(self.stages)]
 
 
-def _collect_learned(stages, out):
-    for st in stages:
-        if isinstance(st, ResidualBlock):
-            _collect_learned(st.main, out)
-            if st.shortcut is not None:
-                _collect_learned(st.shortcut, out)
-        elif isinstance(st, LEARNED_TYPES):
-            out.append(st)
+def _learned(stages, tree=None):
+    """(stage, entry) per learned stage under stages, in learned_layers() order;
+    entries come from tree if given, which mirrors stages (caches or param_grads)."""
+    for i, st in enumerate(stages):
+        entry = None if tree is None else tree[i]
+        for part in st.parts:
+            yield from _learned(getattr(st, part) or (), None if entry is None else entry[part])
+        if st.weight_param is not None:
+            yield st, entry
 
 
 @dataclass
@@ -634,30 +655,22 @@ class Gradients:
     input_grad: np.ndarray
 
 
-def _forward_stages(stages, x, mode, rng, collector):
+def _forward_stages(stages, x, mode, rng):
     caches = []
     for st in stages:
-        if isinstance(st, ResidualBlock):
-            x, cache = st.forward(x, mode, rng, collector)
-        else:
-            x_in = x
-            x, cache = st.forward(x, mode, rng)
-            if collector is not None and isinstance(st, LEARNED_TYPES):
-                collector.xs.append(x_in)
-                collector.zs.append(cache["z"])
+        x, cache = st.forward(x, mode, rng)
         caches.append(cache)
     return x, caches
 
 
-def _backward_stages(stages, grad, caches, grad_sink):
-    for st, cache in zip(reversed(stages), reversed(caches)):
-        if isinstance(st, ResidualBlock):
-            grad, _ = st.backward(grad, cache, grad_sink)
-        else:
-            grad, param_grads = st.backward(grad, cache)
-            if param_grads is not None and grad_sink is not None:
-                grad_sink[id(st)] = param_grads
-    return grad
+def _backward_stages(stages, grad, caches):
+    """(input gradient, per-stage param_grads in stage order)."""
+    if len(caches) != len(stages):
+        raise CacheError("stage caches do not cover every learned layer")
+    grads = [None] * len(stages)
+    for i in reversed(range(len(stages))):
+        grad, grads[i] = stages[i].backward(grad, caches[i])
+    return grad, grads
 
 
 def forward(net, x, mode, rng=None):
@@ -670,9 +683,10 @@ def forward(net, x, mode, rng=None):
     x = as_tensor(x, "network input")
     if x.shape[0] == 0:
         raise ShapeError("network got an empty batch")
-    caches = StepCaches(net_id=id(net), mode=mode, batch_size=x.shape[0])
-    y, caches.stage_caches = _forward_stages(net.stages, x, mode, rng, caches)
-    return y, caches
+    y, stage_caches = _forward_stages(net.stages, x, mode, rng)
+    learned = [cache for _, cache in _learned(net.stages, stage_caches)]
+    return y, StepCaches(id(net), mode, x.shape[0], stage_caches,
+                         [c["x"] for c in learned], [c["z"] for c in learned])
 
 
 def backward(net, caches, loss_grad):
@@ -686,14 +700,8 @@ def backward(net, caches, loss_grad):
     if caches.mode != "train":
         raise CacheError("backward needs caches from a train-mode forward pass")
     loss_grad = np.asarray(loss_grad, dtype=DTYPE)
-    grad_sink = {}
-    input_grad = _backward_stages(net.stages, loss_grad, caches.stage_caches, grad_sink)
-    by_layer = []
-    for layer in net.learned_layers():
-        if id(layer) not in grad_sink:
-            raise CacheError("stage caches do not cover every learned layer")
-        by_layer.append(grad_sink[id(layer)])
-    return Gradients(by_layer=by_layer, input_grad=input_grad)
+    input_grad, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches)
+    return Gradients(by_layer=[g for _, g in _learned(net.stages, grads)], input_grad=input_grad)
 
 
 def apply_linear(layer, x):
@@ -703,7 +711,7 @@ def apply_linear(layer, x):
     map diag(alpha / sqrt(running_var + eps)) x. Centering and shift terms are
     excluded by construction.
     """
-    if not isinstance(layer, LEARNED_TYPES):
+    if getattr(layer, "weight_param", None) is None:
         raise InvalidValueError(f"{type(layer).__name__} has no linear part")
     return layer.apply_linear(as_tensor(x, "instance"))
 

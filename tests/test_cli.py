@@ -314,6 +314,16 @@ BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.
     ({"model": [{"type": "conv", "in": 2, "out": 2, "kernel": 1, "stride": 1.7}]},
      "'stride' in conv stage"),
     ({"learning_rate": 0.1}, "'learning_rate'"),
+    ({"model": [{"type": "batchnorm", "channels": -1}]}, "'channels' in batchnorm stage"),
+    ({"model": [{"type": "batchnorm", "channels": 0}]}, "'channels' in batchnorm stage"),
+    ({"dataset": {**BLOBS, "sd": -1}}, "'sd' in blobs dataset"),
+    ({"dataset": {"type": "spirals", "n": 40, "noise_sd": -1}}, "'noise_sd' in spirals dataset"),
+    ({"dataset": {**BLOBS, "centers": [[-2.0, "a"], [2.0, 2.0]]}}, "'centers' in blobs dataset"),
+    ({"dataset": {"type": "spirals", "n": 40, "turns": "nan"}}, "'turns' in spirals dataset"),
+    ({"lr": True}, "'lr'"),
+    ({"augment": {"pad": -1}}, "'pad' in augment"),
+    ({"model": [{"type": "dropout", "rate": "inf"}]}, "'rate' in dropout stage"),
+    ({"dataset": {**BLOBS, "centers": [[-2.0, -2.0], [2.0]]}}, "centers must be"),
 ])
 def test_malformed_train_configs_exit_2_naming_the_key(tmp_path, capsys, overrides, named):
     config = write_config(tmp_path, **overrides)

@@ -256,7 +256,7 @@ class TestAugment:
         x = make_rng(10).normal(size=(5, 1, 8, 8))
         out = augment(x, make_rng(11), pad=0, crop=6)
         # crop without padding is legal: the window just sits inside the image
-        assert out.shape == (5, 1, 8, 8)  # pad=0 disables the crop branch
+        assert out.shape == (5, 1, 6, 6)
         out = augment(x, make_rng(11), pad=1, crop=6)
         assert out.shape == (5, 1, 6, 6)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from maxgain.experiment import (
     DROP_FIELDS,
     FOLD_FIELDS,
     MAXGAIN_FIELDS,
+    build_augment_fn,
 )
 from maxgain.layers import STAGE_TYPES
 
@@ -194,6 +196,11 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             build_schedule(base_config(lr="fast"))
 
+    def test_crop_alone_turns_augment_on(self):
+        crop = build_augment_fn(base_config(augment={"crop": 5}))
+        assert crop(np.zeros((2, 1, 8, 8)), make_rng(0)).shape == (2, 1, 5, 5)
+        assert build_augment_fn(base_config(augment={"flip": False})) is None
+
     def test_maxgain_builder(self):
         assert build_maxgain(base_config()) is None
         cfg = build_maxgain(base_config(maxgain={"gamma": 2.0, "p": "inf"}))
@@ -245,6 +252,43 @@ class TestRunConfig:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
             run_config(base_config(typo_key=1))
+
+    def test_idx_images_through_conv_batchnorm_residual_with_augment(self, tmp_path):
+        rng = make_rng(8)
+        for stem, n in (("train", 24), ("test", 12)):
+            labels = rng.integers(0, 2, size=n)
+            pixels = np.clip(60 + 120 * labels[:, None, None] + rng.normal(0, 20, size=(n, 6, 6)), 0, 255)
+            (tmp_path / f"{stem}-images").write_bytes(
+                struct.pack(">IIII", 0x803, n, 6, 6) + pixels.astype(np.uint8).tobytes())
+            (tmp_path / f"{stem}-labels").write_bytes(
+                struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes())
+        conv = {"type": "conv", "in": 2, "out": 2, "kernel": 3, "pad": 1}
+        config = base_config(
+            model=[{**conv, "in": 1}, {"type": "batchnorm", "channels": 2}, {"type": "relu"},
+                   {"type": "residual", "main": [conv, {"type": "relu"}, conv],
+                    "shortcut": [{**conv, "kernel": 1, "pad": 0}]},
+                   {"type": "flatten"}, {"type": "dense", "in": 72, "out": 2}],
+            epochs=2, batch_size=8, maxgain={"gamma": 2.0},
+            augment={"flip": True, "pad": 1},
+            dataset={"type": "idx", "images": str(tmp_path / "train-images"),
+                     "labels": str(tmp_path / "train-labels")},
+            test_dataset={"type": "idx", "images": str(tmp_path / "test-images"),
+                          "labels": str(tmp_path / "test-labels")})
+        result = run_config(config)
+        assert len(result.test_max_gains) == 6
+        assert 0.0 <= result.test_accuracy <= 1.0
+        assert network_to_text(run_config(config).net) == network_to_text(result.net)
+        assert network_to_text(run_config({**config, "augment": None}).net) != network_to_text(result.net)
+
+    def test_csv_dataset(self, tmp_path):
+        rng = make_rng(9)
+        labels = rng.integers(0, 2, size=40)
+        rows = ["a,b,label"] + [f"{4 * c - 2 + rng.normal()},{rng.normal()},{'yes' if c else 'no'}"
+                                for c in labels]
+        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        result = run_config(base_config(dataset={"type": "csv", "path": str(tmp_path / "d.csv")},
+                                        epochs=20, lr=0.05))
+        assert result.train_accuracy >= 0.9
 
 
 class TestGammaSweep:
