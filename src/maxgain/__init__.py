@@ -4,8 +4,9 @@ The training loop measures, for every learned layer and minibatch, the largest
 ratio ||Wx||_p / ||x||_p over the batch, and after each optimizer update
 rescales the layer's weights by 1 / max(1, gamma_hat / gamma) so the measured
 gain never exceeds the target gamma. The package also ships the measurement
-tools (exact l1/linf operator norms, power iteration for l2, gain reports),
-a disjoint-folds evaluation protocol with a paired t-test, and a CLI.
+tools (gain reports, closed-form operator norms and the Lipschitz bound they
+give, power iteration and materialized matrices to cross-check them), a
+disjoint-folds evaluation protocol with a paired t-test, and a CLI.
 """
 
 from .checkpoint import load_network, network_from_text, network_to_text, save_network
@@ -37,12 +38,9 @@ from .errors import (
 from .evaluate import (
     GainReport,
     GainReportRow,
-    SweepResult,
-    SweepRow,
     TTestResult,
     accuracy,
     gain_report,
-    gamma_sweep,
     log_loss,
     paired_t_test,
     per_layer_gains,
@@ -51,6 +49,8 @@ from .evaluate import (
 from .experiment import (
     FoldScores,
     RunResult,
+    SweepResult,
+    SweepRow,
     build_dataset,
     build_fold_protocol,
     build_maxgain,
@@ -58,6 +58,7 @@ from .experiment import (
     build_optimizer,
     build_schedule,
     check_config,
+    gamma_sweep,
     parse_norm_order,
     run_config,
     run_folds,
@@ -72,7 +73,6 @@ from .gain import (
     layer_operator_norm,
     lipschitz_upper_bound,
     materialize_linear,
-    operator_norm_exact,
     spectral_norm_power_iteration,
 )
 from .layers import (
@@ -108,6 +108,6 @@ from .optim import (
     projection_scale,
     train_step,
 )
-from .tensor import init_weights, make_rng, spawn_rngs
+from .tensor import init_weights, make_rng, operator_norm_exact, spawn_rngs
 
 __version__ = "0.1.0"

@@ -24,13 +24,14 @@ from .errors import (
     InvalidValueError,
     ShapeError,
 )
-from .evaluate import gain_report, gamma_sweep, paired_t_test
+from .evaluate import gain_report, paired_t_test
 from .experiment import (
     CONFIG_FIELDS,
     build_dataset,
     build_fold_protocol,
     build_maxgain,
     check_config,
+    gamma_sweep,
     run_config,
     run_folds,
 )

@@ -1,4 +1,4 @@
-"""Scoring, the paired t-test, gamma sweeps, and gain reports."""
+"""Scoring, the paired t-test, and gain reports."""
 
 import math
 from dataclasses import dataclass
@@ -212,57 +212,3 @@ def gain_report(net, train, test, p, batch_size=256):
     rows.sort(key=lambda r: (r.layer_index, r.split))
     return GainReport(p=p, rows=tuple(rows))
 
-
-# --- gamma sweep ---------------------------------------------------------
-
-
-def run_jobs(fn, tasks, jobs):
-    """[fn(t) for t in tasks], mapped over a pool of `jobs` worker processes
-    when jobs > 1; results keep the order of tasks either way."""
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    gamma: float
-    train_accuracy: float
-    train_loss: float
-    test_accuracy: float
-    test_loss: float
-    test_max_gains: tuple  # per learned layer, max gain on the test split
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
-
-    def to_lines(self):
-        lines = ["gamma\ttrain_accuracy\ttrain_loss\ttest_accuracy\ttest_loss\ttest_max_gain_per_layer"]
-        for r in self.rows:
-            gains = ",".join(f"{g:.17g}" for g in r.test_max_gains)
-            lines.append("\t".join([
-                f"{r.gamma:.17g}", f"{r.train_accuracy:.17g}", f"{r.train_loss:.17g}",
-                f"{r.test_accuracy:.17g}", f"{r.test_loss:.17g}", gains]))
-        return lines
-
-    def to_text(self):
-        return "\n".join(self.to_lines()) + "\n"
-
-
-def gamma_sweep(config, gammas, jobs=1):
-    """Train one model per gamma with identical data and seeds.
-
-    config is an experiment configuration dict (see experiment.run_config);
-    rows come back sorted by gamma regardless of execution order.
-    """
-    from . import experiment
-
-    gammas = sorted(float(g) for g in gammas)
-    if not gammas:
-        raise EmptySampleError("gamma sweep needs at least one gamma")
-    rows = run_jobs(experiment.run_sweep_point, [(config, g) for g in gammas], jobs)
-    return SweepResult(rows=tuple(rows))

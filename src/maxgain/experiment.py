@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import augment, load_csv, load_idx, make_folds, synth_blobs, synth_spirals
-from .errors import ConfigError, InvalidValueError, ShapeError
-from .evaluate import SweepRow, per_layer_gains, run_jobs
+from .errors import ConfigError, EmptySampleError, InvalidValueError, ShapeError
+from .evaluate import per_layer_gains
 from .layers import (
-    REQUIRED, SIZE, STAGE_TYPES, Network, at_least, integer, of_type, one_of, parse_fields, real)
+    REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, integer, of_type, one_of, parse_fields, real)
 from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, eval_metrics, fit
 from .tensor import make_rng
 
@@ -170,6 +170,11 @@ def _train(cfg, train, seed, maxgain, test=None):
     with _building("seed"):
         rng = make_rng(seed)
     net = build_network(cfg, rng)
+    crop, full = (cfg["augment"] or {}).get("crop"), train.x.shape[1:]
+    if crop is not None:  # training sees crops, evaluation full-size instances
+        with _building("'crop' in augment"):
+            if chain_shape(net.stages, full[:-2] + (crop, crop)) != chain_shape(net.stages, full):
+                raise ShapeError(f"{crop}x{crop} crops and {full} instances give different output shapes")
     ledger = fit(net, train, optimizer=build_optimizer(cfg), schedule=build_schedule(cfg),
                  epochs=cfg["epochs"], batch_size=cfg["batch_size"], maxgain=maxgain, seed=seed,
                  test=test, augment_fn=build_augment_fn(cfg))
@@ -187,21 +192,13 @@ class RunResult:
     test_max_gains: list = None
 
 
-def run_config(config, gamma_override=None, seed_override=None):
-    """Build everything from a config dict, train, and score.
-
-    gamma_override replaces the configured maxgain gamma (the sweep driver);
-    seed_override replaces the training/init seed while the dataset seeds stay
-    as configured.
-    """
+def run_config(config):
+    """Build everything from a config dict, train, and score."""
     cfg = check_config(config)
-    seed = cfg["seed"] if seed_override is None else seed_override
     train = build_dataset(cfg["dataset"])
     test = build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None
     maxgain = build_maxgain(cfg)
-    if gamma_override is not None:
-        maxgain = MaxGainConfig(gamma=gamma_override, p=maxgain.p if maxgain is not None else 2)
-    net, ledger = _train(cfg, train, seed, maxgain, test)
+    net, ledger = _train(cfg, train, cfg["seed"], maxgain, test)
     train_loss, train_acc = eval_metrics(net, train.x, train.y)
     result = RunResult(net=net, ledger=ledger, train_loss=train_loss, train_accuracy=train_acc)
     if test is not None:
@@ -209,14 +206,6 @@ def run_config(config, gamma_override=None, seed_override=None):
         p = maxgain.p if maxgain is not None else 2
         result.test_max_gains = [float(g.max()) for g in per_layer_gains(net, test.x, p)]
     return result
-
-
-def run_sweep_point(args):
-    """One gamma sweep point's SweepRow; takes (config, gamma) so it maps over a pool."""
-    config, gamma = args
-    r = run_config(config, gamma_override=gamma)
-    return SweepRow(gamma, r.train_accuracy, r.train_loss, r.test_accuracy, r.test_loss,
-                    tuple(r.test_max_gains))
 
 
 @dataclass(frozen=True)
@@ -258,6 +247,16 @@ def run_fold_point(args):
     return fold_index, acc
 
 
+def run_jobs(fn, tasks, jobs):
+    """[fn(t) for t in tasks], mapped over a pool of `jobs` worker processes
+    when jobs > 1; results keep the order of tasks either way."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def run_folds(config, protocol=None, jobs=1):
     """Train and score the configuration on every fold of the protocol.
 
@@ -269,3 +268,51 @@ def run_folds(config, protocol=None, jobs=1):
         protocol = build_fold_protocol(cfg, build_dataset(cfg["dataset"]))
     tasks = [(config, f, fold.train, fold.test) for f, fold in enumerate(protocol.folds)]
     return FoldScores(scores=tuple(run_jobs(run_fold_point, tasks, jobs)))
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    gamma: float
+    train_accuracy: float
+    train_loss: float
+    test_accuracy: float
+    test_loss: float
+    test_max_gains: tuple  # per learned layer, max gain on the test split
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    rows: tuple
+
+    def to_lines(self):
+        lines = ["gamma\ttrain_accuracy\ttrain_loss\ttest_accuracy\ttest_loss\ttest_max_gain_per_layer"]
+        for r in self.rows:
+            gains = ",".join(f"{g:.17g}" for g in r.test_max_gains)
+            lines.append("\t".join([
+                f"{r.gamma:.17g}", f"{r.train_accuracy:.17g}", f"{r.train_loss:.17g}",
+                f"{r.test_accuracy:.17g}", f"{r.test_loss:.17g}", gains]))
+        return lines
+
+    def to_text(self):
+        return "\n".join(self.to_lines()) + "\n"
+
+
+def run_sweep_point(config):
+    """One gamma sweep point's SweepRow, for a config that carries its gamma."""
+    r = run_config(config)
+    return SweepRow(config["maxgain"]["gamma"], r.train_accuracy, r.train_loss,
+                    r.test_accuracy, r.test_loss, tuple(r.test_max_gains))
+
+
+def gamma_sweep(config, gammas, jobs=1):
+    """Train one model per gamma with identical data and seeds: config with
+    its maxgain gamma replaced, every point checked before any trains.
+    Rows come back sorted by gamma."""
+    cfg = check_config(config)
+    points = [dict(cfg, maxgain=dict(cfg["maxgain"] or {}, gamma=g))
+              for g in sorted(float(g) for g in gammas)]
+    if not points:
+        raise EmptySampleError("gamma sweep needs at least one gamma")
+    for point in points:
+        build_maxgain(point)
+    return SweepResult(rows=tuple(run_jobs(run_sweep_point, points, jobs)))

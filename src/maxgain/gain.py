@@ -1,8 +1,9 @@
 """Empirical gain measurement and operator-norm machinery.
 
 The gain of a learned layer on an instance x is ||Wx||_p / ||x||_p where Wx is
-the layer's bias-free linear action (apply_linear). Exact operator norms exist
-for p in {1, inf}; p=2 goes through power iteration on the implicit map.
+the layer's bias-free linear action (apply_linear). The operator norms it is
+compared with are declared by the stage classes in closed form; power
+iteration and materialized matrices stay here as tools to cross-check them.
 """
 
 import math
@@ -18,7 +19,7 @@ from .errors import (
     InvalidValueError,
     ShapeError,
 )
-from .layers import BatchNorm, Dense, apply_linear
+from .layers import apply_linear, stages_operator_norm
 from .tensor import DTYPE, check_norm_order, make_rng
 
 
@@ -63,24 +64,6 @@ def batch_max_gain(layer, xs, zs, p):
     if xs.shape[0] == 0:
         raise EmptySampleError("empty step caches")
     return float(instance_gains(xs, zs, p).max())
-
-
-def operator_norm_exact(w, p):
-    """Exact operator norm of a dense matrix for p=1 (max absolute column sum)
-    or p=inf (max absolute row sum).
-
-    Every sum runs over a contiguous row so it reduces exactly like a plain
-    1-d numpy sum of the extracted vector; the result is then bitwise equal
-    to maximizing ||W v||_p over the corresponding extreme vectors v.
-    """
-    w = np.ascontiguousarray(w, dtype=DTYPE)
-    if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] == 0:
-        raise ShapeError(f"need a non-degenerate matrix, got shape {w.shape}")
-    if p == 1:
-        return float(np.max(np.ascontiguousarray(np.abs(w).T).sum(axis=1)))
-    if p == math.inf:
-        return float(np.max(np.abs(w).sum(axis=1)))
-    raise InvalidValueError(f"exact operator norm needs p in {{1, inf}}, got {p!r}")
 
 
 class PowerIterationResult(NamedTuple):
@@ -141,6 +124,10 @@ def spectral_norm_power_iteration(linear_map, adjoint_map, input_dim,
 _MATERIALIZE_LIMIT = 4096
 
 
+def _instance_shape(shape):
+    return (shape,) if isinstance(shape, int) else tuple(int(s) for s in shape)
+
+
 def materialize_linear(layer, input_shape):
     """Dense matrix of a learned layer's linear action, probed column by column.
 
@@ -148,9 +135,7 @@ def materialize_linear(layer, input_shape):
     pushed through apply_linear; column k of the result is the flattened
     response. Refuses inputs with more than 4096 elements.
     """
-    if isinstance(input_shape, int):
-        input_shape = (input_shape,)
-    input_shape = tuple(int(s) for s in input_shape)
+    input_shape = _instance_shape(input_shape)
     dim = int(np.prod(input_shape))
     if dim == 0:
         raise ShapeError(f"degenerate input shape {input_shape}")
@@ -167,76 +152,27 @@ def materialize_linear(layer, input_shape):
     return np.stack(columns, axis=1)
 
 
-def _layer_linear_ops(layer, input_shape):
-    """Wrap a learned layer as flat-vector maps (A, A^T, input_dim)."""
-    input_shape = (input_shape,) if isinstance(input_shape, int) else tuple(input_shape)
-    out_shape = layer.out_shape(input_shape)
-
-    def amap(v):
-        return layer.apply_linear(v.reshape(input_shape)).reshape(-1)
-
-    def atmap(u):
-        return layer.apply_linear_adjoint(u.reshape(out_shape), input_shape).reshape(-1)
-
-    return amap, atmap, int(np.prod(input_shape))
-
-
-def layer_operator_norm(layer, p, input_shape, rng=None, iters=100, tol=1e-9):
-    """Operator norm of a learned layer's linear action for p in {1, 2, inf}.
-
-    BatchNorm is diagonal, so every p gives max |alpha_c| / sqrt(var_c + eps).
-    Dense and Conv2d use exact column/row sums for p in {1, inf} (conv via the
-    materialized matrix) and power iteration for p=2.
-    """
+def layer_operator_norm(layer, p, input_shape):
+    """l_p operator norm, p in {1, 2, inf}, of a stage's eval-mode map on
+    instances of shape input_shape, which the stage must take: the closed
+    form the stage declares."""
     check_norm_order(p)
-    if isinstance(layer, BatchNorm):
-        scale = layer.alpha / np.sqrt(layer.running_var + layer.eps)
-        return float(np.max(np.abs(scale)))
-    if p == 2:
-        amap, atmap, dim = _layer_linear_ops(layer, input_shape)
-        return spectral_norm_power_iteration(
-            amap, atmap, dim, iters=iters, tol=tol, rng=rng, check_adjoint=False).value
-    if isinstance(layer, Dense):
-        return operator_norm_exact(layer.w, p)
-    return operator_norm_exact(materialize_linear(layer, input_shape), p)
+    return stages_operator_norm([layer], p, _instance_shape(input_shape))
 
 
-def _stages_bound(stages, p, shape, rng):
-    bound = 1.0
-    for stage in stages:
-        if stage.parts:
-            bound *= sum(_stages_bound(getattr(stage, part) or (), p, shape, rng)
-                         for part in stage.parts)
-        elif stage.weight_param is not None:
-            bound *= layer_operator_norm(stage, p, shape, rng=rng)
-        else:
-            bound *= stage.lipschitz
-        shape = stage.out_shape(shape)
-    return bound
+def lipschitz_upper_bound(net, p, input_shape=None):
+    """Upper bound on the Lipschitz constant of the network's eval-mode
+    function: the product of its stages' operator norms.
 
-
-def lipschitz_upper_bound(net, p, input_shape=None, rng=None):
-    """Product-of-stages upper bound on the network's Lipschitz constant.
-
-    Learned layers contribute their operator norm, other stages their declared
-    lipschitz factor (1, or 1 - rate for dropout), and a residual block (a
-    stage with parts) the sum of its parts' bounds, 1 for an empty part. The bound
-    describes the eval-mode function. input_shape (instance shape, no batch
-    axis) can be omitted only when the first stage is Dense.
+    input_shape (instance shape, no batch axis) can be omitted only when the
+    first stage is dense.
     """
     check_norm_order(p)
     if input_shape is None:
-        first = net.stages[0]
-        if not isinstance(first, Dense):
-            raise InvalidValueError("input_shape is required unless the first stage is Dense")
-        input_shape = (first.in_features,)
-    elif isinstance(input_shape, int):
-        input_shape = (input_shape,)
-    else:
-        input_shape = tuple(input_shape)
-    if rng is None:
-        rng = make_rng(0)
-    return _stages_bound(net.stages, p, input_shape, rng)
+        input_shape = getattr(net.stages[0], "in_features", None)
+        if input_shape is None:
+            raise InvalidValueError("input_shape is required unless the first stage is dense")
+    return stages_operator_norm(net.stages, p, _instance_shape(input_shape))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ every walk over a network (STAGE_TYPES lists the classes):
 - weight_param: the array a gain constraint rescales; only learned layers declare one;
 - parts: attributes holding nested stage lists (None is empty), run as
   branches whose outputs add; cache and param_grads map each part to a list;
-- lipschitz: the eval-mode Lipschitz factor of a stage without weights;
+- operator_norm(p, in_shape): the l_p operator norm of its eval-mode map on
+  in_shape instances, in closed form (for a conv at p=2, an upper bound);
 - config_keys and initial(scheme, rng, *sizes): the config fields that size
   a new stage (a parse_fields table), and the constructor arguments made
   from them (by default the values themselves, as a residual block's parts);
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheError, InvalidValueError, ShapeError
-from .tensor import DTYPE, as_tensor, check_finite, init_weights
+from .tensor import DTYPE, as_tensor, check_finite, init_weights, operator_norm_exact
 
 MODES = ("train", "eval")
 
@@ -120,15 +121,14 @@ def parse_fields(what, fields, given, error, other_keys=()):
 
 class Stage:
     """Declaration defaults: no hyperparameters, no arrays, not learned, no
-    parts, Lipschitz factor 1, config values passed to the constructor as
-    they are, and instances keep their shape."""
+    parts, config values passed to the constructor as they are, instances
+    keep their shape, and operator norm 1."""
 
     hyper = {}
     param_names = ()
     state = ()
     weight_param = None
     parts = ()
-    lipschitz = 1.0
     config_keys = {}
 
     @staticmethod
@@ -137,6 +137,9 @@ class Stage:
 
     def out_shape(self, in_shape):
         return tuple(in_shape)
+
+    def operator_norm(self, p, in_shape):
+        return 1.0
 
 
 class Dense(Stage):
@@ -173,6 +176,9 @@ class Dense(Stage):
         if tuple(in_shape) != (self.in_features,):
             raise ShapeError(f"dense expects shape ({self.in_features},), got {tuple(in_shape)}")
         return (self.out_features,)
+
+    def operator_norm(self, p, in_shape):
+        return float(np.linalg.norm(self.w, 2)) if p == 2 else operator_norm_exact(self.w, p)
 
     def forward(self, x, mode, rng=None):
         _check_batch(x, 2, "dense")
@@ -259,6 +265,24 @@ class Conv2d(Stage):
         if oh <= 0 or ow <= 0:
             raise ShapeError(f"kernel ({kh}x{kw}) does not fit input ({h}x{w}) with pad {self.pad}")
         return oc, oh, ow
+
+    def operator_norm(self, p, in_shape):
+        """p in {1, inf}: exact, as the largest column sum |A|^T 1 or row sum
+        |A| 1 of |A|, the conv with kernel |K|. p=2: an upper bound. On a
+        periodic grid of the padded size the conv is circular, with no
+        wrap-around reaching a kept output, so its norm is at most the largest
+        singular value of the kernel's DFT over all frequencies (Sedghi, Gupta
+        & Long, arXiv 1805.10408). The real FFT keeps one frequency of each
+        conjugate pair, whose singular values agree."""
+        out = self.out_shape(in_shape)
+        if p == 2:
+            grid = (in_shape[1] + 2 * self.pad, in_shape[2] + 2 * self.pad)
+            spectrum = np.fft.rfft2(self.kernel, s=grid).transpose(2, 3, 0, 1)
+            return float(np.linalg.svd(spectrum, compute_uv=False).max())
+        abs_conv = Conv2d(np.abs(self.kernel), self.b, self.stride, self.pad)
+        if p == 1:
+            return float(abs_conv.apply_linear_adjoint(np.ones(out), in_shape).max())
+        return float(abs_conv.apply_linear(np.ones(in_shape)).max())
 
     def _taps(self, buf, oh, ow):
         """(i, j, view) per kernel tap: the (N, oh, ow, C) positions of a
@@ -400,6 +424,14 @@ class BatchNorm(Stage):
                              f"instances, got {tuple(in_shape)}")
         return tuple(in_shape)
 
+    @property
+    def scale(self):
+        """Per-channel eval-mode scale alpha / sqrt(running_var + eps)."""
+        return self.alpha / np.sqrt(self.running_var + self.eps)
+
+    def operator_norm(self, p, in_shape):
+        return float(np.max(np.abs(self.scale)))
+
     def forward(self, x, mode, rng=None):
         self.out_shape(x.shape[1:])
         _check_batch(x, x.ndim, "batchnorm")
@@ -416,10 +448,10 @@ class BatchNorm(Stage):
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
-            z = x * (self.alpha / np.sqrt(self.running_var + self.eps)).reshape(bshape)
+            z = x * self.scale.reshape(bshape)
             cache = {"x": x, "z": z, "mu": mu, "var": var, "inv_std": inv_std, "xhat": xhat}
             return y, cache
-        scale = self.alpha / np.sqrt(self.running_var + self.eps)
+        scale = self.scale
         z = x * scale.reshape(bshape)
         y = z + (self.beta - scale * self.running_mean).reshape(bshape)
         return y, {"x": x, "z": z}
@@ -440,11 +472,7 @@ class BatchNorm(Stage):
 
     def apply_linear(self, x):
         self.out_shape(x.shape)
-        scale = self.alpha / np.sqrt(self.running_var + self.eps)
-        return x * scale.reshape((-1,) + (1,) * (x.ndim - 1))
-
-    def apply_linear_adjoint(self, y, input_shape=None):
-        return self.apply_linear(y)
+        return x * self.scale.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 class Dropout(Stage):
@@ -462,8 +490,7 @@ class Dropout(Stage):
             raise InvalidValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
 
-    @property
-    def lipschitz(self):
+    def operator_norm(self, p, in_shape):
         return 1.0 - self.rate
 
     def forward(self, x, mode, rng=None):
@@ -515,6 +542,13 @@ class MaxPool2d(Stage):
         if oh <= 0 or ow <= 0:
             raise ShapeError(f"pooling window {self.kernel} does not fit input ({h}x{w})")
         return c, oh, ow
+
+    def operator_norm(self, p, in_shape):
+        """m ** (1 / p), m the most windows one input lies in (it can move all
+        their outputs): per axis ceil(kernel / stride) or the window count."""
+        _, oh, ow = self.out_shape(in_shape)
+        per_axis = -(-self.kernel // self.stride)
+        return float(min(per_axis, oh) * min(per_axis, ow)) ** (1.0 / p)
 
     def _windows(self, x):
         n = x.shape[0]
@@ -582,15 +616,14 @@ class ResidualBlock(Stage):
         self.shortcut = list(shortcut) if shortcut else None
 
     def out_shape(self, in_shape):
-        out = in_shape
-        for st in self.main:
-            out = st.out_shape(out)
-        short = tuple(in_shape)
-        for st in self.shortcut or ():
-            short = st.out_shape(short)
+        out, short = (chain_shape(getattr(self, part) or (), in_shape) for part in self.parts)
         if out != short:
             raise ShapeError(f"residual branches disagree: main {out} vs shortcut {short}")
         return out
+
+    def operator_norm(self, p, in_shape):
+        return sum(stages_operator_norm(getattr(self, part) or (), p, in_shape)
+                   for part in self.parts)
 
     def forward(self, x, mode, rng=None):
         self.out_shape(x.shape[1:])
@@ -606,6 +639,23 @@ class ResidualBlock(Stage):
 
 STAGE_TYPES = {cls.kind: cls for cls in (
     Dense, Conv2d, BatchNorm, Dropout, ReLU, MaxPool2d, Flatten, ResidualBlock)}
+
+
+def chain_shape(stages, shape):
+    """The instance shape that stages, applied in turn, map shape to."""
+    for st in stages:
+        shape = st.out_shape(shape)
+    return tuple(shape)
+
+
+def stages_operator_norm(stages, p, shape):
+    """Product of the stages' operator norms, each at the instance shape it
+    receives: an upper bound on the Lipschitz constant of their composition."""
+    bound = 1.0
+    for st in stages:
+        bound *= st.operator_norm(p, shape)
+        shape = st.out_shape(shape)
+    return bound
 
 
 class Network:

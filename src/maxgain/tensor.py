@@ -1,4 +1,4 @@
-"""Array helpers: dtype policy, finiteness and norm-order checks, weight init, RNG.
+"""Array helpers: dtype policy, checks, exact matrix operator norms, weight init, RNG.
 
 All numerics in the package run in 64-bit floats. Arrays are numpy ndarrays;
 reductions delegate to numpy's kernels, whose accumulation order is fixed for
@@ -32,6 +32,24 @@ def check_finite(arr, name="tensor"):
 def check_norm_order(p):
     if p not in NORM_ORDERS:
         raise InvalidValueError(f"norm order must be 1, 2 or inf, got {p!r}")
+
+
+def operator_norm_exact(w, p):
+    """Exact operator norm of a dense matrix for p=1 (max absolute column sum)
+    or p=inf (max absolute row sum).
+
+    Every sum runs over a contiguous row so it reduces exactly like a plain
+    1-d numpy sum of the extracted vector; the result is then bitwise equal
+    to maximizing ||W v||_p over the corresponding extreme vectors v.
+    """
+    w = np.ascontiguousarray(w, dtype=DTYPE)
+    if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] == 0:
+        raise ShapeError(f"need a non-degenerate matrix, got shape {w.shape}")
+    if p == 1:
+        return float(np.max(np.ascontiguousarray(np.abs(w).T).sum(axis=1)))
+    if p == math.inf:
+        return float(np.max(np.abs(w).sum(axis=1)))
+    raise InvalidValueError(f"exact operator norm needs p in {{1, inf}}, got {p!r}")
 
 
 def _fan_in_out(shape):

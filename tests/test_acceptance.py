@@ -377,7 +377,7 @@ SWEEP_SEEDS = (7, 8, 9)
 def spiral_sweep():
     """The 15 spiral training runs shared by the sweep and transfer checks."""
     start = time.perf_counter()
-    runs = {(g, s): run_config(SPIRAL_CONFIG, gamma_override=g, seed_override=s)
+    runs = {(g, s): run_config({**SPIRAL_CONFIG, "seed": s, "maxgain": {"gamma": g, "p": 2}})
             for g in SWEEP_GAMMAS for s in SWEEP_SEEDS}
     return runs, time.perf_counter() - start
 

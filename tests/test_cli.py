@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ class TestTrain:
         config = write_config(tmp_path, model=[{"type": "dropout", "rate": 2.0}])
         assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    def test_crop_the_model_cannot_evaluate_at_full_size_exits_2(self, tmp_path, capsys):
+        # 8x8 images whose dense layer takes the full image, cropped to 6x6
+        (tmp_path / "images").write_bytes(struct.pack(">IIII", 0x803, 8, 8, 8) + bytes(range(0, 256, 4)) * 8)
+        (tmp_path / "labels").write_bytes(struct.pack(">II", 0x801, 8) + bytes([0, 1] * 4))
+        config = write_config(
+            tmp_path, augment={"pad": 1, "crop": 6}, test_dataset=None,
+            model=[{"type": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 1}, {"type": "relu"},
+                   {"type": "flatten"}, {"type": "dense", "in": 128, "out": 2}],
+            dataset={"type": "idx", "images": str(tmp_path / "images"),
+                     "labels": str(tmp_path / "labels")})
+        out = tmp_path / "o"
+        assert main(["train", str(config), "--out", str(out)]) == 2
+        assert "'crop' in augment" in capsys.readouterr().err
+        assert not (out / "ledger.tsv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, optimizer="sgd", lr=1e300)
@@ -128,6 +144,18 @@ class TestSweep:
         config = write_config(tmp_path, maxgain={"gamma": 1.0, "p": 2})
         assert main(["sweep", str(config), "--gammas", "abc"]) == 2
         assert main(["sweep", str(config), "--gammas", ","]) == 2
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
+    def test_out_of_domain_gamma_exits_2_naming_it(self, tmp_path, capsys, gamma, jobs):
+        config = write_config(tmp_path, maxgain={"gamma": 1.0, "p": 2}, epochs=1)
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", str(config), f"--gammas={gamma}", "--jobs", jobs,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "maxgain" in err and "gamma" in err
+        assert not out.exists()
 
 
 class TestGainReport:

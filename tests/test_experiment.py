@@ -33,6 +33,7 @@ from maxgain import (
     run_config,
     run_folds,
 )
+from maxgain import experiment
 from maxgain.experiment import (
     AUGMENT_FIELDS,
     CONFIG_FIELDS,
@@ -43,6 +44,19 @@ from maxgain.experiment import (
     build_augment_fn,
 )
 from maxgain.layers import STAGE_TYPES
+
+
+def idx_dataset(tmp_path, stem, n, side, rng):
+    """Spec of an IDX dataset written under tmp_path: n side x side images
+    whose brightness follows a random binary label."""
+    labels = rng.integers(0, 2, size=n)
+    pixels = np.clip(60 + 120 * labels[:, None, None] + rng.normal(0, 20, size=(n, side, side)), 0, 255)
+    (tmp_path / f"{stem}-images").write_bytes(
+        struct.pack(">IIII", 0x803, n, side, side) + pixels.astype(np.uint8).tobytes())
+    (tmp_path / f"{stem}-labels").write_bytes(
+        struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes())
+    return {"type": "idx", "images": str(tmp_path / f"{stem}-images"),
+            "labels": str(tmp_path / f"{stem}-labels")}
 
 
 def base_config(**overrides):
@@ -232,21 +246,9 @@ class TestRunConfig:
         assert network_to_text(a.net) == network_to_text(b.net)
         assert a.ledger.to_text() == b.ledger.to_text()
 
-    def test_gamma_override_beats_the_config(self):
-        config = base_config(maxgain={"gamma": 8.0, "p": 2},
-                             test_dataset={"type": "blobs", "n": 32, "seed": 6,
-                                           "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5})
-        tight = run_config(config, gamma_override=0.05)
-        loose = run_config(config, gamma_override=8.0)
-        explicit = run_config(base_config(maxgain={"gamma": 0.05, "p": 2},
-                                          test_dataset=config["test_dataset"]))
-        assert network_to_text(tight.net) == network_to_text(explicit.net)
-        assert network_to_text(tight.net) != network_to_text(loose.net)
-        assert max(tight.test_max_gains) < max(loose.test_max_gains)
-
-    def test_seed_override_changes_training_not_data(self):
-        a = run_config(base_config(), seed_override=100)
-        b = run_config(base_config(), seed_override=101)
+    def test_config_seed_changes_training_not_data(self):
+        a = run_config(base_config(seed=100))
+        b = run_config(base_config(seed=101))
         assert network_to_text(a.net) != network_to_text(b.net)
 
     def test_rejects_bad_config(self):
@@ -255,13 +257,7 @@ class TestRunConfig:
 
     def test_idx_images_through_conv_batchnorm_residual_with_augment(self, tmp_path):
         rng = make_rng(8)
-        for stem, n in (("train", 24), ("test", 12)):
-            labels = rng.integers(0, 2, size=n)
-            pixels = np.clip(60 + 120 * labels[:, None, None] + rng.normal(0, 20, size=(n, 6, 6)), 0, 255)
-            (tmp_path / f"{stem}-images").write_bytes(
-                struct.pack(">IIII", 0x803, n, 6, 6) + pixels.astype(np.uint8).tobytes())
-            (tmp_path / f"{stem}-labels").write_bytes(
-                struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes())
+        train, test = idx_dataset(tmp_path, "train", 24, 6, rng), idx_dataset(tmp_path, "test", 12, 6, rng)
         conv = {"type": "conv", "in": 2, "out": 2, "kernel": 3, "pad": 1}
         config = base_config(
             model=[{**conv, "in": 1}, {"type": "batchnorm", "channels": 2}, {"type": "relu"},
@@ -269,16 +265,37 @@ class TestRunConfig:
                     "shortcut": [{**conv, "kernel": 1, "pad": 0}]},
                    {"type": "flatten"}, {"type": "dense", "in": 72, "out": 2}],
             epochs=2, batch_size=8, maxgain={"gamma": 2.0},
-            augment={"flip": True, "pad": 1},
-            dataset={"type": "idx", "images": str(tmp_path / "train-images"),
-                     "labels": str(tmp_path / "train-labels")},
-            test_dataset={"type": "idx", "images": str(tmp_path / "test-images"),
-                          "labels": str(tmp_path / "test-labels")})
+            augment={"flip": True, "pad": 1}, dataset=train, test_dataset=test)
         result = run_config(config)
         assert len(result.test_max_gains) == 6
         assert 0.0 <= result.test_accuracy <= 1.0
         assert network_to_text(run_config(config).net) == network_to_text(result.net)
         assert network_to_text(run_config({**config, "augment": None}).net) != network_to_text(result.net)
+
+    def test_crop_the_model_cannot_evaluate_at_full_size_is_refused(self, tmp_path, monkeypatch):
+        # the dense layer takes the full 8x8 image, so 6x6 crops cannot pass it
+        config = base_config(
+            model=[{"type": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 1}, {"type": "relu"},
+                   {"type": "flatten"}, {"type": "dense", "in": 128, "out": 2}],
+            augment={"pad": 1, "crop": 6},
+            dataset=idx_dataset(tmp_path, "train", 16, 8, make_rng(10)),
+            folds={"k": 2, "train_per_fold": 6, "test_per_fold": 2})
+        monkeypatch.setattr(experiment, "fit", lambda *args, **kwargs: pytest.fail("trained"))
+        for run in (run_config, run_folds):
+            with pytest.raises(ConfigError, match="'crop' in augment"):
+                run(config)
+
+    def test_crop_that_pools_to_the_full_size_output_trains(self, tmp_path):
+        rng = make_rng(11)
+        config = base_config(
+            model=[{"type": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 1}, {"type": "relu"},
+                   {"type": "maxpool", "kernel": 2}, {"type": "flatten"},
+                   {"type": "dense", "in": 32, "out": 2}],
+            epochs=1, batch_size=8, augment={"crop": 8},
+            dataset=idx_dataset(tmp_path, "train", 16, 9, rng),
+            test_dataset=idx_dataset(tmp_path, "test", 8, 9, rng))
+        result = run_config(config)
+        assert [r.split for r in result.ledger.records] == ["train", "test"]
 
     def test_csv_dataset(self, tmp_path):
         rng = make_rng(9)
@@ -319,6 +336,36 @@ class TestGammaSweep:
         assert row.train_accuracy == direct.train_accuracy
         assert row.test_loss == direct.test_loss
         assert tuple(direct.test_max_gains) == row.test_max_gains
+
+    def test_sweep_gamma_replaces_the_configs(self):
+        config = base_config(maxgain={"gamma": 8.0, "p": 2},
+                             test_dataset={"type": "blobs", "n": 32, "seed": 6,
+                                           "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5})
+        tight, loose = gamma_sweep(config, [8.0, 0.05]).rows
+        explicit = run_config(base_config(maxgain={"gamma": 0.05, "p": 2},
+                                          test_dataset=config["test_dataset"]))
+        assert (tight.gamma, loose.gamma) == (0.05, 8.0)
+        assert tight.test_max_gains == tuple(explicit.test_max_gains)
+        assert (tight.train_loss, tight.test_loss) == (explicit.train_loss, explicit.test_loss)
+        assert max(tight.test_max_gains) < max(loose.test_max_gains)
+
+    def test_sweep_keeps_the_configs_norm_order(self):
+        config = base_config(epochs=1, maxgain={"gamma": 8.0, "p": "inf"},
+                             test_dataset={"type": "blobs", "n": 32, "seed": 6,
+                                           "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5})
+        row, = gamma_sweep(config, [0.5]).rows
+        explicit = run_config({**config, "maxgain": {"gamma": 0.5, "p": "inf"}})
+        assert row.test_max_gains == tuple(explicit.test_max_gains)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_out_of_domain_gamma_is_refused_before_training(self, gamma, monkeypatch):
+        config = base_config(maxgain={"gamma": 1.0},
+                             test_dataset={"type": "blobs", "n": 32, "seed": 6,
+                                           "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5})
+        monkeypatch.setattr(experiment, "run_config", lambda config: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="gamma") as err:
+            gamma_sweep(config, [1.0, gamma])
+        assert "maxgain" in str(err.value)
 
     def test_parallel_matches_serial(self):
         config = base_config(epochs=2,

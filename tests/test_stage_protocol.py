@@ -1,12 +1,15 @@
-"""The one stage protocol on generated stage trees, and a guard that code
-walking the network reads what the stage classes declare.
+"""The one stage protocol on generated stage trees, the declared operator
+norms on generated layers, and a guard that code walking the network reads
+what the stage classes declare.
 
-The trees hold dense, batchnorm (with random running statistics), dropout and
-relu stages and residual blocks nested up to depth 2, with and without a
-projection shortcut. The references here are written per class on purpose,
-so they cannot share a walk with the package."""
+The trees hold dense, conv (stride 1-2, pad 0-1, kh != kw), batchnorm (with
+random running statistics), dropout, relu, maxpool (overlapping windows
+included) and flatten stages and residual blocks nested up to depth 2, with
+and without a projection shortcut. The references here are written per class
+on purpose, so they cannot share a walk with the package."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,71 +19,123 @@ from hypothesis import strategies as st
 
 from maxgain import (
     BatchNorm,
+    Conv2d,
     Dense,
     Dropout,
+    Flatten,
     MaxGainConfig,
+    MaxPool2d,
     Network,
     ReLU,
     ResidualBlock,
     SgdNesterov,
     apply_linear,
     backward,
+    batch_max_gain,
     forward,
+    layer_operator_norm,
     lipschitz_upper_bound,
     make_rng,
     materialize_linear,
     network_from_text,
     network_to_text,
+    operator_norm_exact,
     projection_scale,
     train_step,
 )
 from maxgain.layers import STAGE_TYPES
+from oracles import conv2d_oracle
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 CLASSES = 3
 
 
+def conv_geometry(draw, c, h, w):
+    """(stride, pad, kh, kw) of a conv that fits (c, h, w) instances."""
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    return (stride, pad, draw(st.integers(1, min(3, h + 2 * pad))),
+            draw(st.integers(1, min(3, w + 2 * pad))))
+
+
+def random_batchnorm(rng, channels):
+    bn = BatchNorm(rng.normal(size=channels), rng.normal(size=channels))
+    bn.running_mean = rng.normal(size=channels)
+    bn.running_var = rng.uniform(0.1, 3.0, size=channels)
+    return bn
+
+
+def projection(rng, shape, out):
+    """A learned shortcut mapping shape instances to out instances."""
+    if len(out) == 1:
+        dense = Dense(rng.normal(size=(out[0], int(np.prod(shape)))), np.zeros(out[0]))
+        return [dense] if len(shape) == 1 else [Flatten(), dense]
+    (c, h, w), (oc, oh, ow) = shape, out
+    pad = max(0, -(-max(oh - h, ow - w) // 2))
+    kernel = rng.normal(size=(oc, c, h + 2 * pad - oh + 1, w + 2 * pad - ow + 1))
+    return [Conv2d(kernel, np.zeros(oc), pad=pad)]
+
+
 @st.composite
-def stage_lists(draw, rng, width, depth):
-    """(stages, out_width): 1-3 stages mapping width-wide instances on, with
-    residual blocks only below depth 2."""
-    kinds = ["dense", "batchnorm", "dropout", "relu"] + (["residual"] if depth < 2 else [])
+def stage_lists(draw, rng, shape, depth):
+    """(stages, out_shape): 1-3 stages mapping instances of shape on, with
+    residual blocks only below depth 2. (C, H, W) instances meet conv,
+    maxpool and flatten stages, (n,) instances dense ones."""
     stages = []
     for _ in range(draw(st.integers(1, 3))):
+        kinds = ["conv", "maxpool", "conv", "maxpool", "flatten"] if len(shape) == 3 else ["dense"]
+        kinds += (["residual"] if depth < 2 else []) + ["batchnorm", "dropout", "relu"]
         kind = draw(st.sampled_from(kinds))
         if kind == "dense":
             out = draw(st.integers(1, 4))
-            stages.append(Dense(rng.normal(size=(out, width)), rng.normal(size=out)))
-            width = out
+            stages.append(Dense(rng.normal(size=(out, shape[0])), rng.normal(size=out)))
+        elif kind == "conv":
+            stride, pad, kh, kw = conv_geometry(draw, *shape)
+            out = draw(st.integers(1, 3))
+            stages.append(Conv2d(rng.normal(size=(out, shape[0], kh, kw)), rng.normal(size=out),
+                                 stride=stride, pad=pad))
+        elif kind == "maxpool":
+            kernel = draw(st.integers(1, min(2, shape[1], shape[2])))
+            stages.append(MaxPool2d(kernel, draw(st.integers(1, 2))))
+        elif kind == "flatten":
+            stages.append(Flatten())
         elif kind == "batchnorm":
-            bn = BatchNorm(rng.normal(size=width), rng.normal(size=width))
-            bn.running_mean = rng.normal(size=width)
-            bn.running_var = rng.uniform(0.1, 3.0, size=width)
-            stages.append(bn)
+            stages.append(random_batchnorm(rng, shape[0]))
         elif kind == "dropout":
             stages.append(Dropout(draw(st.sampled_from([0.0, 0.25, 0.5]))))
         elif kind == "relu":
             stages.append(ReLU())
         else:
-            main, out = draw(stage_lists(rng, width, depth + 1))
+            main, out = draw(stage_lists(rng, shape, depth + 1))
             shortcut = None
-            if out != width or draw(st.booleans()):
-                shortcut = [Dense(rng.normal(size=(out, width)), np.zeros(out))]
+            if out != shape or draw(st.booleans()):
+                shortcut = projection(rng, shape, out)
             stages.append(ResidualBlock(main, shortcut))
-            width = out
-    return stages, width
+        shape = stages[-1].out_shape(shape)
+    return stages, shape
 
 
 @st.composite
 def trees(draw):
-    """(net, x, y): a generated stage tree ending in a dense classifier, and a
-    batch of 3-6 labelled instances."""
+    """(net, x, y): a generated stage tree on (C, H, W) or (n,) instances,
+    ending in a dense classifier, and a batch of 3-6 labelled instances."""
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    width = draw(st.integers(1, 4))
-    stages, out = draw(stage_lists(rng, width, 0))
-    net = Network(stages + [Dense(rng.normal(size=(CLASSES, out)), rng.normal(size=CLASSES))])
+    if draw(st.sampled_from(["image", "vector"])) == "image":
+        shape = (draw(st.integers(1, 2)), draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    else:
+        shape = (draw(st.integers(1, 4)),)
+    stages, out = draw(stage_lists(rng, shape, 0))
+    if len(out) == 3:
+        stages.append(Flatten())
+    net = Network(stages + [Dense(rng.normal(size=(CLASSES, int(np.prod(out)))),
+                                  rng.normal(size=CLASSES))])
     n = draw(st.integers(3, 6))
-    return net, rng.normal(size=(n, width)), rng.integers(0, CLASSES, size=n)
+    return net, rng.normal(size=(n,) + shape), rng.integers(0, CLASSES, size=n)
+
+
+def windows(s, h, w):
+    """Top-left corners of a maxpool stage's windows on an h x w grid."""
+    rows, cols = range(0, h - s.kernel + 1, s.stride), range(0, w - s.kernel + 1, s.stride)
+    return [(i, j) for i in rows for j in cols], len(rows), len(cols)
 
 
 def eval_reference(stages, x, seen):
@@ -88,35 +143,55 @@ def eval_reference(stages, x, seen):
     learned layer in forward pre-order, a residual main path before its
     shortcut."""
     for s in stages:
+        per_channel = (1, -1) + (1,) * (x.ndim - 2)
         if isinstance(s, ResidualBlock):
             main = eval_reference(s.main, x, seen)
             x = main + (x if s.shortcut is None else eval_reference(s.shortcut, x, seen))
         elif isinstance(s, Dense):
             seen.append((s, x))
             x = x @ s.w.T + s.b
+        elif isinstance(s, Conv2d):
+            seen.append((s, x))
+            x = conv2d_oracle(x, s.kernel, s.stride, s.pad) + s.b.reshape(per_channel)
         elif isinstance(s, BatchNorm):
             seen.append((s, x))
-            x = (x - s.running_mean) / np.sqrt(s.running_var + s.eps) * s.alpha + s.beta
+            x = ((x - s.running_mean.reshape(per_channel)) / np.sqrt(s.running_var + s.eps).reshape(per_channel)
+                 * s.alpha.reshape(per_channel) + s.beta.reshape(per_channel))
         elif isinstance(s, Dropout):
             x = x * (1.0 - s.rate)
+        elif isinstance(s, MaxPool2d):
+            corners, oh, ow = windows(s, *x.shape[2:])
+            k = s.kernel
+            x = np.stack([x[:, :, i:i + k, j:j + k].max(axis=(2, 3)) for i, j in corners], axis=-1)
+            x = x.reshape(x.shape[:2] + (oh, ow))
+        elif isinstance(s, Flatten):
+            x = x.reshape(x.shape[0], -1)
         else:
             x = np.maximum(x, 0.0)
     return x
 
 
-def l1_bound_reference(stages, shape):
-    """Product over stages of the l1 operator norm, as the largest absolute
-    column sum of each learned layer's materialized matrix; a residual block
-    contributes main + shortcut (1 for the identity)."""
+def bound_reference(stages, shape, p):
+    """Product over stages of the l_p operator norm: each learned layer's
+    materialized matrix norm (for p=1 its largest absolute column sum), the
+    keep probability for dropout, and for maxpool m ** (1 / p), m the most
+    windows any input position lies in; a residual block contributes main +
+    shortcut (1 for the identity)."""
     bound = 1.0
     for s in stages:
         if isinstance(s, ResidualBlock):
-            short = 1.0 if s.shortcut is None else l1_bound_reference(s.shortcut, shape)
-            bound *= l1_bound_reference(s.main, shape) + short
-        elif isinstance(s, (Dense, BatchNorm)):
-            bound *= np.abs(materialize_linear(s, shape)).sum(axis=0).max()
+            short = 1.0 if s.shortcut is None else bound_reference(s.shortcut, shape, p)
+            bound *= bound_reference(s.main, shape, p) + short
+        elif isinstance(s, (Dense, Conv2d, BatchNorm)):
+            m = materialize_linear(s, shape)
+            bound *= np.abs(m).sum(axis=0).max() if p == 1 else np.linalg.norm(m, p)
         elif isinstance(s, Dropout):
             bound *= 1.0 - s.rate
+        elif isinstance(s, MaxPool2d):
+            cover = np.zeros(shape[1:])
+            for i, j in windows(s, *shape[1:])[0]:
+                cover[i:i + s.kernel, j:j + s.kernel] += 1
+            bound *= cover.max() ** (1.0 / p)
         shape = s.out_shape(shape)
     return bound
 
@@ -190,8 +265,8 @@ def test_constrained_step_is_the_unconstrained_step_projected(case, gamma):
     report = train_step(net, x, y, SgdNesterov(), 0.1, MaxGainConfig(gamma=gamma), rng=make_rng(3))
     train_step(free, x, y, SgdNesterov(), 0.1, None, rng=make_rng(3))
     for j, (layer, ref) in enumerate(zip(net.learned_layers(), free.learned_layers())):
-        nx = np.linalg.norm(caches.xs[j], axis=1)
-        nz = np.linalg.norm(caches.zs[j], axis=1)
+        nx = np.linalg.norm(caches.xs[j].reshape(len(x), -1), axis=1)
+        nz = np.linalg.norm(caches.zs[j].reshape(len(x), -1), axis=1)
         gamma_hat = np.where(nx > 0, nz / np.where(nx > 0, nx, 1.0), 0.0).max()
         assert report.gamma_hats[j] == pytest.approx(gamma_hat, rel=1e-12, abs=1e-300)
         for name in layer.param_names + layer.state:
@@ -223,22 +298,83 @@ def test_l1_lipschitz_bound_matches_materialized_column_sums(case):
     net, x, _ = case
     shape = x.shape[1:]
     assert lipschitz_upper_bound(net, 1, shape) == pytest.approx(
-        l1_bound_reference(net.stages, shape), rel=1e-12)
+        bound_reference(net.stages, shape, 1), rel=1e-12)
 
 
-# The gain norm formulas for Dense and BatchNorm stay in gain.py until the
-# operator norms move onto the stage classes.
-ALLOWED = {"gain.py": {"Dense", "BatchNorm"}}
+@PROPERTY_SETTINGS
+@given(trees(), st.sampled_from([1, 2, math.inf]))
+def test_lipschitz_bound_dominates_materialized_norms_and_observed_differences(case, p):
+    net, x, _ = case
+    shape = x.shape[1:]
+    bound = lipschitz_upper_bound(net, p, shape)
+    want = bound_reference(net.stages, shape, p)
+    if p == 2:  # a conv contributes an upper bound on its norm
+        assert bound >= want * (1 - 1e-12)
+    else:
+        assert bound == pytest.approx(want, rel=1e-12)
+    rng = make_rng(5)
+    for scale in (1.0, 1e-3):
+        b = x + scale * rng.normal(size=x.shape)
+        diff = (forward(net, x, "eval")[0] - forward(net, b, "eval")[0]).reshape(len(x), -1)
+        for i in range(len(x)):
+            num = np.linalg.norm(diff[i], p)
+            assert num <= bound * np.linalg.norm((x - b)[i].reshape(-1), p) * (1 + 1e-9) + 1e-12
 
 
-@pytest.mark.parametrize("module", ["checkpoint.py", "experiment.py", "gain.py"])
+@st.composite
+def linear_layers(draw):
+    """(layer, shape, xs): a random dense, conv or batchnorm layer, an
+    instance shape it takes, and instances: gaussian ones and every standard
+    basis vector."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "conv", "batchnorm"]))
+    if kind == "dense":
+        shape = (draw(st.integers(1, 8)),)
+        out = draw(st.integers(1, 8))
+        layer = Dense(rng.normal(size=(out, shape[0])), rng.normal(size=out))
+    else:
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        if kind == "conv":
+            stride, pad, kh, kw = conv_geometry(draw, *shape)
+            oc = draw(st.integers(1, 3))
+            layer = Conv2d(rng.normal(size=(oc, shape[0], kh, kw)), rng.normal(size=oc),
+                           stride=stride, pad=pad)
+        else:
+            layer = random_batchnorm(rng, shape[0])
+    dim = int(np.prod(shape))
+    xs = np.concatenate([rng.normal(size=(8, dim)), np.eye(dim)]).reshape((-1,) + shape)
+    return layer, shape, xs
+
+
+@PROPERTY_SETTINGS
+@given(linear_layers())
+def test_layer_operator_norms_bound_gains_and_match_materialized_norms(case):
+    layer, shape, xs = case
+    _, caches = forward(Network([layer]), xs, "eval")
+    m = materialize_linear(layer, shape)
+    for p in (1, 2, math.inf):
+        norm = layer_operator_norm(layer, p, shape)
+        assert batch_max_gain(layer, caches.xs[0], caches.zs[0], p) <= norm * (1 + 1e-12)
+        if p != 2:
+            assert norm == pytest.approx(operator_norm_exact(m, p), rel=1e-12)
+        elif isinstance(layer, Dense):
+            assert norm == np.linalg.norm(layer.w, 2)
+        else:
+            assert np.linalg.norm(m, 2) <= norm * (1 + 1e-12)
+
+
+MODULES = sorted(path.name for path in (Path(__file__).resolve().parents[1] / "src" / "maxgain").glob("*.py")
+                 if path.name not in ("layers.py", "__init__.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_network_walkers_name_no_stage_class(module):
-    """These modules walk networks through the declarations on the stage
-    classes (parts, weight_param, lipschitz), so each stage type is described
-    once, in layers.py."""
+    """Modules outside layers.py (and __init__.py, which re-exports the
+    classes) walk networks through the declarations on the stage classes
+    (parts, weight_param, operator_norm, out_shape), so each stage type is
+    described once, in layers.py."""
     path = Path(__file__).resolve().parents[1] / "src" / "maxgain" / module
     forbidden = {cls.__name__ for cls in STAGE_TYPES.values()} | {"LEARNED_TYPES"}
-    forbidden -= ALLOWED.get(module, set())
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
