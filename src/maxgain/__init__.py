@@ -39,9 +39,7 @@ from .evaluate import (
     GainReport,
     GainReportRow,
     TTestResult,
-    accuracy,
     gain_report,
-    log_loss,
     paired_t_test,
     per_layer_gains,
     regularized_incomplete_beta,
@@ -103,7 +101,6 @@ from .optim import (
     TrainingLedger,
     eval_metrics,
     fit,
-    predict_proba,
     project,
     projection_scale,
     train_step,

@@ -156,6 +156,8 @@ def _read_scores(path):
             fold, acc = int(parts[0]), float(parts[1])
         except ValueError:
             raise FormatError(f"{path}:{i}: bad fold index or accuracy") from None
+        if not math.isfinite(acc):
+            raise FormatError(f"{path}:{i}: accuracy {parts[1]!r} is not finite")
         if fold in scores:
             raise FormatError(f"{path}:{i}: duplicate fold index {fold}")
         scores[fold] = acc

@@ -39,7 +39,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     class_count: int
-    classes: list = None  # original label values for mapped labels, else None
 
     def __post_init__(self):
         if self.x.shape[0] != self.y.shape[0]:
@@ -52,7 +51,7 @@ class Dataset:
         return self.x.shape[0]
 
     def subset(self, indices):
-        return Dataset(self.x[indices], self.y[indices], self.class_count, self.classes)
+        return Dataset(self.x[indices], self.y[indices], self.class_count)
 
 
 def _read_exact(fh, count, path, what):
@@ -98,12 +97,21 @@ def _parse_float(token, path, line_no):
         raise FormatError(f"{path}:{line_no}: non-numeric feature value {token!r}") from None
 
 
+def _csv_column(path, width, key, c):
+    """Column c of rows `width` wide as an index in [0, width); a column
+    outside the row is a ConfigError naming the key that gave it."""
+    if not -width <= c < width:
+        raise ConfigError(f"bad {key!r} in csv dataset: {path} has {width} columns, got {c}")
+    return c % width
+
+
 def load_csv(path, label_col=-1, feature_cols=None):
     """Load a CSV of numeric features plus one label column.
 
-    A header row is skipped if its label cell does not parse as a number.
-    Label values (numeric or string) are mapped to dense indices 0..K-1 in
-    sorted order; the original values are kept on Dataset.classes.
+    Columns count from 0, negative ones from the end, and must lie within the
+    first row. A header row is skipped if its label cell does not parse as a
+    number. Label values (numeric or string) are mapped to dense indices
+    0..K-1 in sorted order.
     """
     rows = []
     labels = []
@@ -114,16 +122,18 @@ def load_csv(path, label_col=-1, feature_cols=None):
                 continue
             if width is None:
                 width = len(rec)
+                label_col = _csv_column(path, width, "label_col", label_col)
+                cols = ([c for c in range(width) if c != label_col] if feature_cols is None else
+                        [_csv_column(path, width, "feature_cols", c) for c in feature_cols])
+                if label_col in cols:
+                    raise ConfigError(
+                        f"bad 'feature_cols' in csv dataset: column {label_col} is the label column")
                 try:
                     float(rec[label_col])
-                except (ValueError, IndexError):
+                except ValueError:
                     continue  # header row
             if len(rec) != width:
                 raise FormatError(f"{path}:{line_no}: expected {width} columns, got {len(rec)}")
-            cols = feature_cols
-            if cols is None:
-                lab = label_col % width
-                cols = [c for c in range(width) if c != lab]
             rows.append([_parse_float(rec[c], path, line_no) for c in cols])
             labels.append(rec[label_col])
     if not rows:
@@ -139,7 +149,7 @@ def load_csv(path, label_col=-1, feature_cols=None):
         keyed = labels
     index = {v: i for i, v in enumerate(values)}
     y = np.asarray([index[v] for v in keyed], dtype=np.int64)
-    return Dataset(x, y, class_count=len(values), classes=values)
+    return Dataset(x, y, class_count=len(values))
 
 
 def _balanced_counts(n, classes):
@@ -262,8 +272,9 @@ class FoldProtocol:
 
     @staticmethod
     def load(path):
-        """The protocol saved at path. A file that is not one, an index
-        outside [0, n_instances) or an instance used twice is a FormatError."""
+        """The protocol saved at path. A file that is not one, an empty fold
+        list, an index outside [0, n_instances) or an instance used twice is
+        a FormatError."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -271,6 +282,8 @@ class FoldProtocol:
             raise FormatError(f"{path}: not valid JSON ({err})") from None
         doc = parse_fields(f"fold-protocol file {path}", _FOLDS_FILE, doc, FormatError)
         n, folds, seen = doc["n_instances"], [], set()
+        if not doc["folds"]:
+            raise FormatError(f"{path}: the fold list is empty")
         for f, spec in enumerate(doc["folds"]):
             parts = parse_fields(f"fold {f} of {path}", _FOLD, spec, FormatError)
             for part, ids in parts.items():

@@ -1,4 +1,4 @@
-"""Scoring, the paired t-test, and gain reports."""
+"""The paired t-test, gain reports, and the batch size of eval-mode passes."""
 
 import math
 from dataclasses import dataclass
@@ -16,39 +16,8 @@ from .gain import GainStats, gain_stats, instance_gains
 from .layers import forward
 from .tensor import DTYPE, check_finite
 
-
-def accuracy(predictions, labels):
-    """Fraction of exact label matches."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape or predictions.ndim != 1:
-        raise ShapeError(
-            f"predictions {predictions.shape} and labels {labels.shape} must be matching vectors")
-    if predictions.shape[0] == 0:
-        raise EmptySampleError("no predictions to score")
-    return float(np.mean(predictions == labels))
-
-
-def log_loss(probs, labels, clip=1e-12):
-    """Mean negative log-probability of the true class.
-
-    Rows of probs must sum to 1 within 1e-6; probabilities are clipped below
-    at `clip` so a confidently wrong prediction stays finite.
-    """
-    probs = np.asarray(probs, dtype=DTYPE)
-    labels = np.asarray(labels)
-    if probs.ndim != 2 or labels.ndim != 1 or probs.shape[0] != labels.shape[0]:
-        raise ShapeError(f"probs {probs.shape} and labels {labels.shape} do not align")
-    if probs.shape[0] == 0:
-        raise EmptySampleError("no predictions to score")
-    check_finite(probs, "probabilities")
-    sums = probs.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-6:
-        raise InvalidValueError("probability rows must sum to 1 within 1e-6")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise IndexError(f"labels outside [0, {probs.shape[1]})")
-    picked = probs[np.arange(probs.shape[0]), labels]
-    return float(np.mean(-np.log(np.maximum(picked, clip))))
+# Instances per eval-mode forward pass in eval_metrics and per_layer_gains.
+_EVAL_BATCH = 256
 
 
 # --- Student t machinery -------------------------------------------------
@@ -153,7 +122,7 @@ def paired_t_test(a, b):
 # --- gain reports --------------------------------------------------------
 
 
-def per_layer_gains(net, x, p, batch_size=256):
+def per_layer_gains(net, x, p):
     """Per-instance gains of every learned layer on a split, eval mode.
 
     Returns one array of len(x) gains per learned layer, in
@@ -161,12 +130,12 @@ def per_layer_gains(net, x, p, batch_size=256):
     """
     n_layers = len(net.learned_layers())
     if n_layers == 0:
-        raise InvalidValueError("network has no learned layers")
+        raise EmptySampleError("network has no learned layers")
     if x.shape[0] == 0:
         raise EmptySampleError("per_layer_gains needs at least one instance")
     chunks = [[] for _ in range(n_layers)]
-    for i in range(0, x.shape[0], batch_size):
-        _, caches = forward(net, x[i:i + batch_size], "eval")
+    for i in range(0, x.shape[0], _EVAL_BATCH):
+        _, caches = forward(net, x[i:i + _EVAL_BATCH], "eval")
         for j in range(n_layers):
             chunks[j].append(instance_gains(caches.xs[j], caches.zs[j], p))
     return [np.concatenate(c) for c in chunks]
@@ -181,10 +150,9 @@ class GainReportRow:
 
 @dataclass(frozen=True)
 class GainReport:
-    p: object
     rows: tuple
 
-    def to_lines(self):
+    def to_text(self):
         lines = ["layer_index\tsplit\tn\tmin\tlq\tmedian\tuq\tmax"]
         for r in self.rows:
             s = r.stats
@@ -192,23 +160,20 @@ class GainReport:
                 str(r.layer_index), r.split, str(s.n),
                 f"{s.min:.17g}", f"{s.lower_quartile:.17g}", f"{s.median:.17g}",
                 f"{s.upper_quartile:.17g}", f"{s.max:.17g}"]))
-        return lines
-
-    def to_text(self):
-        return "\n".join(self.to_lines()) + "\n"
+        return "\n".join(lines) + "\n"
 
 
-def gain_report(net, train, test, p, batch_size=256):
+def gain_report(net, train, test, p):
     """Five-number gain summaries per learned layer for both splits."""
     rows = []
     for split_name, ds in (("train", train), ("test", test)):
         if ds is None:
             continue
-        gains = per_layer_gains(net, ds.x, p, batch_size=batch_size)
+        gains = per_layer_gains(net, ds.x, p)
         for j, g in enumerate(gains):
             rows.append(GainReportRow(layer_index=j, split=split_name, stats=gain_stats(g)))
     if not rows:
         raise EmptySampleError("gain report needs at least one split")
     rows.sort(key=lambda r: (r.layer_index, r.split))
-    return GainReport(p=p, rows=tuple(rows))
+    return GainReport(rows=tuple(rows))
 

@@ -67,6 +67,11 @@ def _drops(pairs):
     return [[d["epoch"], d["factor"]] for d in drops]
 
 
+def _columns(cols):
+    """A field type: a list of CSV column numbers."""
+    return [integer(c) for c in of_type(list)(cols)]
+
+
 def _centers(rows):
     """A field type: a list of rows of numbers (blob centres)."""
     return [[real(v) for v in of_type(list)(row)] for row in of_type(list)(rows)]
@@ -79,7 +84,7 @@ DATASET_FIELDS = {
               "sd": (at_least(0, real), 1.0)},
     "idx": {"images": (of_type(str), REQUIRED), "labels": (of_type(str), REQUIRED)},
     "csv": {"path": (of_type(str), REQUIRED), "label_col": (integer, -1),
-            "feature_cols": (of_type(list), None)}}
+            "feature_cols": (_columns, None)}}
 DROP_FIELDS = {"epoch": (integer, REQUIRED), "factor": (real, REQUIRED)}
 MAXGAIN_FIELDS = {"gamma": (real, REQUIRED), "p": (parse_norm_order, 2)}
 AUGMENT_FIELDS = {"flip": (of_type(bool), False), "pad": (at_least(0, integer), 0),
@@ -214,18 +219,11 @@ class FoldScores:
 
     scores: tuple  # (fold_index, accuracy) pairs
 
-    def to_lines(self):
+    def to_text(self):
         lines = ["fold\taccuracy"]
         for f, acc in self.scores:
             lines.append(f"{f}\t{acc:.17g}")
-        return lines
-
-    def to_text(self):
-        return "\n".join(self.to_lines()) + "\n"
-
-    @property
-    def accuracies(self):
-        return np.asarray([acc for _, acc in self.scores])
+        return "\n".join(lines) + "\n"
 
 
 def build_fold_protocol(config, dataset):
@@ -284,17 +282,14 @@ class SweepRow:
 class SweepResult:
     rows: tuple
 
-    def to_lines(self):
+    def to_text(self):
         lines = ["gamma\ttrain_accuracy\ttrain_loss\ttest_accuracy\ttest_loss\ttest_max_gain_per_layer"]
         for r in self.rows:
             gains = ",".join(f"{g:.17g}" for g in r.test_max_gains)
             lines.append("\t".join([
                 f"{r.gamma:.17g}", f"{r.train_accuracy:.17g}", f"{r.train_loss:.17g}",
                 f"{r.test_accuracy:.17g}", f"{r.test_loss:.17g}", gains]))
-        return lines
-
-    def to_text(self):
-        return "\n".join(self.to_lines()) + "\n"
+        return "\n".join(lines) + "\n"
 
 
 def run_sweep_point(config):

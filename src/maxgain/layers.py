@@ -449,7 +449,7 @@ class BatchNorm(Stage):
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
             z = x * self.scale.reshape(bshape)
-            cache = {"x": x, "z": z, "mu": mu, "var": var, "inv_std": inv_std, "xhat": xhat}
+            cache = {"x": x, "z": z, "inv_std": inv_std, "xhat": xhat}
             return y, cache
         scale = self.scale
         z = x * scale.reshape(bshape)

@@ -12,37 +12,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evaluate
 from .data import write_text
 from .errors import ConfigError, DivergenceError, EmptySampleError, InvalidValueError
 from .gain import batch_max_gain
-from .layers import backward, forward, softmax, softmax_cross_entropy
+from .layers import backward, forward, softmax_cross_entropy
 from .tensor import check_norm_order, spawn_rngs
 
 
 @dataclass(frozen=True)
 class MaxGainConfig:
-    """Gain constraint: target gamma, norm order p, optional per-layer gammas.
-
-    per_layer maps a learned-layer index (Network.learned_layers() order) to a
-    gamma that overrides the shared one for that layer.
-    """
+    """Gain constraint: one target gamma for every learned layer, norm order p."""
 
     gamma: float
     p: object = 2
-    per_layer: dict = None
 
     def __post_init__(self):
         check_norm_order(self.p)
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise InvalidValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.per_layer:
-            for j, g in self.per_layer.items():
-                if not (math.isfinite(g) and g > 0.0):
-                    raise InvalidValueError(f"per-layer gamma for layer {j} must be positive, got {g}")
 
     def gamma_for(self, j):
-        if self.per_layer and j in self.per_layer:
-            return self.per_layer[j]
+        """The target gamma of learned layer j, the one every layer shares."""
         return self.gamma
 
 
@@ -92,18 +83,14 @@ class SgdNesterov:
 
 
 class Adam:
-    """Adam with bias-corrected first and second moment estimates."""
+    """Adam with bias-corrected moment estimates, at the usual constants."""
 
     name = "adam"
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise InvalidValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0.0:
-            raise InvalidValueError(f"eps must be positive, got {eps}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self):
         self.m = {}
         self.v = {}
         self.t = 0
@@ -190,11 +177,10 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
         scales = []
         for j, layer in enumerate(layers):
             gh = batch_max_gain(layer, caches.xs[j], caches.zs[j], maxgain.p)
-            gamma_j = maxgain.gamma_for(j)
             wname = layer.weight_param
-            setattr(layer, wname, project(getattr(layer, wname), gh, gamma_j))
+            setattr(layer, wname, project(getattr(layer, wname), gh, maxgain.gamma))
             gamma_hats.append(gh)
-            scales.append(projection_scale(gh, gamma_j))
+            scales.append(projection_scale(gh, maxgain.gamma))
     n_correct = int(np.sum(np.argmax(logits, axis=1) == np.asarray(y)))
     return StepReport(loss=loss, batch_size=x.shape[0], n_correct=n_correct,
                       gamma_hats=gamma_hats, scales=scales)
@@ -222,7 +208,7 @@ class TrainingLedger:
 
     records: list = field(default_factory=list)
 
-    def to_lines(self):
+    def to_text(self):
         lines = []
         for r in self.records:
             parts = [str(r.epoch), r.split, f"{r.loss:.17g}", f"{r.accuracy:.17g}"]
@@ -231,40 +217,27 @@ class TrainingLedger:
                     parts.append(f"{gh:.17g}")
                     parts.append(f"{sc:.17g}")
             lines.append("\t".join(parts))
-        return lines
-
-    def to_text(self):
-        return "\n".join(self.to_lines()) + "\n"
+        return "\n".join(lines) + "\n"
 
     def write(self, path):
         write_text(path, self.to_text())
 
 
-def eval_metrics(net, x, y, batch_size=256):
+def eval_metrics(net, x, y):
     """Mean cross-entropy loss and accuracy of the eval-mode network."""
     n = x.shape[0]
     if n == 0:
         raise EmptySampleError("eval_metrics needs at least one instance")
     loss_sum = 0.0
     correct = 0
-    for i in range(0, n, batch_size):
-        xb, yb = x[i:i + batch_size], y[i:i + batch_size]
+    b = evaluate._EVAL_BATCH
+    for i in range(0, n, b):
+        xb, yb = x[i:i + b], y[i:i + b]
         logits, _ = forward(net, xb, "eval")
         loss, _ = softmax_cross_entropy(logits, yb)
         loss_sum += loss * xb.shape[0]
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
     return loss_sum / n, correct / n
-
-
-def predict_proba(net, x, batch_size=256):
-    """Eval-mode class probabilities, batched."""
-    if x.shape[0] == 0:
-        raise EmptySampleError("predict_proba needs at least one instance")
-    out = []
-    for i in range(0, x.shape[0], batch_size):
-        logits, _ = forward(net, x[i:i + batch_size], "eval")
-        out.append(softmax(logits))
-    return np.concatenate(out, axis=0)
 
 
 def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,

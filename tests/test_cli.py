@@ -206,6 +206,13 @@ class TestGainReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{stage.split()[1]} stage" in err
 
+    def test_network_without_learned_layers_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        relu_only = tmp_path / "relu.txt"
+        relu_only.write_text("maxgain-checkpoint v1\nstages 1\nstage relu\nend\n")
+        assert main(["gain-report", str(relu_only), str(config)]) == 2
+        assert capsys.readouterr().err == "error: network has no learned layers\n"
+
 
 class TestFolds:
     def fold_args(self, tmp_path):
@@ -310,6 +317,15 @@ class TestTtest:
         write_scores(b, [(0, 0.7), (1, 0.6)])
         assert main(["ttest", str(a), str(b)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_accuracy_is_a_format_error(self, tmp_path, capsys, value):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_scores(a, [(0, 0.9), (1, value)])
+        write_scores(b, [(0, 0.7), (1, 0.6)])
+        assert main(["ttest", str(a), str(b)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {a}:3: accuracy '{value}' is not finite\n"
+
 
 BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5}
 
@@ -413,6 +429,7 @@ class TestUsageErrors:
         ([{"train": [0, 1], "test": [60]}], "index 60"),
         ([{"train": [0, 1], "test": [1]}], "instance 1 is used twice"),
         ([{"train": [0, 1], "test": [2]}, {"train": [2, 3], "test": [4]}], "instance 2"),
+        ([], "fold list is empty"),
     ])
     def test_malformed_folds_file_exits_2(self, tmp_path, capsys, folds, named):
         config = write_config(tmp_path, epochs=1, test_dataset=None, dataset={**BLOBS, "n": 60})
@@ -421,8 +438,28 @@ class TestUsageErrors:
             doc["folds"] = folds
         path = tmp_path / "folds.json"
         path.write_text(json.dumps(doc))
-        assert main(["folds", str(config), "--folds-file", str(path)]) == 2
+        scores = tmp_path / "scores.tsv"
+        assert main(["folds", str(config), "--folds-file", str(path), "--out", str(scores)]) == 2
         assert named in capsys.readouterr().err
+        assert not scores.exists()
+
+
+@pytest.mark.parametrize("columns, named", [
+    ({"label_col": 5}, "bad 'label_col' in csv dataset"),
+    ({"feature_cols": [0, 7]}, "bad 'feature_cols' in csv dataset"),
+    ({"feature_cols": ["a", 1]}, "bad 'feature_cols' in csv dataset"),
+    ({"feature_cols": [0, 2]}, "bad 'feature_cols' in csv dataset: column 2 is the label column"),
+])
+def test_csv_columns_outside_the_file_or_on_the_label_exit_2(tmp_path, capsys, columns, named):
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"{i},{-i},{i % 2}\n" for i in range(8)))
+    config = write_config(tmp_path, test_dataset=None,
+                          dataset={"type": "csv", "path": str(data), **columns})
+    out = tmp_path / "o"
+    assert main(["train", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not (out / "ledger.tsv").exists()
 
 
 class TestAtomicOutputs:

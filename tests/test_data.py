@@ -118,7 +118,6 @@ class TestLoadCsv:
         path.write_text("1,0,9\n2,0,3\n3,0,7\n4,0,3\n")
         data = load_csv(path)
         np.testing.assert_array_equal(data.y, [2, 0, 1, 0])
-        assert data.classes == [3.0, 7.0, 9.0]
         assert data.class_count == 3
 
     def test_string_labels(self, tmp_path):
@@ -126,7 +125,7 @@ class TestLoadCsv:
         path.write_text("x,y,kind\n1,2,dog\n3,4,cat\n5,6,dog\n")
         data = load_csv(path)
         np.testing.assert_array_equal(data.y, [1, 0, 1])
-        assert data.classes == ["cat", "dog"]
+        assert data.class_count == 2
 
     def test_label_in_first_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -140,6 +139,17 @@ class TestLoadCsv:
         path.write_text("1,2,3,0\n4,5,6,1\n")
         data = load_csv(path, feature_cols=[0, 2])
         np.testing.assert_array_equal(data.x, [[1.0, 3.0], [4.0, 6.0]])
+
+    @pytest.mark.parametrize("columns, named", [
+        ({"label_col": -4}, "'label_col'"),
+        ({"feature_cols": [0, 3]}, "'feature_cols'"),
+        ({"label_col": 0, "feature_cols": [-3, 1]}, "column 0 is the label column"),
+    ])
+    def test_columns_must_lie_in_the_first_row_and_miss_the_label(self, tmp_path, columns, named):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\n1,2,0\n3,4,1\n")
+        with pytest.raises(ConfigError, match=named):
+            load_csv(path, **columns)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -407,13 +417,11 @@ class TestWriteText:
 
 class TestDataset:
     def test_subset_keeps_metadata(self):
-        data = Dataset(np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0, 1]),
-                       2, classes=["a", "b"])
+        data = Dataset(np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0, 1]), 2)
         sub = data.subset(np.array([1, 3]))
         np.testing.assert_array_equal(sub.x, [[2.0, 3.0], [6.0, 7.0]])
         np.testing.assert_array_equal(sub.y, [1, 1])
         assert sub.class_count == 2
-        assert sub.classes == ["a", "b"]
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):

@@ -1,4 +1,4 @@
-"""Metrics, the paired t-test and its incomplete-beta engine, gain reports."""
+"""The paired t-test and its incomplete-beta engine, gain reports."""
 
 import math
 
@@ -14,69 +14,20 @@ from maxgain import (
     Network,
     ReLU,
     ShapeError,
-    accuracy,
     batch_max_gain,
     forward,
     gain_report,
     gain_stats,
-    log_loss,
     make_rng,
     paired_t_test,
     per_layer_gains,
     regularized_incomplete_beta,
     synth_blobs,
 )
+from maxgain import evaluate
 from oracles import paired_t_oracle
 
 mpmath.mp.dps = 50
-
-
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy([0, 1, 2], [0, 1, 2]) == 1.0
-
-    def test_all_wrong(self):
-        assert accuracy([1, 2, 0], [0, 1, 2]) == 0.0
-
-    def test_fraction(self):
-        assert accuracy([0, 1, 1, 0], [0, 1, 0, 1]) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ShapeError):
-            accuracy([0, 1], [0, 1, 2])
-        with pytest.raises(EmptySampleError):
-            accuracy([], [])
-
-
-class TestLogLoss:
-    def test_known_value(self):
-        got = log_loss(np.array([[0.7, 0.3]]), np.array([0]))
-        assert got == pytest.approx(0.35667494393873238, rel=1e-14)
-
-    def test_perfect_predictions(self):
-        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert log_loss(probs, np.array([0, 1])) <= 1e-11
-
-    def test_uniform_predictions(self):
-        probs = np.full((4, 5), 0.2)
-        assert log_loss(probs, np.array([0, 1, 2, 3])) == pytest.approx(math.log(5), rel=1e-14)
-
-    def test_confidently_wrong_is_clipped(self):
-        probs = np.array([[1.0, 0.0]])
-        got = log_loss(probs, np.array([1]))
-        assert got == pytest.approx(-math.log(1e-12), rel=1e-12)
-
-    def test_row_sum_validation(self):
-        with pytest.raises(InvalidValueError):
-            log_loss(np.array([[0.6, 0.3]]), np.array([0]))
-
-    def test_label_range(self):
-        with pytest.raises(IndexError):
-            log_loss(np.array([[0.5, 0.5]]), np.array([2]))
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            log_loss(np.array([[0.5, 0.5]]), np.array([0, 1]))
 
 
 class TestRegularizedIncompleteBeta:
@@ -209,10 +160,11 @@ def tiny_net(seed):
 
 
 class TestGainReports:
-    def test_per_layer_gains_match_direct_measurement(self):
+    def test_per_layer_gains_match_direct_measurement(self, monkeypatch):
         net = tiny_net(5)
         data = synth_blobs(40, make_rng(6), centers=[(0.0, 0.0), (2.0, 2.0)])
-        gains = per_layer_gains(net, data.x, 2, batch_size=16)
+        monkeypatch.setattr(evaluate, "_EVAL_BATCH", 16)
+        gains = per_layer_gains(net, data.x, 2)
         assert len(gains) == 2
         _, caches = forward(net, data.x, "eval")
         for j, layer in enumerate(net.learned_layers()):
@@ -220,11 +172,13 @@ class TestGainReports:
                 batch_max_gain(layer, caches.xs[j], caches.zs[j], 2), rel=1e-12)
             assert gains[j].shape == (40,)
 
-    def test_per_layer_gains_batch_size_invariant(self):
+    def test_per_layer_gains_batch_size_invariant(self, monkeypatch):
         net = tiny_net(7)
         data = synth_blobs(30, make_rng(8), centers=[(0.0, 0.0), (2.0, 2.0)])
-        a = per_layer_gains(net, data.x, 1, batch_size=7)
-        b = per_layer_gains(net, data.x, 1, batch_size=1000)
+        monkeypatch.setattr(evaluate, "_EVAL_BATCH", 7)
+        a = per_layer_gains(net, data.x, 1)
+        monkeypatch.setattr(evaluate, "_EVAL_BATCH", 1000)
+        b = per_layer_gains(net, data.x, 1)
         for ga, gb in zip(a, b):
             np.testing.assert_array_equal(ga, gb)
 
@@ -237,7 +191,7 @@ class TestGainReports:
         train = synth_blobs(24, make_rng(10), centers=[(0.0, 0.0), (2.0, 2.0)])
         test = synth_blobs(12, make_rng(11), centers=[(0.0, 0.0), (2.0, 2.0)])
         report = gain_report(net, train, test, 2)
-        lines = report.to_lines()
+        lines = report.to_text().splitlines()
         assert lines[0] == "layer_index\tsplit\tn\tmin\tlq\tmedian\tuq\tmax"
         assert len(lines) == 5  # header + 2 layers x 2 splits
         keys = [tuple(l.split("\t")[:2]) for l in lines[1:]]

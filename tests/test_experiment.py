@@ -321,7 +321,7 @@ class TestGammaSweep:
             assert 0.0 <= row.train_accuracy <= 1.0
             assert 0.0 <= row.test_accuracy <= 1.0
             assert len(row.test_max_gains) == 2
-        lines = result.to_lines()
+        lines = result.to_text().splitlines()
         assert lines[0].startswith("gamma\ttrain_accuracy")
         assert len(lines) == 4
 
@@ -395,7 +395,7 @@ class TestFolds:
         scores = run_folds(self.fold_config())
         assert [f for f, _ in scores.scores] == [0, 1, 2]
         assert all(0.0 <= acc <= 1.0 for _, acc in scores.scores)
-        lines = scores.to_lines()
+        lines = scores.to_text().splitlines()
         assert lines[0] == "fold\taccuracy"
         assert len(lines) == 4
 

@@ -28,14 +28,13 @@ from maxgain import (
     init_weights,
     make_rng,
     network_to_text,
-    predict_proba,
     project,
     projection_scale,
-    softmax,
     softmax_cross_entropy,
     synth_blobs,
     train_step,
 )
+from maxgain import evaluate
 
 
 def small_mlp(seed, n_in=2, hidden=16, n_out=2):
@@ -97,11 +96,6 @@ class TestMaxGainConfig:
         assert cfg.gamma_for(0) == 2.0
         assert cfg.gamma_for(7) == 2.0
 
-    def test_per_layer_override(self):
-        cfg = MaxGainConfig(gamma=2.0, p=1, per_layer={1: 0.5})
-        assert cfg.gamma_for(0) == 2.0
-        assert cfg.gamma_for(1) == 0.5
-
     def test_validation(self):
         with pytest.raises(InvalidValueError):
             MaxGainConfig(gamma=0.0)
@@ -109,8 +103,6 @@ class TestMaxGainConfig:
             MaxGainConfig(gamma=math.inf)
         with pytest.raises(InvalidValueError):
             MaxGainConfig(gamma=1.0, p=3)
-        with pytest.raises(InvalidValueError):
-            MaxGainConfig(gamma=1.0, per_layer={0: -1.0})
 
 
 class TestSgdNesterov:
@@ -175,7 +167,7 @@ class TestAdam:
         assert opt.t == 1
 
     def test_scalar_recurrence(self):
-        opt = Adam(beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam()
         p = np.array([0.5])
         m = v = 0.0
         q = 0.5
@@ -188,14 +180,6 @@ class TestAdam:
             vhat = v / (1.0 - 0.999 ** t)
             q = q - 0.05 * mhat / (math.sqrt(vhat) + 1e-8)
             assert p[0] == pytest.approx(q, rel=1e-14)
-
-    def test_hyperparameter_domains(self):
-        with pytest.raises(InvalidValueError):
-            Adam(beta1=1.0)
-        with pytest.raises(InvalidValueError):
-            Adam(beta2=-0.1)
-        with pytest.raises(InvalidValueError):
-            Adam(eps=0.0)
 
 
 class TestSchedule:
@@ -362,7 +346,7 @@ class TestFit:
         ledger = fit(net, data, optimizer=SgdNesterov(), schedule=Schedule(0.01),
                      epochs=3, batch_size=16, seed=0, test=blob_data(19, n=16),
                      maxgain=MaxGainConfig(gamma=2.0, p=2))
-        lines = ledger.to_lines()
+        lines = ledger.to_text().splitlines()
         assert len(lines) == 6  # train + test per epoch
         for i, line in enumerate(lines):
             fields = line.split("\t")
@@ -404,8 +388,8 @@ class TestFit:
                       schedule=Schedule(0.05, drops=((2, 10.0),)),
                       epochs=2, batch_size=8, seed=5)
         # epoch 1 runs at the shared base rate, epoch 2 diverges
-        assert flat.to_lines()[0] == dropped.to_lines()[0]
-        assert flat.to_lines()[1] != dropped.to_lines()[1]
+        assert flat.to_text().splitlines()[0] == dropped.to_text().splitlines()[0]
+        assert flat.to_text().splitlines()[1] != dropped.to_text().splitlines()[1]
         assert network_to_text(net_flat) != network_to_text(net_drop)
 
     def test_augment_fn_sees_every_batch(self):
@@ -455,29 +439,19 @@ class TestFit:
 
 
 class TestEvalHelpers:
-    def test_eval_metrics_batch_size_invariant(self):
+    def test_eval_metrics_batch_size_invariant(self, monkeypatch):
         net = small_mlp(30)
         data = blob_data(31, n=50)
-        loss_a, acc_a = eval_metrics(net, data.x, data.y, batch_size=7)
-        loss_b, acc_b = eval_metrics(net, data.x, data.y, batch_size=500)
+        monkeypatch.setattr(evaluate, "_EVAL_BATCH", 7)
+        loss_a, acc_a = eval_metrics(net, data.x, data.y)
+        monkeypatch.setattr(evaluate, "_EVAL_BATCH", 500)
+        loss_b, acc_b = eval_metrics(net, data.x, data.y)
         assert acc_a == acc_b
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
-
-    def test_predict_proba_matches_forward(self):
-        net = small_mlp(32)
-        data = blob_data(33, n=20)
-        probs = predict_proba(net, data.x, batch_size=6)
-        logits, _ = forward(net, data.x, "eval")
-        np.testing.assert_allclose(probs, softmax(logits), rtol=1e-12)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_eval_metrics_rejects_empty_split(self):
         with pytest.raises(EmptySampleError):
             eval_metrics(small_mlp(34), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-
-    def test_predict_proba_rejects_empty_split(self):
-        with pytest.raises(EmptySampleError):
-            predict_proba(small_mlp(35), np.zeros((0, 2)))
 
     def test_dataset_validation(self):
         with pytest.raises(Exception):
