@@ -88,7 +88,6 @@ from .layers import (
     apply_linear,
     backward,
     forward,
-    softmax,
     softmax_cross_entropy,
 )
 from .optim import (

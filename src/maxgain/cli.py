@@ -175,13 +175,13 @@ def cmd_ttest(args):
     folds = sorted(scores_a)
     a = [scores_a[f] for f in folds]
     b = [scores_b[f] for f in folds]
+    result = paired_t_test(a, b)
     k = len(folds)
     for path, vals in ((args.scores_a, a), (args.scores_b, b)):
         mean = sum(vals) / k
         var = sum((v - mean) ** 2 for v in vals) / (k - 1) if k > 1 else 0.0
         se = math.sqrt(var / k)
         print(f"{path}: mean {mean:.6g} se {se:.6g} ({k} folds)")
-    result = paired_t_test(a, b)
     print(f"t {result.t:.6g} df {result.df} p {result.p:.6g}")
     return 0
 

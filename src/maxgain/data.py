@@ -109,7 +109,7 @@ def load_csv(path, label_col=-1, feature_cols=None):
     """Load a CSV of numeric features plus one label column.
 
     Columns count from 0, negative ones from the end, and must lie within the
-    first row. A header row is skipped if its label cell does not parse as a
+    first row; at least one feature column is needed. A header row is skipped if its label cell does not parse as a
     number. Label values (numeric or string) are mapped to dense indices
     0..K-1 in sorted order.
     """
@@ -125,6 +125,8 @@ def load_csv(path, label_col=-1, feature_cols=None):
                 label_col = _csv_column(path, width, "label_col", label_col)
                 cols = ([c for c in range(width) if c != label_col] if feature_cols is None else
                         [_csv_column(path, width, "feature_cols", c) for c in feature_cols])
+                if not cols:
+                    raise ConfigError(f"bad 'feature_cols' in csv dataset: no feature column in {path}")
                 if label_col in cols:
                     raise ConfigError(
                         f"bad 'feature_cols' in csv dataset: column {label_col} is the label column")

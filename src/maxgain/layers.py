@@ -198,12 +198,6 @@ class Dense(Stage):
         self.out_shape(x.shape)
         return self.w @ x
 
-    def apply_linear_adjoint(self, y, input_shape=None):
-        if y.shape != (self.out_features,):
-            raise ShapeError(
-                f"adjoint input must be a single ({self.out_features},) instance, got shape {y.shape}")
-        return self.w.T @ y
-
 
 # Output positions per Conv2d block of images: one 32x32 image, or four
 # 16x16 ones. A block's tap rows and per-tap products then stay in cache
@@ -410,14 +404,6 @@ class BatchNorm(Stage):
     def channels(self):
         return self.alpha.shape[0]
 
-    def _bshape(self, x):
-        # broadcast shape for per-channel arrays against (N, C) or (N, C, H, W)
-        if x.ndim == 2:
-            return (1, self.channels)
-        if x.ndim == 4:
-            return (1, self.channels, 1, 1)
-        raise ShapeError(f"batchnorm expects rank-2 or rank-4 input, got shape {x.shape}")
-
     def out_shape(self, in_shape):
         if len(in_shape) not in (1, 3) or in_shape[0] != self.channels:
             raise ShapeError(f"batchnorm expects ({self.channels},) or ({self.channels}, H, W) "
@@ -435,8 +421,8 @@ class BatchNorm(Stage):
     def forward(self, x, mode, rng=None):
         self.out_shape(x.shape[1:])
         _check_batch(x, x.ndim, "batchnorm")
-        bshape = self._bshape(x)
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        # per-channel statistics reduce over every axis but 1
+        axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
         if mode == "train":
             if x.shape[0] < 2:
                 raise ShapeError("train-mode batchnorm needs a batch of at least 2")
@@ -458,9 +444,8 @@ class BatchNorm(Stage):
 
     def backward(self, grad_y, cache):
         x, xhat, inv_std = cache["x"], cache["xhat"], cache["inv_std"]
-        bshape = self._bshape(x)
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        m = x.shape[0] if x.ndim == 2 else x.shape[0] * x.shape[2] * x.shape[3]
+        axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
+        m = x.size // self.channels
         grad_beta = grad_y.sum(axis=axes)
         grad_alpha = (grad_y * xhat).sum(axis=axes)
         # gradient through the minibatch mean and variance
@@ -550,34 +535,31 @@ class MaxPool2d(Stage):
         per_axis = -(-self.kernel // self.stride)
         return float(min(per_axis, oh) * min(per_axis, ow)) ** (1.0 / p)
 
-    def _windows(self, x):
-        n = x.shape[0]
-        c, oh, ow = self.out_shape(x.shape[1:])
+    def _taps(self, a, oh, ow):
+        """Per window tap, in row-major window order, the (N, C, oh, ow) view of a it covers."""
         k, s = self.kernel, self.stride
-        cols = np.empty((n, c, k, k, oh, ow), dtype=DTYPE)
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j, :, :] = x[:, :, i:i + s * oh:s, j:j + s * ow:s]
-        return cols.reshape(n, c, k * k, oh, ow), oh, ow
+        return [a[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
 
     def forward(self, x, mode, rng=None):
+        """A running maximum over the taps, with the index of the tap that
+        reached it: no window is copied."""
         _check_batch(x, 4, "maxpool")
-        windows, oh, ow = self._windows(x)
-        idx = windows.argmax(axis=2)
-        y = np.take_along_axis(windows, idx[:, :, None, :, :], axis=2)[:, :, 0, :, :]
-        return y, {"x_shape": x.shape, "idx": idx, "oh": oh, "ow": ow}
+        taps = self._taps(x, *self.out_shape(x.shape[1:])[1:])
+        y = taps[0].astype(DTYPE)
+        idx = np.zeros(y.shape, dtype=np.intp)
+        for t in range(1, len(taps)):
+            # taps[t] > y, or a NaN over a number: argmax's order, in which
+            # the first maximum, or the first NaN, of each window wins
+            hit = ~(taps[t] <= y) & (y == y)
+            np.copyto(y, taps[t], where=hit)
+            idx[hit] = t
+        return y, {"x_shape": x.shape, "idx": idx}
 
     def backward(self, grad_y, cache):
-        n, c, h, w = cache["x_shape"]
-        k, s = self.kernel, self.stride
-        oh, ow, idx = cache["oh"], cache["ow"], cache["idx"]
-        gwin = np.zeros((n, c, k * k, oh, ow), dtype=DTYPE)
-        np.put_along_axis(gwin, idx[:, :, None, :, :], grad_y[:, :, None, :, :], axis=2)
-        gwin = gwin.reshape(n, c, k, k, oh, ow)
-        grad_x = np.zeros((n, c, h, w), dtype=DTYPE)
-        for i in range(k):
-            for j in range(k):
-                grad_x[:, :, i:i + s * oh:s, j:j + s * ow:s] += gwin[:, :, i, j, :, :]
+        idx = cache["idx"]
+        grad_x = np.zeros(cache["x_shape"], dtype=DTYPE)
+        for t, tap in enumerate(self._taps(grad_x, *idx.shape[2:])):
+            tap += np.where(idx == t, grad_y, 0.0)
         return grad_x, None
 
 
@@ -766,14 +748,6 @@ def apply_linear(layer, x):
     return layer.apply_linear(as_tensor(x, "instance"))
 
 
-def softmax(logits):
-    """Row-wise softmax, stabilized by subtracting the row max."""
-    logits = np.asarray(logits, dtype=DTYPE)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch and its gradient wrt the logits.
 
@@ -792,10 +766,12 @@ def softmax_cross_entropy(logits, labels):
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise IndexError(f"labels must lie in [0, {c}), got range [{labels.min()}, {labels.max()}]")
-    row_max = logits.max(axis=1)
-    lse = row_max + np.log(np.exp(logits - row_max[:, None]).sum(axis=1))
+    row_max = logits.max(axis=1, keepdims=True)
+    grad = np.exp(logits - row_max)
+    total = grad.sum(axis=1, keepdims=True)
+    lse = (row_max + np.log(total))[:, 0]
     loss = float(np.mean(lse - logits[np.arange(n), labels]))
-    grad = softmax(logits)
+    grad /= total
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     check_finite(grad, "loss gradient")

@@ -277,7 +277,8 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
                 report = train_step(net, xb, train.y[idx], optimizer, lr,
                                     maxgain=maxgain, rng=rng_dropout)
             except DivergenceError as err:
-                raise DivergenceError(str(err), step=global_step, ledger=ledger) from None
+                raise DivergenceError(f"{err} at step {global_step} (epoch {epoch})",
+                                      step=global_step, ledger=ledger) from None
             loss_sum += report.loss * report.batch_size
             correct += report.n_correct
             if report.gamma_hats is not None:

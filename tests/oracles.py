@@ -110,3 +110,27 @@ def conv2d_oracle(x, kernel, stride, pad):
                                     acc += x[b, ch, row, col] * kernel[o, ch, i, j]
                     out[b, o, r, q] = acc
     return out
+
+
+def maxpool_oracle(x, kernel, stride, grad_y):
+    """Max pooling by nested loops: (y, grad_x), where each window's value is
+    its first maximum in row-major window order and grad_x adds each window's
+    grad_y at that position."""
+    n, c, h, w = x.shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    y = np.zeros((n, c, oh, ow), dtype=np.float64)
+    grad_x = np.zeros(x.shape, dtype=np.float64)
+    for b in range(n):
+        for ch in range(c):
+            for r in range(oh):
+                for q in range(ow):
+                    best = None
+                    for i in range(kernel):
+                        for j in range(kernel):
+                            row, col = r * stride + i, q * stride + j
+                            if best is None or x[b, ch, row, col] > x[b, ch, best[0], best[1]]:
+                                best = (row, col)
+                    y[b, ch, r, q] = x[b, ch, best[0], best[1]]
+                    grad_x[b, ch, best[0], best[1]] += grad_y[b, ch, r, q]
+    return y, grad_x

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -100,7 +101,8 @@ class TestTrain:
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, optimizer="sgd", lr=1e300)
         assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 3
-        assert "numerical failure:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.match(r"numerical failure: non-finite .* at step \d+ \(epoch \d+\)$", err)
 
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -287,11 +289,14 @@ class TestTtest:
         assert main(["ttest", str(a), str(b)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == first
 
-    def test_identical_scores_are_degenerate(self, tmp_path):
+    def test_identical_scores_are_degenerate(self, tmp_path, capsys):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_scores(a, [(0, 0.9), (1, 0.8)])
         write_scores(b, [(0, 0.9), (1, 0.8)])
         assert main(["ttest", str(a), str(b)]) == 2
+        # a refused input prints no summary line
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
 
     def test_mismatched_fold_sets(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -449,6 +454,7 @@ class TestUsageErrors:
     ({"feature_cols": [0, 7]}, "bad 'feature_cols' in csv dataset"),
     ({"feature_cols": ["a", 1]}, "bad 'feature_cols' in csv dataset"),
     ({"feature_cols": [0, 2]}, "bad 'feature_cols' in csv dataset: column 2 is the label column"),
+    ({"feature_cols": []}, "bad 'feature_cols' in csv dataset"),
 ])
 def test_csv_columns_outside_the_file_or_on_the_label_exit_2(tmp_path, capsys, columns, named):
     data = tmp_path / "d.csv"

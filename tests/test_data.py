@@ -144,6 +144,7 @@ class TestLoadCsv:
         ({"label_col": -4}, "'label_col'"),
         ({"feature_cols": [0, 3]}, "'feature_cols'"),
         ({"label_col": 0, "feature_cols": [-3, 1]}, "column 0 is the label column"),
+        ({"feature_cols": []}, "'feature_cols'.*no feature column"),
     ])
     def test_columns_must_lie_in_the_first_row_and_miss_the_label(self, tmp_path, columns, named):
         path = tmp_path / "d.csv"

@@ -20,7 +20,6 @@ from maxgain import (
     backward,
     forward,
     make_rng,
-    softmax,
     softmax_cross_entropy,
 )
 from oracles import gradient_rel_error, numeric_gradient
@@ -52,12 +51,6 @@ class TestDense:
         layer = Dense(rng.normal(size=(6, 3)), rng.normal(size=6))
         x = rng.normal(size=3)
         np.testing.assert_allclose(apply_linear(layer, x), layer.w @ x, rtol=1e-15)
-
-    def test_adjoint_rejects_anything_but_one_output_instance(self):
-        layer = Dense(make_rng(1).normal(size=(3, 4)), np.zeros(3))
-        for y in (np.ones((3, 1)), np.ones(5)):
-            with pytest.raises(ShapeError):
-                layer.apply_linear_adjoint(y)
 
     def test_gradients(self):
         rng = make_rng(2)
@@ -295,6 +288,15 @@ class TestReLUMaxPoolFlatten:
         grad, _ = layer.backward(np.ones_like(y), cache)
         np.testing.assert_array_equal(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
+    def test_maxpool_nan_wins_its_window(self):
+        # as with argmax, the first NaN of a window is its maximum
+        x = np.array([[1.0, np.nan], [np.nan, 5.0]]).reshape(1, 1, 2, 2)
+        layer = MaxPool2d(2)
+        y, cache = layer.forward(x, "eval")
+        assert np.isnan(y).all()
+        grad, _ = layer.backward(np.ones_like(y), cache)
+        np.testing.assert_array_equal(grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
     def test_maxpool_gradient(self):
         rng = make_rng(16)
         layer = MaxPool2d(2, stride=2)
@@ -441,16 +443,14 @@ class TestSoftmaxCrossEntropy:
         loss, _ = softmax_cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
         assert loss == pytest.approx(0.40760596444438030, rel=1e-14)
 
-    def test_softmax_rows_sum_to_one(self):
-        logits = make_rng(23).normal(size=(10, 7)) * 20
-        probs = softmax(logits)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
-
     def test_gradient_rows_sum_to_zero(self):
+        # the gradient is softmax minus one-hot, so this also checks that
+        # softmax rows sum to one, on plain and on x20 (near one-hot) logits
         rng = make_rng(24)
-        logits = rng.normal(size=(6, 4))
-        _, grad = softmax_cross_entropy(logits, rng.integers(0, 4, size=6))
-        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
+        for logits in (rng.normal(size=(6, 4)), rng.normal(size=(10, 7)) * 20):
+            n, c = logits.shape
+            _, grad = softmax_cross_entropy(logits, rng.integers(0, c, size=n))
+            np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
 
     def test_gradient_against_finite_differences(self):
         rng = make_rng(25)
