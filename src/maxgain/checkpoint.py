@@ -16,33 +16,32 @@ arrays, any state arrays and each part's stage blocks, in declared order. So
 a residual block is `stage residual`, `main <k>`, k stage blocks, `shortcut <m>`
 (0 means identity), m stage blocks, `end`. 17 significant digits are enough to
 reproduce every float64 exactly on parse.
+
+Numbers are read as config fields are: counts and dims are non-negative
+integers, attributes go through the stage's hyper table, and array values
+must be finite.
 """
 
-import numpy as np
+import math
 
 from .errors import FormatError, InvalidValueError, ShapeError
-from .data import write_text
-from .layers import STAGE_TYPES, Network, parse_fields
-from .tensor import DTYPE
+from .data import cell, write_text
+from .layers import STAGE_TYPES, Network, at_least, integer, parse_fields, parse_value, reals
 
 _HEADER = "maxgain-checkpoint v1"
-
-
-def _fmt(x):
-    return f"{x:.17g}"
+_COUNT = at_least(0, integer)
 
 
 def _emit_array(lines, name, arr):
-    dims = " ".join(str(d) for d in arr.shape)
-    lines.append(f"array {name} {arr.ndim} {dims}".rstrip())
-    lines.append(" ".join(_fmt(v) for v in arr.reshape(-1)))
+    lines.append(" ".join(["array", name, *map(cell, (arr.ndim, *arr.shape))]))
+    lines.append(" ".join(map(cell, arr.ravel().tolist())))
 
 
 def _emit_stage(lines, st):
     cls = type(st)
     if STAGE_TYPES.get(getattr(cls, "kind", None)) is not cls:
         raise InvalidValueError(f"cannot checkpoint stage type {cls.__name__}")
-    lines.append(" ".join([f"stage {cls.kind}"] + [f"{k}={_fmt(getattr(st, k))}" for k in cls.hyper]))
+    lines.append(" ".join([f"stage {cls.kind}"] + [f"{k}={cell(getattr(st, k))}" for k in cls.hyper]))
     for name in cls.param_names + cls.state:
         _emit_array(lines, name, getattr(st, name))
     for part in cls.parts:
@@ -90,34 +89,20 @@ def _parse_attrs(tokens, what):
     return attrs
 
 
-def _parse_float(token, what):
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(f"bad float {token!r} in {what}") from None
-
-
-def _parse_int(token, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"bad integer {token!r} in {what}") from None
-
-
-def _read_array(reader, expect_name):
+def _read_array(reader, expect_name, stage):
     head = reader.next(f"array {expect_name}").split()
     if len(head) < 3 or head[0] != "array" or head[1] != expect_name:
         raise FormatError(f"expected array {expect_name!r}, got {' '.join(head)!r}")
-    ndim = _parse_int(head[2], "array header")
-    dims = [_parse_int(d, "array dims") for d in head[3:]]
+    what = f"array {expect_name} of {stage}"
+    ndim = parse_value(what, "ndim", _COUNT, head[2], FormatError)
+    dims = [parse_value(what, "dims", _COUNT, d, FormatError) for d in head[3:]]
     if len(dims) != ndim:
-        raise FormatError(f"array {expect_name}: {ndim} dims declared, {len(dims)} given")
-    count = int(np.prod(dims)) if dims else 1
+        raise FormatError(f"{what}: {ndim} dims declared, {len(dims)} given")
+    count = math.prod(dims)
     values = reader.next(f"values of {expect_name}").split()
     if len(values) != count:
-        raise FormatError(f"array {expect_name}: expected {count} values, got {len(values)}")
-    arr = np.array([_parse_float(v, f"array {expect_name}") for v in values], dtype=DTYPE)
-    return arr.reshape(dims)
+        raise FormatError(f"{what}: expected {count} values, got {len(values)}")
+    return parse_value(what, "values", reals, values, FormatError).reshape(dims)
 
 
 def _expect_end(reader, what):
@@ -130,7 +115,8 @@ def _parse_stages(reader, part):
     head = reader.next(f"{part} count").split()
     if len(head) != 2 or head[0] != part:
         raise FormatError(f"expected '{part} <count>', got {' '.join(head)!r}")
-    return [_parse_stage(reader) for _ in range(_parse_int(head[1], f"{part} count"))]
+    count = parse_value(f"{part} line", "count", _COUNT, head[1], FormatError)
+    return [_parse_stage(reader) for _ in range(count)]
 
 
 def _parse_stage(reader):
@@ -144,17 +130,13 @@ def _parse_stage(reader):
     if cls is None:
         raise FormatError(f"unknown stage type {kind!r}")
     hyper = parse_fields(what, cls.hyper, _parse_attrs(head[2:], what), FormatError)
-    args = [_read_array(reader, name) for name in cls.param_names]
-    state = [_read_array(reader, name) for name in cls.state]
+    args = [_read_array(reader, name, what) for name in cls.param_names + cls.state]
     args += [_parse_stages(reader, part) for part in cls.parts]
     _expect_end(reader, what)
     try:
-        st = cls(*args, **hyper)
+        return cls(*args, **hyper)
     except (InvalidValueError, ShapeError) as err:
         raise FormatError(f"bad {what}: {err}") from None
-    for name, arr in zip(cls.state, state):
-        setattr(st, name, arr)
-    return st
 
 
 def network_from_text(text):

@@ -27,6 +27,7 @@ from .errors import (
 from .evaluate import gain_report, paired_t_test
 from .experiment import (
     CONFIG_FIELDS,
+    FoldScores,
     build_dataset,
     build_fold_protocol,
     build_maxgain,
@@ -75,9 +76,13 @@ def _jobs(text):
 def cmd_train(args):
     config = _training_config(args)
     os.makedirs(args.out, exist_ok=True)
-    result = run_config(config)
     ledger_path = os.path.join(args.out, "ledger.tsv")
     checkpoint_path = os.path.join(args.out, "checkpoint.txt")
+    try:
+        result = run_config(config)
+    except DivergenceError as err:
+        err.ledger.write(ledger_path)
+        raise
     result.ledger.write(ledger_path)
     save_network(result.net, checkpoint_path)
     print(f"train loss {result.train_loss:.6g} accuracy {result.train_accuracy:.6g}")
@@ -142,33 +147,9 @@ def cmd_folds(args):
     return 0
 
 
-def _read_scores(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "fold\taccuracy":
-        raise FormatError(f"{path}: not a fold-scores file (missing 'fold\\taccuracy' header)")
-    scores = {}
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{i}: expected 'fold<TAB>accuracy'")
-        try:
-            fold, acc = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise FormatError(f"{path}:{i}: bad fold index or accuracy") from None
-        if not math.isfinite(acc):
-            raise FormatError(f"{path}:{i}: accuracy {parts[1]!r} is not finite")
-        if fold in scores:
-            raise FormatError(f"{path}:{i}: duplicate fold index {fold}")
-        scores[fold] = acc
-    if not scores:
-        raise FormatError(f"{path}: no scores")
-    return scores
-
-
 def cmd_ttest(args):
-    scores_a = _read_scores(args.scores_a)
-    scores_b = _read_scores(args.scores_b)
+    scores_a = dict(FoldScores.load(args.scores_a).scores)
+    scores_b = dict(FoldScores.load(args.scores_b).scores)
     if set(scores_a) != set(scores_b):
         raise ConfigError(
             f"fold indices differ between {args.scores_a} and {args.scores_b}")

@@ -1,5 +1,6 @@
 """Datasets: IDX and CSV loading, synthetic generators, augmentation, folds,
-and the atomic text writes every output file goes through."""
+and the number formatting and atomic text writes every output file goes
+through."""
 
 import contextlib
 import csv
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptySampleError, FormatError, ShapeError
-from .layers import REQUIRED, integer, of_type, one_of, parse_fields
+from .layers import REQUIRED, integer, of_type, one_of, parse_fields, parse_value, reals
 from .tensor import DTYPE
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -30,6 +31,18 @@ def write_text(path, text):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def cell(value):
+    """A number as file text: 17 significant digits, which parse back to the
+    same float64 and print small integers as themselves; a string stays as
+    it is."""
+    return value if isinstance(value, str) else f"{value:.17g}"
+
+
+def tsv(rows):
+    """Rows of cells (numbers or strings) as tab-separated lines."""
+    return "".join("\t".join(map(cell, row)) + "\n" for row in rows)
 
 
 @dataclass
@@ -90,13 +103,6 @@ def load_idx(images_path, labels_path):
     return Dataset(x, y, class_count=int(y.max()) + 1 if n else 0)
 
 
-def _parse_float(token, path, line_no):
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(f"{path}:{line_no}: non-numeric feature value {token!r}") from None
-
-
 def _csv_column(path, width, key, c):
     """Column c of rows `width` wide as an index in [0, width); a column
     outside the row is a ConfigError naming the key that gave it."""
@@ -110,8 +116,9 @@ def load_csv(path, label_col=-1, feature_cols=None):
 
     Columns count from 0, negative ones from the end, and must lie within the
     first row; at least one feature column is needed. A header row is skipped if its label cell does not parse as a
-    number. Label values (numeric or string) are mapped to dense indices
-    0..K-1 in sorted order.
+    number. A feature cell must be a finite number, as a config's real fields
+    are. Label values are mapped to dense indices 0..K-1 in sorted order:
+    numeric order when every label is a finite number, else string order.
     """
     rows = []
     labels = []
@@ -136,22 +143,20 @@ def load_csv(path, label_col=-1, feature_cols=None):
                     continue  # header row
             if len(rec) != width:
                 raise FormatError(f"{path}:{line_no}: expected {width} columns, got {len(rec)}")
-            rows.append([_parse_float(rec[c], path, line_no) for c in cols])
+            rows.append(parse_value(f"{path}:{line_no}", "features", reals, [rec[c] for c in cols], FormatError))
             labels.append(rec[label_col])
     if not rows:
         raise EmptySampleError(f"{path}: no data rows")
     x = np.asarray(rows, dtype=DTYPE)
 
-    # map labels (numeric if possible, else lexicographic) to dense indices
+    # map labels (finite numbers if all are, else lexicographic) to dense indices
     try:
-        values = sorted({float(v) for v in labels})
-        keyed = [float(v) for v in labels]
+        keyed = reals(labels).tolist()
     except ValueError:
-        values = sorted(set(labels))
         keyed = labels
-    index = {v: i for i, v in enumerate(values)}
+    index = {v: i for i, v in enumerate(sorted(set(keyed)))}
     y = np.asarray([index[v] for v in keyed], dtype=np.int64)
-    return Dataset(x, y, class_count=len(values))
+    return Dataset(x, y, class_count=len(index))
 
 
 def _balanced_counts(n, classes):

@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import tsv
 from .errors import (
     DegenerateSampleError,
     EmptySampleError,
@@ -32,37 +33,27 @@ _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 
 
+def _clamp(v):
+    """v, or _CF_TINY in place of a magnitude below it (a zero denominator)."""
+    return _CF_TINY if abs(v) < _CF_TINY else v
+
+
 def _beta_cf(a, b, x):
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
+    d = 1.0 / _clamp(1.0 - qab * x / qap)
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and odd coefficients of step m, each one Lentz update
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _clamp(1.0 + aa * d)
+            c = _clamp(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise InvalidValueError(f"incomplete beta did not converge for a={a} b={b} x={x}")
@@ -153,14 +144,9 @@ class GainReport:
     rows: tuple
 
     def to_text(self):
-        lines = ["layer_index\tsplit\tn\tmin\tlq\tmedian\tuq\tmax"]
-        for r in self.rows:
-            s = r.stats
-            lines.append("\t".join([
-                str(r.layer_index), r.split, str(s.n),
-                f"{s.min:.17g}", f"{s.lower_quartile:.17g}", f"{s.median:.17g}",
-                f"{s.upper_quartile:.17g}", f"{s.max:.17g}"]))
-        return "\n".join(lines) + "\n"
+        return tsv([("layer_index", "split", "n", "min", "lq", "median", "uq", "max")] + [
+            (r.layer_index, r.split, r.stats.n, r.stats.min, r.stats.lower_quartile, r.stats.median,
+             r.stats.upper_quartile, r.stats.max) for r in self.rows])
 
 
 def gain_report(net, train, test, p):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import augment, load_csv, load_idx, make_folds, synth_blobs, synth_spirals
-from .errors import ConfigError, EmptySampleError, InvalidValueError, ShapeError
+from .data import augment, cell, load_csv, load_idx, make_folds, synth_blobs, synth_spirals, tsv
+from .errors import ConfigError, EmptySampleError, FormatError, InvalidValueError, ShapeError
 from .evaluate import per_layer_gains
 from .layers import (
     REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, integer, of_type, one_of, parse_fields, real)
@@ -180,6 +180,12 @@ def _train(cfg, train, seed, maxgain, test=None):
         with _building("'crop' in augment"):
             if chain_shape(net.stages, full[:-2] + (crop, crop)) != chain_shape(net.stages, full):
                 raise ShapeError(f"{crop}x{crop} crops and {full} instances give different output shapes")
+    classes = max(d.class_count for d in (train, test) if d is not None)
+    with _building("model"):
+        out = chain_shape(net.stages, full)
+        if len(out) != 1 or out[0] < classes:
+            raise ShapeError(f"its output shape is {out} on {full} instances, "
+                             f"not (k,) with k >= the {classes} classes in the data")
     ledger = fit(net, train, optimizer=build_optimizer(cfg), schedule=build_schedule(cfg),
                  epochs=cfg["epochs"], batch_size=cfg["batch_size"], maxgain=maxgain, seed=seed,
                  test=test, augment_fn=build_augment_fn(cfg))
@@ -220,10 +226,33 @@ class FoldScores:
     scores: tuple  # (fold_index, accuracy) pairs
 
     def to_text(self):
-        lines = ["fold\taccuracy"]
-        for f, acc in self.scores:
-            lines.append(f"{f}\t{acc:.17g}")
-        return "\n".join(lines) + "\n"
+        return tsv([tuple(_SCORE_FIELDS), *self.scores])
+
+    @staticmethod
+    def load(path):
+        """The scores saved at path by to_text. A missing header, a row that
+        is not an integer fold and a finite accuracy, a repeated fold or no
+        row at all is a FormatError."""
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        if lines[:1] != ["\t".join(_SCORE_FIELDS)]:
+            raise FormatError(f"{path}: not a fold-scores file (missing 'fold\\taccuracy' header)")
+        scores = {}
+        for i, line in enumerate(lines[1:], start=2):
+            parts = line.split("\t")
+            if len(parts) != len(_SCORE_FIELDS):
+                raise FormatError(f"{path}:{i}: expected 'fold<TAB>accuracy'")
+            row = parse_fields(f"{path}:{i}", _SCORE_FIELDS, dict(zip(_SCORE_FIELDS, parts)), FormatError)
+            if row["fold"] in scores:
+                raise FormatError(f"{path}:{i}: duplicate fold index {row['fold']}")
+            scores[row["fold"]] = row["accuracy"]
+        if not scores:
+            raise FormatError(f"{path}: no scores")
+        return FoldScores(scores=tuple(scores.items()))
+
+
+# The columns of a fold-scores file.
+_SCORE_FIELDS = {"fold": (integer, REQUIRED), "accuracy": (real, REQUIRED)}
 
 
 def build_fold_protocol(config, dataset):
@@ -283,13 +312,10 @@ class SweepResult:
     rows: tuple
 
     def to_text(self):
-        lines = ["gamma\ttrain_accuracy\ttrain_loss\ttest_accuracy\ttest_loss\ttest_max_gain_per_layer"]
-        for r in self.rows:
-            gains = ",".join(f"{g:.17g}" for g in r.test_max_gains)
-            lines.append("\t".join([
-                f"{r.gamma:.17g}", f"{r.train_accuracy:.17g}", f"{r.train_loss:.17g}",
-                f"{r.test_accuracy:.17g}", f"{r.test_loss:.17g}", gains]))
-        return "\n".join(lines) + "\n"
+        return tsv([("gamma", "train_accuracy", "train_loss", "test_accuracy", "test_loss",
+                     "test_max_gain_per_layer")] + [
+            (r.gamma, r.train_accuracy, r.train_loss, r.test_accuracy, r.test_loss,
+             ",".join(map(cell, r.test_max_gains))) for r in self.rows])
 
 
 def run_sweep_point(config):

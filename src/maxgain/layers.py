@@ -12,7 +12,8 @@ every walk over a network (STAGE_TYPES lists the classes):
 - kind: its name in config JSON and checkpoints;
 - hyper: its hyperparameters, a parse_fields table;
 - param_names and state: the learned arrays and the other arrays a
-  checkpoint stores;
+  checkpoint stores, the constructor's leading arguments in that order
+  (then the parts; hyper by keyword);
 - weight_param: the array a gain constraint rescales; only learned layers declare one;
 - parts: attributes holding nested stage lists (None is empty), run as
   branches whose outputs add; cache and param_grads map each part to a list;
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheError, InvalidValueError, ShapeError
-from .tensor import DTYPE, as_tensor, check_finite, init_weights, operator_norm_exact
+from .tensor import DTYPE, as_tensor, init_weights, operator_norm_exact
 
 MODES = ("train", "eval")
 
@@ -54,11 +55,20 @@ def integer(value):
 
 
 def real(value):
-    """float(value) of a number or a numeric string (checkpoints hold text),
+    """float(value) of a number or a numeric string (files hold text),
     refusing a bool and a non-finite result."""
     if isinstance(value, bool) or not np.isfinite(float(value)):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def reals(values):
+    """A float64 array of numbers or numeric strings, parsed in one
+    vectorised call with float()'s grammar, refusing a non-finite entry."""
+    arr = np.array(values, dtype=DTYPE)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("expected finite numbers")
+    return arr
 
 
 def at_least(low, typ):
@@ -110,13 +120,17 @@ def parse_fields(what, fields, given, error, other_keys=()):
         value = given.get(name, default)
         if value is REQUIRED:
             raise error(f"{what} is missing required key {name!r}")
-        if value is not default:
-            try:
-                value = typ(value)
-            except (TypeError, ValueError, OverflowError) as err:
-                raise error(f"bad {name!r} in {what}: {err}") from None
-        out[name] = value
+        out[name] = value if value is default else parse_value(what, name, typ, value, error)
     return out
+
+
+def parse_value(what, name, typ, value, error):
+    """typ(value) for field type typ; a value it rejects raises `error`
+    naming `what` and `name`."""
+    try:
+        return typ(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise error(f"bad {name!r} in {what}: {err}") from None
 
 
 class Stage:
@@ -370,7 +384,8 @@ class BatchNorm(Stage):
     standard-deviation estimates, the same ones eval-mode predictions use, so
     gain measurements stay stable across minibatches. Running averages are
     updated before Z is recorded. Variance is the biased (1/N) estimate
-    throughout.
+    throughout. The running statistics start at mean 0 and variance 1 unless
+    given.
     """
 
     kind = "batchnorm"
@@ -384,11 +399,16 @@ class BatchNorm(Stage):
     def initial(scheme, rng, channels):
         return np.ones(channels), np.zeros(channels)
 
-    def __init__(self, alpha, beta, momentum=0.9, eps=1e-5):
+    def __init__(self, alpha, beta, running_mean=None, running_var=None, momentum=0.9, eps=1e-5):
         alpha = as_tensor(alpha, "batchnorm alpha")
         beta = as_tensor(beta, "batchnorm beta")
-        if alpha.ndim != 1 or alpha.shape != beta.shape:
-            raise ShapeError(f"alpha/beta must be matching rank-1 arrays, got {alpha.shape} and {beta.shape}")
+        mean = as_tensor(np.zeros_like(alpha) if running_mean is None else running_mean, "batchnorm running_mean")
+        var = as_tensor(np.ones_like(alpha) if running_var is None else running_var, "batchnorm running_var")
+        if alpha.ndim != 1 or not alpha.shape == beta.shape == mean.shape == var.shape:
+            raise ShapeError(f"alpha, beta, running_mean and running_var must be rank-1 arrays of one "
+                             f"shape, got {alpha.shape}, {beta.shape}, {mean.shape} and {var.shape}")
+        if np.any(var < 0.0):
+            raise InvalidValueError(f"running_var must not be negative, got {var.min()}")
         if not 0.0 <= momentum < 1.0:
             raise InvalidValueError(f"momentum must be in [0, 1), got {momentum}")
         if eps <= 0.0:
@@ -397,8 +417,8 @@ class BatchNorm(Stage):
         self.beta = beta
         self.momentum = float(momentum)
         self.eps = float(eps)
-        self.running_mean = np.zeros_like(alpha)
-        self.running_var = np.ones_like(alpha)
+        self.running_mean = mean
+        self.running_var = var
 
     @property
     def channels(self):
@@ -774,5 +794,4 @@ def softmax_cross_entropy(logits, labels):
     grad /= total
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    check_finite(grad, "loss gradient")
     return loss, grad

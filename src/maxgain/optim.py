@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate
-from .data import write_text
+from .data import tsv, write_text
 from .errors import ConfigError, DivergenceError, EmptySampleError, InvalidValueError
 from .gain import batch_max_gain
 from .layers import backward, forward, softmax_cross_entropy
@@ -64,8 +64,6 @@ class SgdNesterov:
     mu = 0 reduces to plain SGD.
     """
 
-    name = "sgd-nesterov"
-
     def __init__(self, momentum=0.9):
         if not 0.0 <= momentum < 1.0:
             raise InvalidValueError(f"momentum must be in [0, 1), got {momentum}")
@@ -85,7 +83,6 @@ class SgdNesterov:
 class Adam:
     """Adam with bias-corrected moment estimates, at the usual constants."""
 
-    name = "adam"
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
@@ -209,15 +206,9 @@ class TrainingLedger:
     records: list = field(default_factory=list)
 
     def to_text(self):
-        lines = []
-        for r in self.records:
-            parts = [str(r.epoch), r.split, f"{r.loss:.17g}", f"{r.accuracy:.17g}"]
-            if r.split == "train" and r.gamma_hat_max is not None:
-                for gh, sc in zip(r.gamma_hat_max, r.scale_min):
-                    parts.append(f"{gh:.17g}")
-                    parts.append(f"{sc:.17g}")
-            lines.append("\t".join(parts))
-        return "\n".join(lines) + "\n"
+        return tsv([r.epoch, r.split, r.loss, r.accuracy]
+                   + [v for pair in zip(r.gamma_hat_max or (), r.scale_min or ()) for v in pair]
+                   for r in self.records)
 
     def write(self, path):
         write_text(path, self.to_text())
@@ -240,6 +231,9 @@ def eval_metrics(net, x, y):
     return loss_sum / n, correct / n
 
 
+# Overflow warnings stay silent: train_step's finiteness checks report a
+# divergence with its step and epoch.
+@np.errstate(all="ignore")
 def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
         maxgain=None, seed=0, test=None, augment_fn=None):
     """Train the network and return the TrainingLedger.
@@ -265,8 +259,7 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
         perm = rng_shuffle.permutation(n)
         loss_sum = 0.0
         correct = 0
-        gh_steps = [[] for _ in range(n_layers)]
-        scale_steps = [[] for _ in range(n_layers)]
+        gh_max = [-math.inf] * n_layers
         for i in range(0, n, int(batch_size)):
             idx = perm[i:i + int(batch_size)]
             global_step += 1
@@ -282,14 +275,13 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
             loss_sum += report.loss * report.batch_size
             correct += report.n_correct
             if report.gamma_hats is not None:
-                for j in range(n_layers):
-                    gh_steps[j].append(report.gamma_hats[j])
-                    scale_steps[j].append(report.scales[j])
+                gh_max = [max(m, gh) for m, gh in zip(gh_max, report.gamma_hats)]
         record = EpochRecord(epoch=epoch, split="train",
                              loss=loss_sum / n, accuracy=correct / n)
         if maxgain is not None:
-            record.gamma_hat_max = [max(g) for g in gh_steps]
-            record.scale_min = [min(s) for s in scale_steps]
+            # the scale falls as gamma_hat rises, so the epoch's smallest is that of its largest
+            record.gamma_hat_max = gh_max
+            record.scale_min = [projection_scale(gh, maxgain.gamma) for gh in gh_max]
         ledger.records.append(record)
         if test is not None:
             test_loss, test_acc = eval_metrics(net, test.x, test.y)

@@ -104,6 +104,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.match(r"numerical failure: non-finite .* at step \d+ \(epoch \d+\)$", err)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_leaves_the_completed_epochs_ledger(self, tmp_path, capsys):
+        config = write_config(tmp_path, optimizer="sgd", lr=0.01, epochs=3, schedule=[[2, 1e302]])
+        out = tmp_path / "o"
+        assert main(["train", str(config), "--out", str(out)]) == 3
+        assert re.fullmatch(r"numerical failure: non-finite .* at step \d+ \(epoch 2\)\n", capsys.readouterr().err)
+        assert [row.split("\t")[:2] for row in (out / "ledger.tsv").read_text().splitlines()] == [
+            ["1", "train"], ["1", "test"]]
+        assert not (out / "checkpoint.txt").exists()
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
@@ -160,6 +170,11 @@ class TestSweep:
         assert not out.exists()
 
 
+# A two-channel batchnorm checkpoint stage with the given running statistics.
+BATCHNORM = ("stage batchnorm momentum=0.9 eps=1e-05\narray alpha 1 2\n1 1\narray beta 1 2\n0 0\n"
+             "array running_mean {mean}\narray running_var {var}\nend")
+
+
 class TestGainReport:
     def train_checkpoint(self, tmp_path):
         config = write_config(tmp_path)
@@ -199,6 +214,9 @@ class TestGainReport:
         "stage dropout rate=1.5\nend",
         "stage conv stride=0 pad=0\narray kernel 4 1 1 1 1\n1\narray b 1 1\n0\nend",
         "stage conv strid=2 pad=0\narray kernel 4 1 1 1 1\n1\narray b 1 1\n0\nend",
+        BATCHNORM.format(mean="1 3\n0 0 0", var="1 2\n1 1"),
+        BATCHNORM.format(mean="1 2\n0 0", var="1 2\n1 -0.5"),
+        BATCHNORM.format(mean="1 2\n0 0", var="1 2\n1 nan"),
     ])
     def test_malformed_checkpoint_stage_is_a_format_error(self, tmp_path, capsys, stage):
         config = write_config(tmp_path)
@@ -329,7 +347,7 @@ class TestTtest:
         write_scores(b, [(0, 0.7), (1, 0.6)])
         assert main(["ttest", str(a), str(b)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {a}:3: accuracy '{value}' is not finite\n"
+        assert out == "" and err == f"error: bad 'accuracy' in {a}:3: expected a finite number, got '{value}'\n"
 
 
 BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5}
@@ -373,6 +391,8 @@ BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.
     ({"augment": {"pad": -1}}, "'pad' in augment"),
     ({"model": [{"type": "dropout", "rate": "inf"}]}, "'rate' in dropout stage"),
     ({"dataset": {**BLOBS, "centers": [[-2.0, -2.0], [2.0]]}}, "centers must be"),
+    ({"dataset": {**BLOBS, "centers": [[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]]}}, "bad model"),
+    ({"test_dataset": {**BLOBS, "centers": [[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]]}}, "bad model"),
 ])
 def test_malformed_train_configs_exit_2_naming_the_key(tmp_path, capsys, overrides, named):
     config = write_config(tmp_path, **overrides)
@@ -466,6 +486,15 @@ def test_csv_columns_outside_the_file_or_on_the_label_exit_2(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert not (out / "ledger.tsv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_csv_feature_exits_2_naming_the_line(tmp_path, capsys, value):
+    data = tmp_path / "d.csv"
+    data.write_text(f"x,y,label\n1,2,0\n3,{value},1\n")
+    config = write_config(tmp_path, test_dataset=None, dataset={"type": "csv", "path": str(data)})
+    assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "d.csv:3: expected finite numbers" in capsys.readouterr().err
 
 
 class TestAtomicOutputs:

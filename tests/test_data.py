@@ -127,6 +127,13 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.y, [1, 0, 1])
         assert data.class_count == 2
 
+    def test_labels_not_all_finite_numbers_are_strings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,0\n3,4,nan\n5,6,nan\n7,8,inf\n9,0,1e999\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.y, [0, 3, 3, 2, 1])
+        assert data.class_count == 4
+
     def test_label_in_first_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("0,10,20\n1,30,40\n")
