@@ -85,6 +85,8 @@ def _parse_attrs(tokens, what):
         if "=" not in tok:
             raise FormatError(f"malformed attribute {tok!r} in {what}")
         key, value = tok.split("=", 1)
+        if key in attrs:
+            raise FormatError(f"repeated key {key!r} in {what}")
         attrs[key] = value
     return attrs
 

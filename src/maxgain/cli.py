@@ -6,13 +6,12 @@ success, 2 for usage/config/format problems, 3 for numerical failures
 """
 
 import argparse
-import json
 import math
 import os
 import sys
 
 from .checkpoint import load_network, save_network
-from .data import FoldProtocol, write_text
+from .data import FoldProtocol, read_json, write_text
 from .errors import (
     AdjointMismatchError,
     CacheError,
@@ -43,14 +42,6 @@ _USAGE_ERRORS = (ConfigError, FormatError, ShapeError, EmptySampleError, Degener
 _NUMERIC_ERRORS = (DivergenceError, InvalidValueError, AdjointMismatchError, CacheError)
 
 
-def _load_config(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{path}: not valid JSON ({err})") from None
-
-
 def _write_or_print(text, out_path):
     if out_path:
         write_text(out_path, text)
@@ -60,7 +51,7 @@ def _write_or_print(text, out_path):
 
 def _training_config(args):
     """The checked config file, with --seed applied."""
-    config = check_config(_load_config(args.config))
+    config = check_config(read_json(args.config))
     if args.seed is not None:
         config["seed"] = args.seed
     return config
@@ -121,7 +112,7 @@ def cmd_gain_report(args):
     # the report reads the datasets only, and either one may be absent
     optional = CONFIG_FIELDS["test_dataset"]
     specs = parse_fields("config", {"dataset": optional, "test_dataset": optional},
-                         _load_config(args.config), ConfigError, CONFIG_FIELDS)
+                         read_json(args.config), ConfigError, CONFIG_FIELDS)
     train, test = (build_dataset(spec) if spec else None for spec in specs.values())
     if train is None and test is None:
         raise ConfigError("gain-report needs a dataset or test_dataset in the config")

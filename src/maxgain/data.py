@@ -33,6 +33,22 @@ def write_text(path, text):
         raise
 
 
+def read_json(path):
+    """The JSON at path; bad JSON or a key repeated in one object is a FormatError."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise FormatError(f"{path}: repeated key {key!r}")
+            doc[key] = value
+        return doc
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{path}: not valid JSON ({err})") from None
+
+
 def cell(value):
     """A number as file text: 17 significant digits, which parse back to the
     same float64 and print small integers as themselves; a string stays as
@@ -282,12 +298,7 @@ class FoldProtocol:
         """The protocol saved at path. A file that is not one, an empty fold
         list, an index outside [0, n_instances) or an instance used twice is
         a FormatError."""
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"{path}: not valid JSON ({err})") from None
-        doc = parse_fields(f"fold-protocol file {path}", _FOLDS_FILE, doc, FormatError)
+        doc = parse_fields(f"fold-protocol file {path}", _FOLDS_FILE, read_json(path), FormatError)
         n, folds, seen = doc["n_instances"], [], set()
         if not doc["folds"]:
             raise FormatError(f"{path}: the fold list is empty")

@@ -44,11 +44,7 @@ def batch_norms(arr, p):
 def instance_gains(xs, zs, p):
     """Per-instance gains ||z_i||_p / ||x_i||_p, with 0 where ||x_i||_p = 0."""
     nx = batch_norms(xs, p)
-    nz = batch_norms(zs, p)
-    out = np.zeros_like(nx)
-    hit = nx > 0.0
-    out[hit] = nz[hit] / nx[hit]
-    return out
+    return np.divide(batch_norms(zs, p), nx, out=np.zeros_like(nx), where=nx > 0.0)
 
 
 def batch_max_gain(layer, xs, zs, p):

@@ -13,7 +13,8 @@ every walk over a network (STAGE_TYPES lists the classes):
 - hyper: its hyperparameters, a parse_fields table;
 - param_names and state: the learned arrays and the other arrays a
   checkpoint stores, the constructor's leading arguments in that order
-  (then the parts; hyper by keyword);
+  (then the parts; hyper by keyword), learned ones copied (training
+  updates them in place);
 - weight_param: the array a gain constraint rescales; only learned layers declare one;
 - parts: attributes holding nested stage lists (None is empty), run as
   branches whose outputs add; cache and param_grads map each part to a list;
@@ -169,8 +170,8 @@ class Dense(Stage):
         return init_weights((n_out, n_in), scheme, rng), np.zeros(n_out)
 
     def __init__(self, w, b):
-        w = as_tensor(w, "dense weights")
-        b = as_tensor(b, "dense bias")
+        w = as_tensor(w, "dense weights").copy()
+        b = as_tensor(b, "dense bias").copy()
         if w.ndim != 2:
             raise ShapeError(f"dense weights must be rank 2, got {w.shape}")
         if b.shape != (w.shape[0],):
@@ -249,8 +250,8 @@ class Conv2d(Stage):
         return init_weights((n_out, n_in, k, k), scheme, rng), np.zeros(n_out)
 
     def __init__(self, kernel, b, stride=1, pad=0):
-        kernel = as_tensor(kernel, "conv kernel")
-        b = as_tensor(b, "conv bias")
+        kernel = as_tensor(kernel, "conv kernel").copy()
+        b = as_tensor(b, "conv bias").copy()
         if kernel.ndim != 4:
             raise ShapeError(f"conv kernel must be rank 4, got {kernel.shape}")
         if b.shape != (kernel.shape[0],):
@@ -400,8 +401,8 @@ class BatchNorm(Stage):
         return np.ones(channels), np.zeros(channels)
 
     def __init__(self, alpha, beta, running_mean=None, running_var=None, momentum=0.9, eps=1e-5):
-        alpha = as_tensor(alpha, "batchnorm alpha")
-        beta = as_tensor(beta, "batchnorm beta")
+        alpha = as_tensor(alpha, "batchnorm alpha").copy()
+        beta = as_tensor(beta, "batchnorm beta").copy()
         mean = as_tensor(np.zeros_like(alpha) if running_mean is None else running_mean, "batchnorm running_mean")
         var = as_tensor(np.ones_like(alpha) if running_var is None else running_var, "batchnorm running_var")
         if alpha.ndim != 1 or not alpha.shape == beta.shape == mean.shape == var.shape:

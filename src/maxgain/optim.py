@@ -57,54 +57,57 @@ def project(w, gamma_hat, gamma):
     return w / ratio
 
 
+def _subtract(params, step):
+    """Subtract from each array, in place, its segment of the flat step."""
+    start = 0
+    for p in params:
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
+
+
 class SgdNesterov:
     """SGD with Nesterov momentum.
 
     v <- mu * v + g;  step = g + mu * v;  param <- param - lr * step.
-    mu = 0 reduces to plain SGD.
+    mu = 0 reduces to plain SGD. update(params, grad, lr) steps the arrays
+    params in place, grad being their gradients concatenated flat, as is v.
     """
 
     def __init__(self, momentum=0.9):
         if not 0.0 <= momentum < 1.0:
             raise InvalidValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self.velocity = {}
+        self.velocity = None
 
-    def begin_step(self):
-        pass
-
-    def update(self, key, param, grad, lr):
-        v = self.velocity.get(key)
-        v = grad if v is None else self.momentum * v + grad
-        self.velocity[key] = v
-        return param - lr * (grad + self.momentum * v)
+    def update(self, params, grad, lr):
+        v = self.velocity
+        self.velocity = grad.copy() if v is None else np.add(self.momentum * v, grad, out=v)
+        _subtract(params, lr * (grad + self.momentum * self.velocity))
 
 
 class Adam:
-    """Adam with bias-corrected moment estimates, at the usual constants."""
+    """Adam with bias-corrected moment estimates, at the usual constants.
+
+    update(params, grad, lr) as in SgdNesterov; m and v are flat like grad, t counts updates.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
     def __init__(self):
-        self.m = {}
-        self.v = {}
+        self.m = self.v = None
         self.t = 0
 
-    def begin_step(self):
+    def update(self, params, grad, lr):
+        if self.t == 0:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
         self.t += 1
-
-    def update(self, key, param, grad, lr):
-        m = self.m.get(key, 0.0)
-        v = self.v.get(key, 0.0)
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self.m[key] = m
-        self.v[key] = v
-        mhat = m / (1.0 - self.beta1 ** self.t)
-        vhat = v / (1.0 - self.beta2 ** self.t)
-        return param - lr * mhat / (np.sqrt(vhat) + self.eps)
+        np.add(self.beta1 * self.m, (1.0 - self.beta1) * grad, out=self.m)
+        np.add(self.beta2 * self.v, (1.0 - self.beta2) * grad * grad, out=self.v)
+        mhat = self.m / (1.0 - self.beta1 ** self.t)
+        vhat = self.v / (1.0 - self.beta2 ** self.t)
+        _subtract(params, lr * mhat / (np.sqrt(vhat) + self.eps))
 
 
 @dataclass(frozen=True)
@@ -152,30 +155,26 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     to the freshly updated weights. Returns a StepReport.
     """
     logits, caches = forward(net, x, "train", rng=rng)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits")
     loss, loss_grad = softmax_cross_entropy(logits, y)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss {loss}")
     grads = backward(net, caches, loss_grad)
     layers = net.learned_layers()
-    for pgrads in grads.by_layer:
-        for g in pgrads.values():
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError("non-finite parameter gradient")
-    optimizer.begin_step()
-    for j, (layer, pgrads) in enumerate(zip(layers, grads.by_layer)):
-        for name in layer.param_names:
-            setattr(layer, name, optimizer.update((j, name), getattr(layer, name), pgrads[name], lr))
-    gamma_hats = None
-    scales = None
+    names = [(j, name) for j, layer in enumerate(layers) for name in layer.param_names]
+    flat = np.concatenate([grads.by_layer[j][name].ravel() for j, name in names] or [np.empty(0)])
+    if not np.isfinite(flat).all():
+        j, name = next((j, name) for j, name in names if not np.isfinite(grads.by_layer[j][name]).all())
+        raise DivergenceError(f"non-finite gradient of layer {j} {name!r}")
+    optimizer.update([getattr(layers[j], name) for j, name in names], flat, lr)
+    gamma_hats = scales = None
     if maxgain is not None:
-        gamma_hats = []
-        scales = []
+        gamma_hats, scales = [], []
         for j, layer in enumerate(layers):
             gh = batch_max_gain(layer, caches.xs[j], caches.zs[j], maxgain.p)
-            wname = layer.weight_param
-            setattr(layer, wname, project(getattr(layer, wname), gh, maxgain.gamma))
+            w = getattr(layer, layer.weight_param)
+            np.copyto(w, project(w, gh, maxgain.gamma))
             gamma_hats.append(gh)
             scales.append(projection_scale(gh, maxgain.gamma))
     n_correct = int(np.sum(np.argmax(logits, axis=1) == np.asarray(y)))

@@ -25,7 +25,7 @@ def as_tensor(data, name="tensor"):
 
 
 def check_finite(arr, name="tensor"):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidValueError(f"{name} contains non-finite values")
 
 

@@ -9,6 +9,8 @@ import itertools
 import mpmath
 import numpy as np
 
+from maxgain import StepReport, backward, batch_max_gain, forward, softmax_cross_entropy
+
 
 def brute_force_operator_norm_p1(w):
     """max over signed basis vectors e of ||W e||_1 (exact for p=1)."""
@@ -134,3 +136,77 @@ def maxpool_oracle(x, kernel, stride, grad_y):
                     y[b, ch, r, q] = x[b, ch, best[0], best[1]]
                     grad_x[b, ch, best[0], best[1]] += grad_y[b, ch, r, q]
     return y, grad_x
+
+
+class SgdNesterovOracle:
+    """SGD with Nesterov momentum, one array at a time: each key keeps its
+    own velocity, v = g on its first step and mu * v + g after, and the
+    array becomes param - lr * (g + mu * v) as a new array."""
+
+    def __init__(self, momentum):
+        self.momentum = momentum
+        self.velocity = {}
+
+    def begin_step(self):
+        pass
+
+    def update(self, key, param, grad, lr):
+        v = self.velocity.get(key)
+        v = grad if v is None else self.momentum * v + grad
+        self.velocity[key] = v
+        return param - lr * (grad + self.momentum * v)
+
+
+class AdamOracle:
+    """Adam, one array at a time: each key keeps its own moments, which start
+    at 0; begin_step advances the step count every key shares."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self):
+        self.m = {}
+        self.v = {}
+        self.t = 0
+
+    def begin_step(self):
+        self.t += 1
+
+    def update(self, key, param, grad, lr):
+        m = self.beta1 * self.m.get(key, 0.0) + (1.0 - self.beta1) * grad
+        v = self.beta2 * self.v.get(key, 0.0) + (1.0 - self.beta2) * grad * grad
+        self.m[key] = m
+        self.v[key] = v
+        mhat = m / (1.0 - self.beta1 ** self.t)
+        vhat = v / (1.0 - self.beta2 ** self.t)
+        return param - lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def train_step_oracle(net, x, y, optimizer, lr, maxgain=None, rng=None):
+    """One training step with a per-array oracle optimizer: forward,
+    backward, one update per learned array keyed (layer index, name), each
+    result set on the layer as a new array, then each layer's gain measured
+    from the forward's caches and its weights divided by gamma_hat / gamma
+    where that ratio exceeds 1."""
+    logits, caches = forward(net, x, "train", rng=rng)
+    loss, loss_grad = softmax_cross_entropy(logits, y)
+    grads = backward(net, caches, loss_grad)
+    layers = net.learned_layers()
+    optimizer.begin_step()
+    for j, (layer, pgrads) in enumerate(zip(layers, grads.by_layer)):
+        for name in layer.param_names:
+            setattr(layer, name, optimizer.update((j, name), getattr(layer, name), pgrads[name], lr))
+    gamma_hats = scales = None
+    if maxgain is not None:
+        gamma_hats, scales = [], []
+        for j, layer in enumerate(layers):
+            gh = batch_max_gain(layer, caches.xs[j], caches.zs[j], maxgain.p)
+            ratio = gh / maxgain.gamma
+            if ratio > 1.0:
+                setattr(layer, layer.weight_param, getattr(layer, layer.weight_param) / ratio)
+            gamma_hats.append(gh)
+            scales.append(1.0 / max(1.0, ratio))
+    n_correct = int(np.sum(np.argmax(logits, axis=1) == np.asarray(y)))
+    return StepReport(loss=loss, batch_size=x.shape[0], n_correct=n_correct,
+                      gamma_hats=gamma_hats, scales=scales)

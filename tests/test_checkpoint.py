@@ -229,6 +229,15 @@ class TestMalformedInput:
         with pytest.raises(FormatError, match=f"unknown key '{key}'"):
             network_from_text(text)
 
+    @pytest.mark.parametrize("stage, key", [
+        ("stage maxpool kernel=2 kernel=3\nend", "kernel"),
+        ("stage conv stride=1 pad=0 stride=2\narray kernel 4 1 1 1 1\n1\narray b 1 1\n0\nend", "stride"),
+    ])
+    def test_repeated_attribute_is_named(self, stage, key):
+        text = f"maxgain-checkpoint v1\nstages 1\n{stage}\n"
+        with pytest.raises(FormatError, match=f"repeated key '{key}' in {stage.split()[1]} stage"):
+            network_from_text(text)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_network(tmp_path / "nope.txt")

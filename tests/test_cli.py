@@ -217,6 +217,7 @@ class TestGainReport:
         BATCHNORM.format(mean="1 3\n0 0 0", var="1 2\n1 1"),
         BATCHNORM.format(mean="1 2\n0 0", var="1 2\n1 -0.5"),
         BATCHNORM.format(mean="1 2\n0 0", var="1 2\n1 nan"),
+        "stage maxpool kernel=2 kernel=3\nend",
     ])
     def test_malformed_checkpoint_stage_is_a_format_error(self, tmp_path, capsys, stage):
         config = write_config(tmp_path)
@@ -350,6 +351,18 @@ class TestTtest:
         assert out == "" and err == f"error: bad 'accuracy' in {a}:3: expected a finite number, got '{value}'\n"
 
 
+class Repeats(dict):
+    """A JSON object that json.dumps writes pair by pair as given, so a key
+    may appear twice."""
+
+    def __init__(self, *pairs):
+        super().__init__(pairs)
+        self.pairs = list(pairs)
+
+    def items(self):
+        return self.pairs
+
+
 BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5}
 
 
@@ -393,6 +406,9 @@ BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.
     ({"dataset": {**BLOBS, "centers": [[-2.0, -2.0], [2.0]]}}, "centers must be"),
     ({"dataset": {**BLOBS, "centers": [[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]]}}, "bad model"),
     ({"test_dataset": {**BLOBS, "centers": [[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]]}}, "bad model"),
+    ({"dataset": Repeats(*BLOBS.items(), ("sd", 0.7))}, "repeated key 'sd'"),
+    ({"model": [Repeats(("type", "maxpool"), ("kernel", 2), ("kernel", 3))]}, "repeated key 'kernel'"),
+    ({"maxgain": Repeats(("gamma", 2.0), ("p", 2), ("gamma", 0.5))}, "repeated key 'gamma'"),
 ])
 def test_malformed_train_configs_exit_2_naming_the_key(tmp_path, capsys, overrides, named):
     config = write_config(tmp_path, **overrides)
@@ -455,6 +471,7 @@ class TestUsageErrors:
         ([{"train": [0, 1], "test": [1]}], "instance 1 is used twice"),
         ([{"train": [0, 1], "test": [2]}, {"train": [2, 3], "test": [4]}], "instance 2"),
         ([], "fold list is empty"),
+        ([Repeats(("train", [0, 1]), ("test", [2]), ("test", [3]))], "repeated key 'test'"),
     ])
     def test_malformed_folds_file_exits_2(self, tmp_path, capsys, folds, named):
         config = write_config(tmp_path, epochs=1, test_dataset=None, dataset={**BLOBS, "n": 60})

@@ -5,20 +5,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxgain import (
     Adam,
+    BatchNorm,
     ConfigError,
+    Conv2d,
     Dataset,
     Dense,
     DivergenceError,
     EmptySampleError,
+    Flatten,
     InvalidValueError,
     MaxGainConfig,
     Network,
     ReLU,
     Schedule,
     SgdNesterov,
+    augment,
     backward,
     batch_max_gain,
     build_network,
@@ -34,7 +41,8 @@ from maxgain import (
     synth_blobs,
     train_step,
 )
-from maxgain import evaluate
+from maxgain import evaluate, optim
+from oracles import AdamOracle, SgdNesterovOracle, train_step_oracle
 
 
 def small_mlp(seed, n_in=2, hidden=16, n_out=2):
@@ -112,25 +120,26 @@ class TestSgdNesterov:
         v = 0.0
         q = 1.0
         for g in (0.5, -0.2, 0.1, 0.3):
-            opt.begin_step()
-            p = opt.update((0, "w"), p, np.array([g]), 0.1)
+            opt.update([p], np.array([g]), 0.1)
             v = 0.9 * v + g
             q = q - 0.1 * (g + 0.9 * v)
             assert p[0] == pytest.approx(q, rel=1e-15)
 
     def test_zero_momentum_is_plain_sgd(self):
         opt = SgdNesterov(momentum=0.0)
-        p = opt.update((0, "w"), np.array([2.0]), np.array([0.5]), 0.1)
+        p = np.array([2.0])
+        opt.update([p], np.array([0.5]), 0.1)
         assert p[0] == pytest.approx(2.0 - 0.05, rel=1e-15)
-        p = opt.update((0, "w"), p, np.array([0.5]), 0.1)
+        opt.update([p], np.array([0.5]), 0.1)
         assert p[0] == pytest.approx(2.0 - 0.10, rel=1e-15)
 
     def test_velocity_is_per_parameter(self):
         opt = SgdNesterov(momentum=0.9)
-        opt.update((0, "w"), np.zeros(1), np.ones(1), 0.1)
-        out = opt.update((1, "w"), np.zeros(1), np.ones(1), 0.1)
-        # second parameter starts with fresh velocity, not the first one's
-        assert out[0] == pytest.approx(-0.1 * 1.9, rel=1e-15)
+        a, b = np.zeros(1), np.zeros(1)
+        opt.update([a, b], np.array([1.0, 0.0]), 0.1)
+        opt.update([a, b], np.array([1.0, 1.0]), 0.1)
+        # b's first nonzero gradient meets b's zero velocity, not a's
+        assert b[0] == pytest.approx(-0.1 * 1.9, rel=1e-15)
 
     def test_momentum_domain(self):
         with pytest.raises(InvalidValueError):
@@ -142,8 +151,8 @@ class TestSgdNesterov:
 class TestAdam:
     def test_first_step_moves_by_almost_lr(self):
         opt = Adam()
-        opt.begin_step()
-        p = opt.update((0, "w"), np.array([1.0]), np.array([1.0]), 0.001)
+        p = np.array([1.0])
+        opt.update([p], np.array([1.0]), 0.001)
         assert p[0] == pytest.approx(1.0 - 0.001 * 1.0 / (1.0 + 1e-8), rel=1e-15)
 
     def test_constant_gradient_steps_at_unit_speed(self):
@@ -153,15 +162,13 @@ class TestAdam:
             opt = Adam()
             p = np.array([0.0])
             for _ in range(10):
-                opt.begin_step()
-                p = opt.update((0, "w"), p, np.array([g]), 0.01)
+                opt.update([p], np.array([g]), 0.01)
             assert p[0] == pytest.approx(-0.1, rel=1e-5)
 
     def test_step_counter_shared_across_parameters(self):
         opt = Adam()
-        opt.begin_step()
-        a = opt.update((0, "w"), np.zeros(1), np.ones(1), 0.001)
-        b = opt.update((0, "b"), np.zeros(1), np.ones(1), 0.001)
+        a, b = np.zeros(1), np.zeros(1)
+        opt.update([a, b], np.ones(2), 0.001)
         # same t, same gradient, same fresh moments: identical moves
         assert a[0] == b[0]
         assert opt.t == 1
@@ -172,14 +179,50 @@ class TestAdam:
         m = v = 0.0
         q = 0.5
         for t, g in enumerate((0.3, -0.6, 0.2), start=1):
-            opt.begin_step()
-            p = opt.update((0, "w"), p, np.array([g]), 0.05)
+            opt.update([p], np.array([g]), 0.05)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1.0 - 0.9 ** t)
             vhat = v / (1.0 - 0.999 ** t)
             q = q - 0.05 * mhat / (math.sqrt(vhat) + 1e-8)
             assert p[0] == pytest.approx(q, rel=1e-14)
+
+
+# Signed zeros, magnitudes whose square underflows to 0 and ordinary values
+# of both signs: where a reordered operation or a dropped copy changes bits.
+FLAT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def flat_updates(draw):
+    """(initial arrays, [(per-array gradients, lr)] per step): one to four
+    arrays of rank 1-3 and one to four steps, lr 0 among the rates."""
+    shapes = draw(st.lists(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3), min_size=1, max_size=4))
+    params = [draw(hnp.arrays(np.float64, shape, elements=FLAT_VALUES)) for shape in shapes]
+    steps = draw(st.lists(st.tuples(
+        st.tuples(*[hnp.arrays(np.float64, shape, elements=FLAT_VALUES) for shape in shapes]),
+        st.sampled_from([0.0, 1e-3, 0.1, 2.5])), min_size=1, max_size=4))
+    return params, steps
+
+
+@pytest.mark.parametrize("make, make_oracle", [
+    (Adam, AdamOracle),
+    (lambda: SgdNesterov(0.9), lambda: SgdNesterovOracle(0.9)),
+    (lambda: SgdNesterov(0.0), lambda: SgdNesterovOracle(0.0)),
+], ids=["adam", "sgd", "sgd-no-momentum"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=flat_updates())
+def test_flat_update_is_bitwise_the_per_array_oracle(make, make_oracle, case):
+    params, steps = case
+    ours = [p.copy() for p in params]
+    theirs = [p.copy() for p in params]
+    opt, oracle = make(), make_oracle()
+    for grads, lr in steps:
+        opt.update(ours, np.concatenate([g.ravel() for g in grads]), lr)
+        oracle.begin_step()
+        theirs = [oracle.update((i, "w"), p, g, lr) for i, (p, g) in enumerate(zip(theirs, grads))]
+        assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
 
 
 class TestSchedule:
@@ -294,8 +337,106 @@ class TestTrainStep:
         with pytest.raises(DivergenceError):
             train_step(net, data.x, data.y, SgdNesterov(0.0), 0.1)
 
+    def test_non_finite_gradient_names_the_array(self, monkeypatch):
+        calls = [0]
+
+        def poisoned(net, caches, loss_grad):
+            grads = backward(net, caches, loss_grad)
+            calls[0] += 1
+            if calls[0] == 3:
+                grads.by_layer[1]["b"][1] = math.inf
+            return grads
+
+        data = blob_data(36, n=16)  # 2 steps per epoch at batch 8
+        after_epoch_1 = small_mlp(37)
+        fit(after_epoch_1, data, optimizer=Adam(), schedule=Schedule(0.01), epochs=1, batch_size=8)
+        monkeypatch.setattr(optim, "backward", poisoned)
+        net = small_mlp(37)
+        with pytest.raises(DivergenceError) as err:
+            fit(net, data, optimizer=Adam(), schedule=Schedule(0.01), epochs=3, batch_size=8)
+        assert str(err.value) == "non-finite gradient of layer 1 'b' at step 3 (epoch 2)"
+        assert err.value.step == 3
+        # the failing step updated nothing
+        assert network_to_text(net) == network_to_text(after_epoch_1)
+
+    def test_training_leaves_the_callers_arrays_alone(self):
+        rng = make_rng(38)
+        given_arrays = [rng.normal(size=(2, 1, 2, 2)), rng.normal(size=2), rng.normal(size=2) + 1.0,
+                        rng.normal(size=2), rng.normal(size=(2, 8)), rng.normal(size=2)]
+        kept = [a.copy() for a in given_arrays]
+        kernel, conv_b, alpha, beta, w, b = given_arrays
+        net = Network([Conv2d(kernel, conv_b), BatchNorm(alpha, beta), Flatten(), Dense(w, b)])
+        train_step(net, rng.normal(size=(6, 1, 3, 3)), rng.integers(0, 2, size=6), Adam(), 0.1,
+                   maxgain=MaxGainConfig(gamma=0.5))
+        for a, b in zip(given_arrays, kept):
+            assert a.tobytes() == b.tobytes()
+        # while the stages' own weights did move
+        for layer, before in zip(net.learned_layers(), (kernel, alpha, w)):
+            assert not np.array_equal(getattr(layer, layer.weight_param), before)
+
+
+# 6x6 one-channel images: conv, batchnorm, a residual block, pooling and
+# dropout, then a dense layer on 3 x 3 x 3 features
+SGD_CNN = {"model": [
+    {"type": "conv", "in": 1, "out": 3, "kernel": 3, "pad": 1},
+    {"type": "batchnorm", "channels": 3}, {"type": "relu"},
+    {"type": "residual", "main": [
+        {"type": "conv", "in": 3, "out": 3, "kernel": 3, "pad": 1},
+        {"type": "batchnorm", "channels": 3}, {"type": "relu"},
+        {"type": "conv", "in": 3, "out": 3, "kernel": 3, "pad": 1}]},
+    {"type": "maxpool", "kernel": 2}, {"type": "dropout", "rate": 0.3},
+    {"type": "flatten"}, {"type": "dense", "in": 27, "out": 2}]}
+
+
+def oracle_case(name, flat):
+    """(net, fit keyword arguments) of a fit-level oracle comparison; flat
+    picks the library's optimizer, else the per-array oracle."""
+    if name == "adam-mlp":
+        return small_mlp(40), dict(
+            train=blob_data(41, n=48), test=blob_data(42, n=16), schedule=Schedule(0.01),
+            optimizer=Adam() if flat else AdamOracle(), maxgain=MaxGainConfig(gamma=1.0, p=2))
+    rng = make_rng(43)
+    return build_network(SGD_CNN, make_rng(44)), dict(
+        train=Dataset(rng.normal(size=(48, 1, 6, 6)), rng.integers(0, 2, size=48), 2),
+        test=Dataset(rng.normal(size=(16, 1, 6, 6)), rng.integers(0, 2, size=16), 2),
+        schedule=Schedule(0.05), optimizer=SgdNesterov(0.9) if flat else SgdNesterovOracle(0.9),
+        maxgain=MaxGainConfig(gamma=1.2, p=math.inf),
+        augment_fn=lambda xb, r: augment(xb, r, flip=True, pad=1))
+
 
 class TestFit:
+    @pytest.mark.parametrize("name", ["adam-mlp", "sgd-cnn"])
+    def test_fit_is_bitwise_the_per_array_oracle(self, monkeypatch, name):
+        runs = []
+        for flat in (True, False):
+            if not flat:
+                monkeypatch.setattr(optim, "train_step", train_step_oracle)
+            net, kw = oracle_case(name, flat)
+            train = kw.pop("train")
+            ledger = fit(net, train, epochs=3, batch_size=16, seed=5, **kw)
+            runs.append((ledger.to_text(), network_to_text(net)))
+            # the projection really rescaled weights, so both paths ran
+            assert any(s < 1.0 for r in ledger.records if r.scale_min for s in r.scale_min)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("make", [Adam, lambda: SgdNesterov(0.9)], ids=["adam", "sgd"])
+    def test_deepcopy_mid_run_continues_identically(self, make):
+        data = blob_data(45, n=48)
+        batches = [(data.x[i:i + 8], data.y[i:i + 8]) for i in range(0, 48, 8)]
+        cfg = MaxGainConfig(gamma=1.0, p=2)
+        net, opt = small_mlp(46), make()
+        straight, straight_opt = small_mlp(46), make()
+        for xb, yb in batches[:3]:
+            train_step(net, xb, yb, opt, 0.01, maxgain=cfg)
+            train_step(straight, xb, yb, straight_opt, 0.01, maxgain=cfg)
+        twin, twin_opt = copy.deepcopy((net, opt))
+        at_copy = network_to_text(twin)
+        for xb, yb in batches[3:]:
+            train_step(net, xb, yb, opt, 0.01, maxgain=cfg)
+            train_step(twin, xb, yb, twin_opt, 0.01, maxgain=cfg)
+            train_step(straight, xb, yb, straight_opt, 0.01, maxgain=cfg)
+        assert network_to_text(twin) == network_to_text(net) == network_to_text(straight) != at_copy
+
     def test_separable_blobs_reach_full_accuracy(self):
         net = small_mlp(12)
         data = blob_data(13, n=128)
