@@ -5,8 +5,8 @@ ratio ||Wx||_p / ||x||_p over the batch, and after each optimizer update
 rescales the layer's weights by 1 / max(1, gamma_hat / gamma) so the measured
 gain never exceeds the target gamma. The package also ships the measurement
 tools (gain reports, closed-form operator norms and the Lipschitz bound they
-give, power iteration and materialized matrices to cross-check them), a
-disjoint-folds evaluation protocol with a paired t-test, and a CLI.
+give, and power iteration to cross-check them), a disjoint-folds evaluation
+protocol with a paired t-test, and a CLI.
 """
 
 from .checkpoint import load_network, network_from_text, network_to_text, save_network
@@ -39,6 +39,7 @@ from .evaluate import (
     GainReport,
     GainReportRow,
     TTestResult,
+    eval_metrics,
     gain_report,
     paired_t_test,
     per_layer_gains,
@@ -63,14 +64,11 @@ from .experiment import (
 )
 from .gain import (
     GainStats,
-    PowerIterationResult,
     batch_max_gain,
-    gain,
     gain_stats,
     instance_gains,
     layer_operator_norm,
     lipschitz_upper_bound,
-    materialize_linear,
     spectral_norm_power_iteration,
 )
 from .layers import (
@@ -85,7 +83,6 @@ from .layers import (
     ReLU,
     ResidualBlock,
     StepCaches,
-    apply_linear,
     backward,
     forward,
     softmax_cross_entropy,
@@ -98,7 +95,6 @@ from .optim import (
     SgdNesterov,
     StepReport,
     TrainingLedger,
-    eval_metrics,
     fit,
     project,
     projection_scale,

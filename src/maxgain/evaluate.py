@@ -1,4 +1,9 @@
-"""The paired t-test, gain reports, and the batch size of eval-mode passes."""
+"""Eval-mode passes over a split (loss and accuracy, per-layer gains), gain
+reports, and the paired t-test.
+
+Every eval-mode forward of the library runs here, in slices of _EVAL_BATCH
+instances.
+"""
 
 import math
 from dataclasses import dataclass
@@ -14,10 +19,10 @@ from .errors import (
     ShapeError,
 )
 from .gain import GainStats, gain_stats, instance_gains
-from .layers import forward
+from .layers import forward, softmax_cross_entropy
 from .tensor import DTYPE, check_finite
 
-# Instances per eval-mode forward pass in eval_metrics and per_layer_gains.
+# Instances per eval-mode forward pass.
 _EVAL_BATCH = 256
 
 
@@ -110,7 +115,29 @@ def paired_t_test(a, b):
     return TTestResult(t=t, df=df, p=p)
 
 
-# --- gain reports --------------------------------------------------------
+# --- eval-mode passes and gain reports -------------------------------------
+
+
+def _eval_batches(net, x, what):
+    """(instance slice, logits, caches) of each eval-mode forward over x, one
+    _EVAL_BATCH slice at a time; an empty x is an EmptySampleError naming what."""
+    if x.shape[0] == 0:
+        raise EmptySampleError(f"{what} needs at least one instance")
+    for i in range(0, x.shape[0], _EVAL_BATCH):
+        rows = slice(i, i + _EVAL_BATCH)
+        yield (rows, *forward(net, x[rows], "eval"))
+
+
+def eval_metrics(net, x, y):
+    """Mean cross-entropy loss and accuracy of the eval-mode network."""
+    loss_sum = 0.0
+    correct = 0
+    for rows, logits, _ in _eval_batches(net, x, "eval_metrics"):
+        yb = y[rows]
+        loss, _ = softmax_cross_entropy(logits, yb)
+        loss_sum += loss * yb.shape[0]
+        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+    return loss_sum / x.shape[0], correct / x.shape[0]
 
 
 def per_layer_gains(net, x, p):
@@ -122,13 +149,10 @@ def per_layer_gains(net, x, p):
     n_layers = len(net.learned_layers())
     if n_layers == 0:
         raise EmptySampleError("network has no learned layers")
-    if x.shape[0] == 0:
-        raise EmptySampleError("per_layer_gains needs at least one instance")
     chunks = [[] for _ in range(n_layers)]
-    for i in range(0, x.shape[0], _EVAL_BATCH):
-        _, caches = forward(net, x[i:i + _EVAL_BATCH], "eval")
-        for j in range(n_layers):
-            chunks[j].append(instance_gains(caches.xs[j], caches.zs[j], p))
+    for _, _, caches in _eval_batches(net, x, "per_layer_gains"):
+        for chunk, xs, zs in zip(chunks, caches.xs, caches.zs):
+            chunk.append(instance_gains(xs, zs, p))
     return [np.concatenate(c) for c in chunks]
 
 

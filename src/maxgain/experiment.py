@@ -18,10 +18,10 @@ import numpy as np
 
 from .data import augment, cell, load_csv, load_idx, make_folds, synth_blobs, synth_spirals, tsv
 from .errors import ConfigError, EmptySampleError, FormatError, InvalidValueError, ShapeError
-from .evaluate import per_layer_gains
+from .evaluate import eval_metrics, per_layer_gains
 from .layers import (
     REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, integer, of_type, one_of, parse_fields, real)
-from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, eval_metrics, fit
+from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, fit
 from .tensor import make_rng
 
 
@@ -93,7 +93,7 @@ FOLD_FIELDS = {"k": SIZE, "train_per_fold": SIZE, "test_per_fold": SIZE, "seed":
 CONFIG_FIELDS = {
     "seed": (integer, 0), "model": (of_type(list), REQUIRED), "init": (of_type(str), "he-normal"),
     "optimizer": (one_of("adam", "sgd"), REQUIRED), "lr": (real, REQUIRED),
-    "momentum": (real, 0.9), "schedule": (_drops, []), "epochs": (integer, REQUIRED),
+    "momentum": (real, None), "schedule": (_drops, []), "epochs": (integer, REQUIRED),
     "batch_size": (integer, 64), "maxgain": (_section("maxgain", MAXGAIN_FIELDS), None),
     "dataset": (_dataset, REQUIRED), "test_dataset": (_dataset, None),
     "augment": (_section("augment", AUGMENT_FIELDS), None),
@@ -141,11 +141,15 @@ def build_dataset(spec):
 
 
 def build_optimizer(config):
+    """Adam, or SGD at momentum 0.9 unless the config sets one; only sgd takes a momentum."""
     cfg = _fields(config, "optimizer", "momentum")
-    if cfg["optimizer"] == "adam":
-        return Adam()
+    momentum = cfg["momentum"]
     with _building("momentum"):
-        return SgdNesterov(momentum=cfg["momentum"])
+        if cfg["optimizer"] == "sgd":
+            return SgdNesterov(0.9 if momentum is None else momentum)
+        if momentum is not None:
+            raise InvalidValueError(f"adam takes no momentum, got {momentum}")
+        return Adam()
 
 
 def build_maxgain(config):
@@ -204,7 +208,8 @@ class RunResult:
 
 
 def run_config(config):
-    """Build everything from a config dict, train, and score."""
+    """Build everything from a config dict, train, and score. The test loss
+    and accuracy are fit's last test row, taken on the final weights."""
     cfg = check_config(config)
     train = build_dataset(cfg["dataset"])
     test = build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None
@@ -213,7 +218,8 @@ def run_config(config):
     train_loss, train_acc = eval_metrics(net, train.x, train.y)
     result = RunResult(net=net, ledger=ledger, train_loss=train_loss, train_accuracy=train_acc)
     if test is not None:
-        result.test_loss, result.test_accuracy = eval_metrics(net, test.x, test.y)
+        last = ledger.records[-1]
+        result.test_loss, result.test_accuracy = last.loss, last.accuracy
         p = maxgain.p if maxgain is not None else 2
         result.test_max_gains = [float(g.max()) for g in per_layer_gains(net, test.x, p)]
     return result

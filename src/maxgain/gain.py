@@ -1,9 +1,10 @@
 """Empirical gain measurement and operator-norm machinery.
 
 The gain of a learned layer on an instance x is ||Wx||_p / ||x||_p where Wx is
-the layer's bias-free linear action (apply_linear). The operator norms it is
-compared with are declared by the stage classes in closed form; power
-iteration and materialized matrices stay here as tools to cross-check them.
+the layer's bias-free linear action (its apply_linear), measured here from the
+(x, Wx) caches a forward pass records. The operator norms it is compared with
+are declared by the stage classes in closed form; power iteration stays here
+as a tool to cross-check them.
 """
 
 import math
@@ -19,15 +20,8 @@ from .errors import (
     InvalidValueError,
     ShapeError,
 )
-from .layers import apply_linear, stages_operator_norm
+from .layers import stages_operator_norm
 from .tensor import DTYPE, check_norm_order, make_rng
-
-
-def gain(layer, x, p):
-    """Gain of one learned layer on one instance; zero input has gain 0."""
-    x = np.asarray(x, dtype=DTYPE)
-    z = apply_linear(layer, x)
-    return float(instance_gains(x[None], z[None], p)[0])
 
 
 def batch_norms(arr, p):
@@ -47,10 +41,10 @@ def instance_gains(xs, zs, p):
     return np.divide(batch_norms(zs, p), nx, out=np.zeros_like(nx), where=nx > 0.0)
 
 
-def batch_max_gain(layer, xs, zs, p):
+def batch_max_gain(xs, zs, p):
     """Largest per-instance gain over cached (input, linear output) pairs.
 
-    xs and zs are the X/Z caches recorded for this layer during a forward
+    xs and zs are the X/Z caches one learned layer recorded during a forward
     pass; the linear outputs are not recomputed here.
     """
     xs = np.asarray(xs, dtype=DTYPE)
@@ -117,35 +111,8 @@ def spectral_norm_power_iteration(linear_map, adjoint_map, input_dim,
     return PowerIterationResult(sigma, iters)
 
 
-_MATERIALIZE_LIMIT = 4096
-
-
 def _instance_shape(shape):
     return (shape,) if isinstance(shape, int) else tuple(int(s) for s in shape)
-
-
-def materialize_linear(layer, input_shape):
-    """Dense matrix of a learned layer's linear action, probed column by column.
-
-    Each standard basis vector of the (row-major flattened) input space is
-    pushed through apply_linear; column k of the result is the flattened
-    response. Refuses inputs with more than 4096 elements.
-    """
-    input_shape = _instance_shape(input_shape)
-    dim = int(np.prod(input_shape))
-    if dim == 0:
-        raise ShapeError(f"degenerate input shape {input_shape}")
-    if dim > _MATERIALIZE_LIMIT:
-        raise InvalidValueError(
-            f"refusing to materialize a map with {dim} input elements (limit {_MATERIALIZE_LIMIT})")
-    probe = np.zeros(input_shape, dtype=DTYPE)
-    columns = []
-    flat = probe.reshape(-1)
-    for k in range(dim):
-        flat[k] = 1.0
-        columns.append(apply_linear(layer, probe).reshape(-1).copy())
-        flat[k] = 0.0
-    return np.stack(columns, axis=1)
 
 
 def layer_operator_norm(layer, p, input_shape):

@@ -757,18 +757,6 @@ def backward(net, caches, loss_grad):
     return Gradients(by_layer=[g for _, g in _learned(net.stages, grads)], input_grad=input_grad)
 
 
-def apply_linear(layer, x):
-    """Bias-free linear action of a learned layer on one instance.
-
-    Dense: W x. Conv2d: the convolution without bias. BatchNorm: the diagonal
-    map diag(alpha / sqrt(running_var + eps)) x. Centering and shift terms are
-    excluded by construction.
-    """
-    if getattr(layer, "weight_param", None) is None:
-        raise InvalidValueError(f"{type(layer).__name__} has no linear part")
-    return layer.apply_linear(as_tensor(x, "instance"))
-
-
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch and its gradient wrt the logits.
 

@@ -5,6 +5,9 @@ gamma) after the ordinary optimizer update, where gamma_hat is the largest
 per-instance gain the layer showed on the step's minibatch, measured from the
 caches recorded at the pre-update weights. Bias-like parameters (dense/conv
 bias, BatchNorm beta) are never rescaled.
+
+fit scores the test split after every epoch with evaluate.eval_metrics, so
+its ledger's last test row is the final weights' test loss and accuracy.
 """
 
 import math
@@ -12,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluate
 from .data import tsv, write_text
-from .errors import ConfigError, DivergenceError, EmptySampleError, InvalidValueError
+from .errors import ConfigError, DivergenceError, InvalidValueError
+from .evaluate import eval_metrics
 from .gain import batch_max_gain
 from .layers import backward, forward, softmax_cross_entropy
 from .tensor import check_norm_order, spawn_rngs
@@ -172,7 +175,7 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     if maxgain is not None:
         gamma_hats, scales = [], []
         for j, layer in enumerate(layers):
-            gh = batch_max_gain(layer, caches.xs[j], caches.zs[j], maxgain.p)
+            gh = batch_max_gain(caches.xs[j], caches.zs[j], maxgain.p)
             w = getattr(layer, layer.weight_param)
             np.copyto(w, project(w, gh, maxgain.gamma))
             gamma_hats.append(gh)
@@ -211,23 +214,6 @@ class TrainingLedger:
 
     def write(self, path):
         write_text(path, self.to_text())
-
-
-def eval_metrics(net, x, y):
-    """Mean cross-entropy loss and accuracy of the eval-mode network."""
-    n = x.shape[0]
-    if n == 0:
-        raise EmptySampleError("eval_metrics needs at least one instance")
-    loss_sum = 0.0
-    correct = 0
-    b = evaluate._EVAL_BATCH
-    for i in range(0, n, b):
-        xb, yb = x[i:i + b], y[i:i + b]
-        logits, _ = forward(net, xb, "eval")
-        loss, _ = softmax_cross_entropy(logits, yb)
-        loss_sum += loss * xb.shape[0]
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-    return loss_sum / n, correct / n
 
 
 # Overflow warnings stay silent: train_step's finiteness checks report a

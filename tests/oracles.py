@@ -1,7 +1,11 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written the dumb, obviously-correct way (explicit loops,
-brute-force enumeration) so it cannot share a bug with the package code.
+brute-force enumeration) so it cannot share a bug with the package code. The
+exceptions are the one-instance probes of a learned layer (apply_linear,
+gain, materialize_linear): they call the stage's own apply_linear, one
+instance or basis vector at a time, so tests can compare the package's
+batched measurements with them.
 """
 
 import itertools
@@ -9,7 +13,7 @@ import itertools
 import mpmath
 import numpy as np
 
-from maxgain import StepReport, backward, batch_max_gain, forward, softmax_cross_entropy
+from maxgain import StepReport, backward, batch_max_gain, forward, instance_gains, softmax_cross_entropy
 
 
 def brute_force_operator_norm_p1(w):
@@ -37,6 +41,31 @@ def brute_force_operator_norm_pinf(w):
         s = np.array(signs)
         best = max(best, np.abs((w * s).sum(axis=1)).max())
     return best
+
+
+def apply_linear(layer, x):
+    """Bias-free linear action of a learned layer on one instance."""
+    return layer.apply_linear(np.asarray(x, dtype=np.float64))
+
+
+def gain(layer, x, p):
+    """Gain of one learned layer on one instance; zero input has gain 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(instance_gains(x[None], apply_linear(layer, x)[None], p)[0])
+
+
+def materialize_linear(layer, input_shape):
+    """Dense matrix of a learned layer's linear action on instances of
+    input_shape (an int for a vector): column k is the flattened response to
+    the k-th standard basis vector of the row-major flattened input."""
+    shape = (input_shape,) if isinstance(input_shape, int) else tuple(input_shape)
+    dim = int(np.prod(shape))
+    columns = []
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = 1.0
+        columns.append(apply_linear(layer, e.reshape(shape)).reshape(-1))
+    return np.stack(columns, axis=1)
 
 
 def numeric_gradient(f, x, h=1e-5):
@@ -201,7 +230,7 @@ def train_step_oracle(net, x, y, optimizer, lr, maxgain=None, rng=None):
     if maxgain is not None:
         gamma_hats, scales = [], []
         for j, layer in enumerate(layers):
-            gh = batch_max_gain(layer, caches.xs[j], caches.zs[j], maxgain.p)
+            gh = batch_max_gain(caches.xs[j], caches.zs[j], maxgain.p)
             ratio = gh / maxgain.gamma
             if ratio > 1.0:
                 setattr(layer, layer.weight_param, getattr(layer, layer.weight_param) / ratio)

@@ -33,11 +33,9 @@ from maxgain import (
     batch_max_gain,
     build_dataset,
     forward,
-    gain,
     gain_stats,
     make_folds,
     make_rng,
-    materialize_linear,
     operator_norm_exact,
     paired_t_test,
     per_layer_gains,
@@ -51,7 +49,9 @@ from maxgain.cli import main as cli_main
 from oracles import (
     brute_force_operator_norm_p1,
     brute_force_operator_norm_pinf,
+    gain,
     gradient_rel_error,
+    materialize_linear,
     numeric_gradient,
     paired_t_oracle,
 )
@@ -325,7 +325,7 @@ def test_04_projection_exactness():
         y = rng.integers(0, n_out, size=batch)
 
         _, probe = forward(net, x, "eval")
-        rough = batch_max_gain(layer, probe.xs[0], probe.zs[0], p)
+        rough = batch_max_gain(probe.xs[0], probe.zs[0], p)
         if i % 2 == 0:
             gamma = rough * float(rng.uniform(0.3, 0.9))
         else:
@@ -337,7 +337,7 @@ def test_04_projection_exactness():
         gamma_hat = report.gamma_hats[0]
         target = min(gamma_hat, gamma)
         _, caches = forward(net, x, "eval")
-        post = batch_max_gain(layer, caches.xs[0], caches.zs[0], p)
+        post = batch_max_gain(caches.xs[0], caches.zs[0], p)
         worst = max(worst, abs(post - target) / max(1.0, target))
         if gamma_hat > gamma:
             clipped += 1

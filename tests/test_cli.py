@@ -409,6 +409,7 @@ BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.
     ({"dataset": Repeats(*BLOBS.items(), ("sd", 0.7))}, "repeated key 'sd'"),
     ({"model": [Repeats(("type", "maxpool"), ("kernel", 2), ("kernel", 3))]}, "repeated key 'kernel'"),
     ({"maxgain": Repeats(("gamma", 2.0), ("p", 2), ("gamma", 0.5))}, "repeated key 'gamma'"),
+    ({"optimizer": "adam", "momentum": 1.5}, "bad momentum"),
 ])
 def test_malformed_train_configs_exit_2_naming_the_key(tmp_path, capsys, overrides, named):
     config = write_config(tmp_path, **overrides)

@@ -167,9 +167,9 @@ class TestGainReports:
         gains = per_layer_gains(net, data.x, 2)
         assert len(gains) == 2
         _, caches = forward(net, data.x, "eval")
-        for j, layer in enumerate(net.learned_layers()):
+        for j in range(len(net.learned_layers())):
             assert gains[j].max() == pytest.approx(
-                batch_max_gain(layer, caches.xs[j], caches.zs[j], 2), rel=1e-12)
+                batch_max_gain(caches.xs[j], caches.zs[j], 2), rel=1e-12)
             assert gains[j].shape == (40,)
 
     def test_per_layer_gains_batch_size_invariant(self, monkeypatch):

@@ -26,6 +26,7 @@ from maxgain import (
     build_optimizer,
     build_schedule,
     check_config,
+    eval_metrics,
     gamma_sweep,
     make_rng,
     network_to_text,
@@ -202,6 +203,8 @@ class TestBuilders:
         sgd = build_optimizer(base_config(optimizer="sgd", momentum=0.5))
         assert isinstance(sgd, SgdNesterov)
         assert sgd.momentum == 0.5
+        assert build_optimizer(base_config(optimizer="sgd")).momentum == 0.9
+        assert isinstance(build_optimizer(base_config(momentum=None)), Adam)
         sched = build_schedule(base_config(schedule=[[3, 0.1]]))
         assert sched.lr_at(2) == 0.01
         assert sched.lr_at(3) == pytest.approx(0.001)
@@ -239,6 +242,37 @@ class TestRunConfig:
         assert len(result.test_max_gains) == 2
         assert all(g > 0.0 for g in result.test_max_gains)
         assert len(result.ledger.records) == 8  # train + test rows per epoch
+
+    def test_each_split_is_scored_once_after_training(self, monkeypatch):
+        # a one-layer model: the instances its dense stage sees in eval mode count the eval passes
+        epochs, n_train, n_test = 3, 40, 24
+        seen = []
+        dense_forward = Dense.forward
+
+        def counting_forward(self, x, mode, rng=None):
+            if mode == "eval":
+                seen.append(x.shape[0])
+            return dense_forward(self, x, mode, rng)
+
+        monkeypatch.setattr(Dense, "forward", counting_forward)
+        run_config(base_config(model=[{"type": "dense", "in": 2, "out": 2}], epochs=epochs,
+                               dataset={"type": "spirals", "n": n_train, "seed": 1},
+                               test_dataset={"type": "spirals", "n": n_test, "seed": 2}))
+        # fit's per-epoch test rows, then the train split's metrics and the test split's gains
+        assert sum(seen) == epochs * n_test + n_train + n_test
+
+    def test_test_scores_are_the_last_ledger_row_bitwise(self):
+        test_spec = {"type": "spirals", "n": 50, "seed": 2}
+        result = run_config(base_config(
+            model=[{"type": "dense", "in": 2, "out": 12}, {"type": "batchnorm", "channels": 12},
+                   {"type": "relu"}, {"type": "dropout", "rate": 0.2}, {"type": "dense", "in": 12, "out": 2}],
+            maxgain={"gamma": 1.5}, dataset={"type": "spirals", "n": 80, "seed": 1},
+            test_dataset=test_spec))
+        last = result.ledger.records[-1]
+        test = build_dataset(test_spec)
+        assert last.split == "test"
+        assert ((result.test_loss, result.test_accuracy) == (last.loss, last.accuracy)
+                == eval_metrics(result.net, test.x, test.y))
 
     def test_is_deterministic(self):
         a = run_config(base_config())
@@ -500,6 +534,7 @@ class TestStrictSections:
         ({"optimizer": "sgd", "momentum": 1.5}, "momentum"),
         ({"maxgain": {"gamma": 0.0}}, "maxgain"),
         ({"lr": -1.0}, "lr/schedule"),
+        ({"optimizer": "adam", "momentum": 0.5}, "momentum"),
     ])
     def test_domain_errors_while_building_name_the_section(self, overrides, section):
         with pytest.raises(ConfigError, match=f"bad {section}: "):

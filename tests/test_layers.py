@@ -16,13 +16,12 @@ from maxgain import (
     ReLU,
     ResidualBlock,
     ShapeError,
-    apply_linear,
     backward,
     forward,
     make_rng,
     softmax_cross_entropy,
 )
-from oracles import gradient_rel_error, numeric_gradient
+from oracles import apply_linear, gradient_rel_error, numeric_gradient
 
 GRAD_TOL = 1e-6
 

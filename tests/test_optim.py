@@ -80,10 +80,10 @@ class TestProject:
         layer = Dense(rng.normal(size=(4, 4)) * 3.0, np.zeros(4))
         x = rng.normal(size=(8, 4))
         zs = x @ layer.w.T
-        gh = batch_max_gain(layer, x, zs, 2)
+        gh = batch_max_gain(x, zs, 2)
         assert gh > 1.0
         layer.w = project(layer.w, gh, 1.0)
-        new_gh = batch_max_gain(layer, x, x @ layer.w.T, 2)
+        new_gh = batch_max_gain(x, x @ layer.w.T, 2)
         assert new_gh == pytest.approx(1.0, rel=1e-12)
 
     def test_invalid_arguments(self):
@@ -281,7 +281,7 @@ class TestTrainStep:
             assert report.gamma_hats[j] == pytest.approx(expected, rel=1e-12)
         # and the big lr really moved the weights, so post-update gains differ
         for j, layer in enumerate(net.learned_layers()):
-            post = batch_max_gain(layer, caches.xs[j], caches.xs[j] @ layer.w.T, 2)
+            post = batch_max_gain(caches.xs[j], caches.xs[j] @ layer.w.T, 2)
             assert post != pytest.approx(report.gamma_hats[j], rel=1e-6)
 
     def test_projection_applies_to_post_update_weights(self):

@@ -1,6 +1,7 @@
 """The one stage protocol on generated stage trees, the declared operator
-norms on generated layers, and a guard that code walking the network reads
-what the stage classes declare.
+norms on generated layers, a guard that code walking the network reads
+what the stage classes declare, and one that eval-mode passes run only in
+evaluate.py.
 
 The trees hold dense, conv (stride 1-2, pad 0-1, kh != kw), batchnorm (with
 random running statistics), dropout, relu, maxpool (overlapping windows
@@ -29,14 +30,12 @@ from maxgain import (
     ReLU,
     ResidualBlock,
     SgdNesterov,
-    apply_linear,
     backward,
     batch_max_gain,
     forward,
     layer_operator_norm,
     lipschitz_upper_bound,
     make_rng,
-    materialize_linear,
     network_from_text,
     network_to_text,
     operator_norm_exact,
@@ -44,7 +43,7 @@ from maxgain import (
     train_step,
 )
 from maxgain.layers import STAGE_TYPES
-from oracles import conv2d_oracle
+from oracles import apply_linear, conv2d_oracle, materialize_linear
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 CLASSES = 3
@@ -354,7 +353,7 @@ def test_layer_operator_norms_bound_gains_and_match_materialized_norms(case):
     m = materialize_linear(layer, shape)
     for p in (1, 2, math.inf):
         norm = layer_operator_norm(layer, p, shape)
-        assert batch_max_gain(layer, caches.xs[0], caches.zs[0], p) <= norm * (1 + 1e-12)
+        assert batch_max_gain(caches.xs[0], caches.zs[0], p) <= norm * (1 + 1e-12)
         if p != 2:
             assert norm == pytest.approx(operator_norm_exact(m, p), rel=1e-12)
         elif isinstance(layer, Dense):
@@ -363,8 +362,8 @@ def test_layer_operator_norms_bound_gains_and_match_materialized_norms(case):
             assert np.linalg.norm(m, 2) <= norm * (1 + 1e-12)
 
 
-MODULES = sorted(path.name for path in (Path(__file__).resolve().parents[1] / "src" / "maxgain").glob("*.py")
-                 if path.name not in ("layers.py", "__init__.py"))
+SRC = Path(__file__).resolve().parents[1] / "src" / "maxgain"
+MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name not in ("layers.py", "__init__.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -373,7 +372,7 @@ def test_network_walkers_name_no_stage_class(module):
     classes) walk networks through the declarations on the stage classes
     (parts, weight_param, operator_norm, out_shape), so each stage type is
     described once, in layers.py."""
-    path = Path(__file__).resolve().parents[1] / "src" / "maxgain" / module
+    path = SRC / module
     forbidden = {cls.__name__ for cls in STAGE_TYPES.values()} | {"LEARNED_TYPES"}
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
@@ -384,3 +383,18 @@ def test_network_walkers_name_no_stage_class(module):
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name.rsplit(".", 1)[-1])
     assert names & forbidden == set()
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py") if path.name != "evaluate.py"))
+def test_eval_mode_passes_run_only_in_evaluate(module):
+    """No module but evaluate.py names the eval batch size or calls a
+    forward in eval mode, so every pass over a split shares its one loop."""
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
+        assert _name(node) != "_EVAL_BATCH"
+        if isinstance(node, ast.Call) and _name(node.func) == "forward":
+            args = node.args + [k.value for k in node.keywords]
+            assert not any(isinstance(a, ast.Constant) and a.value == "eval" for a in args)
