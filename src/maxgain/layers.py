@@ -2,9 +2,12 @@
 
 Stages are plain objects holding float64 parameter arrays. Every stage,
 residual blocks included, has forward(x, mode, rng=None) -> (y, cache) and
-backward(grad_y, cache) -> (grad_x, param_grads). A learned stage's cache
-holds the input batch X ("x") and bias-free linear outputs Z ("z") that the
-gain machinery consumes.
+backward(grad_y, cache) -> (grad_x, param_grads). In train mode a stage's
+cache holds only what its own backward reads; in eval mode it holds no array.
+A learned stage's cache also carries its gain pair ("gain"): the input batch X
+and the bias-free linear outputs Z that the gain machinery consumes. The
+network forward moves every pair into StepCaches, so a stage cache that
+reaches backward never holds one.
 
 Each stage class describes itself once, for config JSON, checkpoints and
 every walk over a network (STAGE_TYPES lists the classes):
@@ -200,7 +203,7 @@ class Dense(Stage):
         self.out_shape(x.shape[1:])
         z = x @ self.w.T
         y = z + self.b
-        return y, {"x": x, "z": z}
+        return y, {"gain": (x, z), "x": x} if mode == "train" else {"gain": (x, z)}
 
     def backward(self, grad_y, cache):
         x = cache["x"]
@@ -328,6 +331,11 @@ class Conv2d(Stage):
                 zb += np.matmul(r, self.kernel[:, :, i, j].T, out=pb)
         return z.transpose(0, 3, 1, 2), xt
 
+    def _interior(self, buf):
+        """The (N, C, H, W) view of a padded channels-last buffer without its padding."""
+        p = self.pad
+        return buf[:, p:buf.shape[1] - p, p:buf.shape[2] - p, :].transpose(0, 3, 1, 2)
+
     def _grad_input(self, g, x_shape):
         """Adjoint of the linear map: scatter-add g, the (N, oh, ow, out_ch)
         output gradient, back onto the input grid tap by tap, block by block,
@@ -343,13 +351,16 @@ class Conv2d(Stage):
             pb = prod[:len(gb)]
             for i, j, tap in self._taps(gxt[blk], oh, ow):
                 tap += np.matmul(gb, self.kernel[:, :, i, j], out=pb).reshape(tap.shape)
-        return gxt[:, p:p + h, p:p + w, :].transpose(0, 3, 1, 2)
+        return self._interior(gxt)
 
     def forward(self, x, mode, rng=None):
+        """The gain input is a view of the padded copy xt that backward reads,
+        so the stage keeps no second copy of x."""
         _check_batch(x, 4, "conv")
         z, xt = self._linear(x)
         y = z + self.b[None, :, None, None]
-        return y, {"x": x, "z": z, "xt": xt}
+        gain = (self._interior(xt), z)
+        return y, {"gain": gain, "xt": xt} if mode == "train" else {"gain": gain}
 
     def backward(self, grad_y, cache):
         xt = cache["xt"]
@@ -363,7 +374,7 @@ class Conv2d(Stage):
             for i, j, r in self._tap_rows(xt[blk], rows):
                 grad_kernel[:, :, i, j] += gb.T @ r
         grad_b = grad_y.sum(axis=(0, 2, 3))
-        grad_x = self._grad_input(g, cache["x"].shape)
+        grad_x = self._grad_input(g, self._interior(xt).shape)
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
@@ -456,17 +467,16 @@ class BatchNorm(Stage):
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
             z = x * self.scale.reshape(bshape)
-            cache = {"x": x, "z": z, "inv_std": inv_std, "xhat": xhat}
-            return y, cache
+            return y, {"gain": (x, z), "inv_std": inv_std, "xhat": xhat}
         scale = self.scale
         z = x * scale.reshape(bshape)
         y = z + (self.beta - scale * self.running_mean).reshape(bshape)
-        return y, {"x": x, "z": z}
+        return y, {"gain": (x, z)}
 
     def backward(self, grad_y, cache):
-        x, xhat, inv_std = cache["x"], cache["xhat"], cache["inv_std"]
-        axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
-        m = x.size // self.channels
+        xhat, inv_std = cache["xhat"], cache["inv_std"]
+        axes, bshape = (0, *range(2, xhat.ndim)), (1, -1) + (1,) * (xhat.ndim - 2)
+        m = xhat.size // self.channels
         grad_beta = grad_y.sum(axis=axes)
         grad_alpha = (grad_y * xhat).sum(axis=axes)
         # gradient through the minibatch mean and variance
@@ -503,7 +513,7 @@ class Dropout(Stage):
         if mode == "train":
             if rng is None:
                 raise InvalidValueError("train-mode dropout needs an rng")
-            mask = (rng.random(x.shape) >= self.rate).astype(DTYPE)
+            mask = rng.random(x.shape) >= self.rate
             return x * mask, {"mask": mask}
         return x * (1.0 - self.rate), {}
 
@@ -515,10 +525,10 @@ class ReLU(Stage):
     kind = "relu"
 
     def forward(self, x, mode, rng=None):
-        return np.maximum(x, 0.0), {"x": x}
+        return np.maximum(x, 0.0), {"mask": x > 0.0} if mode == "train" else {}
 
     def backward(self, grad_y, cache):
-        return grad_y * (cache["x"] > 0.0), None
+        return grad_y * cache["mask"], None
 
 
 class MaxPool2d(Stage):
@@ -562,19 +572,21 @@ class MaxPool2d(Stage):
         return [a[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
 
     def forward(self, x, mode, rng=None):
-        """A running maximum over the taps, with the index of the tap that
-        reached it: no window is copied."""
+        """A running maximum over the taps: no window is copied. Train mode
+        also records the index of the tap that reached it, in the smallest
+        unsigned dtype that holds kernel**2 - 1 (uint8 up to kernel 16)."""
         _check_batch(x, 4, "maxpool")
         taps = self._taps(x, *self.out_shape(x.shape[1:])[1:])
         y = taps[0].astype(DTYPE)
-        idx = np.zeros(y.shape, dtype=np.intp)
+        idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(taps) - 1)) if mode == "train" else None
         for t in range(1, len(taps)):
             # taps[t] > y, or a NaN over a number: argmax's order, in which
             # the first maximum, or the first NaN, of each window wins
             hit = ~(taps[t] <= y) & (y == y)
             np.copyto(y, taps[t], where=hit)
-            idx[hit] = t
-        return y, {"x_shape": x.shape, "idx": idx}
+            if idx is not None:
+                idx[hit] = t
+        return y, {"x_shape": x.shape, "idx": idx} if mode == "train" else {}
 
     def backward(self, grad_y, cache):
         idx = cache["idx"]
@@ -690,8 +702,11 @@ class StepCaches:
     """Everything one forward pass recorded.
 
     xs[j] / zs[j] are the input batch and bias-free linear output batch of the
-    j-th learned layer, in Network.learned_layers() order. stage_caches mirrors
-    the stage tree and feeds backward().
+    j-th learned layer, in Network.learned_layers() order: the gain pairs,
+    which live only here. stage_caches mirrors the stage tree and feeds
+    backward(); each holds only what its stage's backward reads, so backward
+    needs neither list, and train_step sets both to None once it has measured
+    the gains, before backward runs.
     """
 
     net_id: int
@@ -730,16 +745,17 @@ def forward(net, x, mode, rng=None):
     """Run the network on a batch; returns (output, StepCaches).
 
     Train mode updates BatchNorm running statistics as a side effect and needs
-    an rng whenever a Dropout stage is present.
+    an rng whenever a Dropout stage is present. Each learned stage's gain pair
+    moves from its stage cache into StepCaches.xs / zs.
     """
     _check_mode(mode)
     x = as_tensor(x, "network input")
     if x.shape[0] == 0:
         raise ShapeError("network got an empty batch")
     y, stage_caches = _forward_stages(net.stages, x, mode, rng)
-    learned = [cache for _, cache in _learned(net.stages, stage_caches)]
+    pairs = [cache.pop("gain") for _, cache in _learned(net.stages, stage_caches)]
     return y, StepCaches(id(net), mode, x.shape[0], stage_caches,
-                         [c["x"] for c in learned], [c["z"] for c in learned])
+                         [gx for gx, _ in pairs], [gz for _, gz in pairs])
 
 
 def backward(net, caches, loss_grad):

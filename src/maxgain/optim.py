@@ -153,16 +153,26 @@ class StepReport:
 def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     """One minibatch step: forward, backward, optimizer update, projection.
 
-    gamma_hat for each learned layer is measured from the caches this step's
-    forward pass recorded (the pre-update weights); the projection is applied
-    to the freshly updated weights. Returns a StepReport.
+    gamma_hat for each learned layer is measured from the gain pairs this
+    step's forward pass recorded (the pre-update weights), which are released
+    before backward; the projection is applied to the freshly updated weights.
+    Returns a StepReport.
     """
     logits, caches = forward(net, x, "train", rng=rng)
-    if not np.isfinite(logits).all():
-        raise DivergenceError("non-finite logits")
-    loss, loss_grad = softmax_cross_entropy(logits, y)
+    try:
+        loss, loss_grad = softmax_cross_entropy(logits, y)
+    except InvalidValueError:
+        # the loss checks the logits are finite; scan them again only to tell
+        # a divergence from bad labels
+        if not np.isfinite(logits).all():
+            raise DivergenceError("non-finite logits") from None
+        raise
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss {loss}")
+    gamma_hats = None
+    if maxgain is not None:
+        gamma_hats = [batch_max_gain(xs, zs, maxgain.p) for xs, zs in zip(caches.xs, caches.zs)]
+    caches.xs = caches.zs = None
     grads = backward(net, caches, loss_grad)
     layers = net.learned_layers()
     names = [(j, name) for j, layer in enumerate(layers) for name in layer.param_names]
@@ -171,14 +181,12 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
         j, name = next((j, name) for j, name in names if not np.isfinite(grads.by_layer[j][name]).all())
         raise DivergenceError(f"non-finite gradient of layer {j} {name!r}")
     optimizer.update([getattr(layers[j], name) for j, name in names], flat, lr)
-    gamma_hats = scales = None
+    scales = None
     if maxgain is not None:
-        gamma_hats, scales = [], []
-        for j, layer in enumerate(layers):
-            gh = batch_max_gain(caches.xs[j], caches.zs[j], maxgain.p)
+        scales = []
+        for layer, gh in zip(layers, gamma_hats):
             w = getattr(layer, layer.weight_param)
             np.copyto(w, project(w, gh, maxgain.gamma))
-            gamma_hats.append(gh)
             scales.append(projection_scale(gh, maxgain.gamma))
     n_correct = int(np.sum(np.argmax(logits, axis=1) == np.asarray(y)))
     return StepReport(loss=loss, batch_size=x.shape[0], n_correct=n_correct,

@@ -105,6 +105,14 @@ class TestTrain:
         assert re.match(r"numerical failure: non-finite .* at step \d+ \(epoch \d+\)$", err)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_logits_exit_3_naming_the_step(self, tmp_path, capsys):
+        # blobs at +-1e308 overflow the first forward's logits
+        config = write_config(tmp_path, dataset={"type": "blobs", "n": 48, "seed": 4, "sd": 0.5,
+                                                 "centers": [[-1e308, -1e308], [1e308, 1e308]]})
+        assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite logits at step 1 (epoch 1)\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_leaves_the_completed_epochs_ledger(self, tmp_path, capsys):
         config = write_config(tmp_path, optimizer="sgd", lr=0.01, epochs=3, schedule=[[2, 1e302]])
         out = tmp_path / "o"

@@ -41,10 +41,12 @@ def describe(layer, x):
 def test_forward_matches_direct_oracle(case):
     layer, x = case
     y, cache = layer.forward(x, "train")
+    x_in, z = cache["gain"]
     want = conv2d_oracle(x, layer.kernel, layer.stride, layer.pad)
-    assert cache["z"].shape == want.shape == (x.shape[0],) + layer.out_shape(x.shape[1:])
-    assert np.abs(cache["z"] - want).max() <= 1e-12 * np.abs(want).max(), describe(layer, x)
-    np.testing.assert_array_equal(y, cache["z"] + layer.b[None, :, None, None])
+    assert z.shape == want.shape == (x.shape[0],) + layer.out_shape(x.shape[1:])
+    assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max(), describe(layer, x)
+    np.testing.assert_array_equal(y, z + layer.b[None, :, None, None])
+    np.testing.assert_array_equal(x_in, x)
 
 
 @PROPERTY_SETTINGS
@@ -145,7 +147,7 @@ def rel_error(got, want):
 def test_blocked_forward_matches_direct_oracle(blocked_case):
     layer, x = blocked_case
     _, cache = layer.forward(x, "train")
-    assert rel_error(cache["z"], conv2d_oracle(x, layer.kernel, layer.stride, layer.pad)) <= 1e-12
+    assert rel_error(cache["gain"][1], conv2d_oracle(x, layer.kernel, layer.stride, layer.pad)) <= 1e-12
 
 
 def test_blocked_backward_matches_per_image_sums(blocked_case):
@@ -170,5 +172,5 @@ def test_forward_peak_memory_is_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = root(cache["xt"]).nbytes + root(cache["z"]).nbytes + y.nbytes
+    outputs = root(cache["xt"]).nbytes + root(cache["gain"][1]).nbytes + y.nbytes
     assert peak <= 1.1 * outputs, f"peak {peak} bytes against {outputs} bytes of outputs"

@@ -36,14 +36,14 @@ class TestDense:
         layer = Dense(2.0 * np.eye(2), np.zeros(2))
         y, cache = layer.forward(np.array([[1.0, 1.0]]), "eval")
         assert np.array_equal(y, [[2.0, 2.0]])
-        assert np.array_equal(cache["z"], [[2.0, 2.0]])
+        assert np.array_equal(cache["gain"][1], [[2.0, 2.0]])
 
     def test_bias_excluded_from_z_cache(self):
         rng = make_rng(0)
         layer = Dense(rng.normal(size=(3, 4)), rng.normal(size=3))
         x = rng.normal(size=(5, 4))
         y, cache = layer.forward(x, "train")
-        np.testing.assert_allclose(y - cache["z"], np.broadcast_to(layer.b, (5, 3)), rtol=1e-15)
+        np.testing.assert_allclose(y - cache["gain"][1], np.broadcast_to(layer.b, (5, 3)), rtol=1e-15)
 
     def test_apply_linear_matches_forward_minus_bias(self):
         rng = make_rng(1)
@@ -170,7 +170,7 @@ class TestBatchNorm:
         y, cache = layer.forward(x, "eval")
         scale = 2.0 / np.sqrt(np.array([4.0, 0.25]) + layer.eps)
         np.testing.assert_allclose(y[0], scale * (x[0] - layer.running_mean) + 1.0, rtol=1e-12)
-        np.testing.assert_allclose(cache["z"][0], scale * x[0], rtol=1e-12)
+        np.testing.assert_allclose(cache["gain"][1][0], scale * x[0], rtol=1e-12)
 
     def test_z_cache_uses_running_stats_in_train_mode(self):
         # the linear-output cache must be reproducible from apply_linear alone
@@ -179,7 +179,7 @@ class TestBatchNorm:
         x = rng.normal(size=(16, 4))
         _, cache = layer.forward(x, "train")
         expected = np.stack([apply_linear(layer, xi) for xi in x])
-        np.testing.assert_allclose(cache["z"], expected, rtol=1e-12)
+        np.testing.assert_allclose(cache["gain"][1], expected, rtol=1e-12)
 
     def test_single_instance_train_batch_rejected(self):
         layer = BatchNorm(np.ones(2), np.zeros(2))
@@ -283,7 +283,7 @@ class TestReLUMaxPoolFlatten:
         with pytest.raises(ShapeError):
             layer.forward(x, "eval")
         x = np.full((1, 1, 2, 2), 3.0)
-        y, cache = layer.forward(x, "eval")
+        y, cache = layer.forward(x, "train")
         grad, _ = layer.backward(np.ones_like(y), cache)
         np.testing.assert_array_equal(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
@@ -291,7 +291,7 @@ class TestReLUMaxPoolFlatten:
         # as with argmax, the first NaN of a window is its maximum
         x = np.array([[1.0, np.nan], [np.nan, 5.0]]).reshape(1, 1, 2, 2)
         layer = MaxPool2d(2)
-        y, cache = layer.forward(x, "eval")
+        y, cache = layer.forward(x, "train")
         assert np.isnan(y).all()
         grad, _ = layer.backward(np.ones_like(y), cache)
         np.testing.assert_array_equal(grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
@@ -310,7 +310,7 @@ class TestReLUMaxPoolFlatten:
     def test_overlapping_windows_each_route_to_their_own_max(self):
         x = np.arange(9.0).reshape(1, 1, 3, 3)
         layer = MaxPool2d(2, stride=1)
-        y, cache = layer.forward(x, "eval")
+        y, cache = layer.forward(x, "train")
         np.testing.assert_array_equal(y[0, 0], [[4.0, 5.0], [7.0, 8.0]])
         grad, _ = layer.backward(np.ones_like(y), cache)
         expected = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
@@ -322,7 +322,7 @@ class TestReLUMaxPoolFlatten:
         x = np.zeros((1, 1, 3, 3))
         x[0, 0, 1, 1] = 9.0
         layer = MaxPool2d(2, stride=1)
-        y, cache = layer.forward(x, "eval")
+        y, cache = layer.forward(x, "train")
         grad, _ = layer.backward(np.ones_like(y), cache)
         assert grad[0, 0, 1, 1] == 4.0
         assert grad.sum() == 4.0

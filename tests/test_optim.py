@@ -24,6 +24,7 @@ from maxgain import (
     Network,
     ReLU,
     Schedule,
+    ShapeError,
     SgdNesterov,
     augment,
     backward,
@@ -41,7 +42,7 @@ from maxgain import (
     synth_blobs,
     train_step,
 )
-from maxgain import evaluate, optim
+from maxgain import evaluate, optim, tensor
 from oracles import AdamOracle, SgdNesterovOracle, train_step_oracle
 
 
@@ -336,6 +337,55 @@ class TestTrainStep:
         data = blob_data(11, n=8)
         with pytest.raises(DivergenceError):
             train_step(net, data.x, data.y, SgdNesterov(0.0), 0.1)
+
+    def test_finite_logits_are_scanned_once(self, monkeypatch):
+        # the loss's finiteness check is the only scan of the logits
+        scanned, seen = [], []
+
+        def capture(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            seen.append(out[0])
+            return out
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def isfinite(self, a, *args, **kwargs):
+                if seen and np.shares_memory(a, seen[-1]):
+                    scanned.append(a.shape)
+                return np.isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "forward", capture)
+        monkeypatch.setattr(optim, "np", CountingNumpy())
+        monkeypatch.setattr(tensor, "np", CountingNumpy())
+        data = blob_data(12, n=8)
+        train_step(small_mlp(12, n_in=2, n_out=3), data.x, data.y, SgdNesterov(0.0), 0.1)
+        assert scanned == [(8, 3)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_logits_raise_divergence(self):
+        net = small_mlp(13)
+        data = blob_data(14, n=8)
+        with pytest.raises(DivergenceError, match="^non-finite logits$"):
+            train_step(net, np.full_like(data.x, 1e308), data.y, SgdNesterov(0.0), 0.1)
+        # non-finite logits win over bad labels, as when they were scanned first
+        with pytest.raises(DivergenceError, match="^non-finite logits$"):
+            train_step(net, np.full_like(data.x, 1e308), data.y.astype(float), SgdNesterov(0.0), 0.1)
+        with pytest.raises(InvalidValueError, match="logits contains non-finite values"):
+            softmax_cross_entropy(np.array([[0.0, np.inf]]), np.array([0]))
+
+    @pytest.mark.parametrize("labels, error", [
+        (np.array([0.0, 1.0, 0.0, 1.0]), InvalidValueError),
+        (np.array([0, 2, 0, 1]), IndexError),
+        (np.array([0, 1, 0]), ShapeError)], ids=["float", "out-of-range", "short"])
+    def test_bad_labels_keep_their_error_type(self, labels, error):
+        data = blob_data(15, n=4)
+        net = small_mlp(15)
+        before = network_to_text(net)
+        with pytest.raises(error):
+            train_step(net, data.x, labels, SgdNesterov(0.0), 0.1)
+        assert network_to_text(net) == before
 
     def test_non_finite_gradient_names_the_array(self, monkeypatch):
         calls = [0]

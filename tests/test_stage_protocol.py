@@ -1,7 +1,8 @@
-"""The one stage protocol on generated stage trees, the declared operator
-norms on generated layers, a guard that code walking the network reads
-what the stage classes declare, and one that eval-mode passes run only in
-evaluate.py.
+"""The one stage protocol on generated stage trees (with random and with
+trained batchnorm statistics), the declared operator norms on generated
+layers, what each kind of stage keeps for backward, a guard that code walking
+the network reads what the stage classes declare, and one that eval-mode
+passes run only in evaluate.py.
 
 The trees hold dense, conv (stride 1-2, pad 0-1, kh != kw), batchnorm (with
 random running statistics), dropout, relu, maxpool (overlapping windows
@@ -42,7 +43,8 @@ from maxgain import (
     projection_scale,
     train_step,
 )
-from maxgain.layers import STAGE_TYPES
+from maxgain import optim
+from maxgain.layers import STAGE_TYPES, chain_shape
 from oracles import apply_linear, conv2d_oracle, materialize_linear
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -360,6 +362,165 @@ def test_layer_operator_norms_bound_gains_and_match_materialized_norms(case):
             assert norm == np.linalg.norm(layer.w, 2)
         else:
             assert np.linalg.norm(m, 2) <= norm * (1 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(trees(), st.integers(0, 2**32 - 1))
+def test_caches_match_linear_maps_and_norms_after_batchnorm_statistics_train(case, seed):
+    # a few train-mode forwards move the running mean and variance away from
+    # the random ones, as training would; the gain caches must follow them
+    net, x, _ = case
+    rng = make_rng(seed)
+    norms = [bn for bn in net.learned_layers() if isinstance(bn, BatchNorm)]
+    before = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in norms]
+    for _ in range(3):
+        forward(net, x + rng.normal(size=x.shape), "train", rng=rng)
+    for bn, (mean, var) in zip(norms, before):
+        assert not np.array_equal(bn.running_mean, mean) and not np.array_equal(bn.running_var, var)
+    for mode in ("eval", "train"):
+        _, caches = forward(net, x, mode, rng=make_rng(1))
+        for layer, xs, zs in zip(net.learned_layers(), caches.xs, caches.zs):
+            for i in range(x.shape[0]):
+                np.testing.assert_allclose(zs[i], apply_linear(layer, xs[i]), rtol=1e-12, atol=1e-12)
+            for p in (1, 2, math.inf):
+                norm = layer_operator_norm(layer, p, xs.shape[1:])
+                assert batch_max_gain(xs, zs, p) <= norm * (1 + 1e-12)
+
+
+# --- what a forward pass keeps ----------------------------------------------
+
+
+class ReadRecorder(dict):
+    """A stage cache that records the keys read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def recorded(tree):
+    """The cache tree with every dict replaced by a ReadRecorder."""
+    if isinstance(tree, dict):
+        return ReadRecorder({key: recorded(value) for key, value in tree.items()})
+    if isinstance(tree, list):
+        return [recorded(value) for value in tree]
+    return tree
+
+
+def dicts(tree):
+    """Every dict in a cache tree, in tree order."""
+    if isinstance(tree, dict):
+        yield tree
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        for value in tree:
+            yield from dicts(value)
+
+
+def arrays(tree):
+    """Every array in a cache tree, at any depth."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, (dict, list, tuple)):
+        for value in tree.values() if isinstance(tree, dict) else tree:
+            yield from arrays(value)
+
+
+def residual_block(rng, shortcut):
+    main = [Conv2d(rng.normal(size=(2, 2, 3, 3)), np.zeros(2), pad=1), random_batchnorm(rng, 2), ReLU(),
+            Conv2d(rng.normal(size=(2, 2, 3, 3)), np.zeros(2), pad=1)]
+    return [ResidualBlock(main, projection(rng, (2, 6, 5), (2, 6, 5)) if shortcut else None)]
+
+
+# Per kind, and for a residual block with a projection shortcut: stages of
+# that kind on (2, 6, 5) instances.
+KIND_STAGES = {
+    "dense": lambda rng: [Flatten(), Dense(rng.normal(size=(3, 60)), rng.normal(size=3))],
+    "conv": lambda rng: [Conv2d(rng.normal(size=(3, 2, 3, 2)), rng.normal(size=3), stride=2, pad=1)],
+    "batchnorm": lambda rng: [random_batchnorm(rng, 2)],
+    "dropout": lambda rng: [Dropout(0.5)],
+    "relu": lambda rng: [ReLU()],
+    "maxpool": lambda rng: [MaxPool2d(2)],
+    "flatten": lambda rng: [Flatten()],
+    "residual": lambda rng: residual_block(rng, shortcut=False),
+    "residual shortcut": lambda rng: residual_block(rng, shortcut=True),
+}
+CACHE_KINDS = sorted(KIND_STAGES)
+
+
+@pytest.fixture(params=CACHE_KINDS)
+def kind_net(request):
+    """(kind, net, x): a network of relu and the kind's stages, so a stage
+    never sees the network input itself, with a dense classifier."""
+    rng = make_rng(CACHE_KINDS.index(request.param))
+    stages = [ReLU()] + KIND_STAGES[request.param](rng)
+    out = int(np.prod(chain_shape(stages, (2, 6, 5))))
+    net = Network(stages + [Flatten(), Dense(rng.normal(size=(CLASSES, out)), np.zeros(CLASSES))])
+    return request.param, net, rng.normal(size=(4, 2, 6, 5))
+
+
+def test_every_kind_is_covered():
+    assert set(STAGE_TYPES) <= set(KIND_STAGES)
+
+
+def test_train_caches_hold_only_what_backward_reads(kind_net):
+    _, net, x = kind_net
+    y, caches = forward(net, x, "train", rng=make_rng(1))
+    caches.stage_caches = recorded(caches.stage_caches)
+    backward(net, caches, make_rng(2).normal(size=y.shape))
+    for cache in dicts(caches.stage_caches):
+        assert "gain" not in cache
+        unread = [key for key, value in cache.items() if isinstance(value, np.ndarray)
+                  and key not in cache.read]
+        assert unread == [], f"kept but never read by backward: {unread}"
+
+
+def test_eval_caches_hold_no_array(kind_net):
+    _, net, x = kind_net
+    _, caches = forward(net, x, "eval")
+    assert list(arrays(caches.stage_caches)) == []
+    assert len(caches.xs) == len(caches.zs) == len(net.learned_layers())
+
+
+def test_masks_are_bool_and_pool_indices_one_byte(kind_net):
+    kind, net, x = kind_net
+    _, caches = forward(net, x, "train", rng=make_rng(1))
+    masks = [cache["mask"] for cache in dicts(caches.stage_caches) if "mask" in cache]
+    assert masks and all(mask.dtype == np.bool_ for mask in masks)
+    if kind == "maxpool":
+        (idx,) = [cache["idx"] for cache in dicts(caches.stage_caches) if "idx" in cache]
+        assert net.stages[1].kernel == 2 and idx.dtype == np.uint8
+
+
+def test_conv_gain_input_is_a_view_of_its_padded_copy(kind_net):
+    _, net, x = kind_net
+    _, caches = forward(net, x, "train", rng=make_rng(1))
+    # stage caches in tree order meet the convs in learned_layers() order
+    padded = [cache["xt"] for cache in dicts(caches.stage_caches) if "xt" in cache]
+    convs = [j for j, layer in enumerate(net.learned_layers()) if isinstance(layer, Conv2d)]
+    assert len(padded) == len(convs)
+    for j, xt in zip(convs, padded):
+        assert np.shares_memory(caches.xs[j], xt)
+
+
+def test_train_step_releases_the_gain_pairs_before_backward(monkeypatch):
+    rng = make_rng(9)
+    net = Network(residual_block(rng, shortcut=True) + [Flatten(), Dense(rng.normal(size=(2, 60)), np.zeros(2))])
+    seen = []
+
+    def checked(net, caches, loss_grad):
+        seen.append((caches.xs, caches.zs))
+        return backward(net, caches, loss_grad)
+
+    monkeypatch.setattr(optim, "backward", checked)
+    report = train_step(net, rng.normal(size=(4, 2, 6, 5)), np.array([0, 1, 1, 0]), SgdNesterov(), 0.1,
+                        MaxGainConfig(gamma=0.5), rng=make_rng(1))
+    assert seen == [(None, None)]
+    assert len(report.gamma_hats) == len(net.learned_layers())
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "maxgain"
