@@ -29,7 +29,6 @@ from .experiment import (
     FoldScores,
     build_dataset,
     build_fold_protocol,
-    build_maxgain,
     check_config,
     gamma_sweep,
     run_config,
@@ -95,10 +94,6 @@ def _parse_gammas(text):
 
 def cmd_sweep(args):
     config = _training_config(args)
-    if build_maxgain(config) is None:
-        raise ConfigError("sweep needs a \"maxgain\" section to carry the norm order")
-    if not config["test_dataset"]:
-        raise ConfigError("sweep needs a \"test_dataset\" to report test metrics")
     result = gamma_sweep(config, _parse_gammas(args.gammas), jobs=args.jobs)
     _write_or_print(result.to_text(), args.out)
     return 0
@@ -123,17 +118,12 @@ def cmd_gain_report(args):
 
 def cmd_folds(args):
     config = _training_config(args)
-    dataset = build_dataset(config["dataset"])
-    if args.folds_file:
-        protocol = FoldProtocol.load(args.folds_file)
-        if protocol.n_instances != len(dataset):
-            raise ConfigError(
-                f"fold protocol covers {protocol.n_instances} instances, dataset has {len(dataset)}")
-    else:
-        protocol = build_fold_protocol(config, dataset)
+    protocol = FoldProtocol.load(args.folds_file) if args.folds_file else None
+    if args.save_folds and protocol is None:
+        protocol = build_fold_protocol(config, build_dataset(config["dataset"]))
+    scores = run_folds(config, protocol, jobs=args.jobs)
     if args.save_folds:
         protocol.save(args.save_folds)
-    scores = run_folds(config, protocol, jobs=args.jobs)
     _write_or_print(scores.to_text(), args.out)
     return 0
 

@@ -296,8 +296,8 @@ class FoldProtocol:
     @staticmethod
     def load(path):
         """The protocol saved at path. A file that is not one, an empty fold
-        list, an index outside [0, n_instances) or an instance used twice is
-        a FormatError."""
+        list, a fold with an empty train or test list, an index outside
+        [0, n_instances) or an instance used twice is a FormatError."""
         doc = parse_fields(f"fold-protocol file {path}", _FOLDS_FILE, read_json(path), FormatError)
         n, folds, seen = doc["n_instances"], [], set()
         if not doc["folds"]:
@@ -305,6 +305,8 @@ class FoldProtocol:
         for f, spec in enumerate(doc["folds"]):
             parts = parse_fields(f"fold {f} of {path}", _FOLD, spec, FormatError)
             for part, ids in parts.items():
+                if not ids:
+                    raise FormatError(f"{path}: fold {f} has an empty {part} list")
                 for i in ids:
                     if type(i) is not int or not 0 <= i < n:
                         raise FormatError(f"{path}: fold {f} {part} index {i!r} is not in [0, {n})")

@@ -14,8 +14,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import augment, cell, load_csv, load_idx, make_folds, synth_blobs, synth_spirals, tsv
 from .errors import ConfigError, EmptySampleError, FormatError, InvalidValueError, ShapeError
 from .evaluate import eval_metrics, per_layer_gains
@@ -212,7 +210,11 @@ def run_config(config):
     and accuracy are fit's last test row, taken on the final weights."""
     cfg = check_config(config)
     train = build_dataset(cfg["dataset"])
-    test = build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None
+    return _run(cfg, train, build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None)
+
+
+def _run(cfg, train, test):
+    """run_config on the checked config cfg and its built splits."""
     maxgain = build_maxgain(cfg)
     net, ledger = _train(cfg, train, cfg["seed"], maxgain, test)
     train_loss, train_acc = eval_metrics(net, train.x, train.y)
@@ -270,11 +272,8 @@ def build_fold_protocol(config, dataset):
 
 
 def run_fold_point(args):
-    """Train on one fold; takes (config, fold_index, train_idx, test_idx)."""
-    config, fold_index, train_idx, test_idx = args
-    cfg = check_config(config)
-    full = build_dataset(cfg["dataset"])
-    train, test = full.subset(np.asarray(train_idx)), full.subset(np.asarray(test_idx))
+    """Train on one fold; takes (checked config, fold_index, train, test)."""
+    cfg, fold_index, train, test = args
     net, _ = _train(cfg, train, cfg["seed"] + fold_index, build_maxgain(cfg))
     _, acc = eval_metrics(net, test.x, test.y)
     return fold_index, acc
@@ -293,13 +292,18 @@ def run_jobs(fn, tasks, jobs):
 def run_folds(config, protocol=None, jobs=1):
     """Train and score the configuration on every fold of the protocol.
 
-    Each fold trains a fresh network with seed (config seed + fold index).
+    The dataset is built once and a protocol of another size refused. Each
+    fold trains a fresh network with seed (config seed + fold index).
     Returns FoldScores ordered by fold index.
     """
     cfg = check_config(config)
+    dataset = build_dataset(cfg["dataset"])
     if protocol is None:
-        protocol = build_fold_protocol(cfg, build_dataset(cfg["dataset"]))
-    tasks = [(config, f, fold.train, fold.test) for f, fold in enumerate(protocol.folds)]
+        protocol = build_fold_protocol(cfg, dataset)
+    elif protocol.n_instances != len(dataset):
+        raise ConfigError(f"fold protocol covers {protocol.n_instances} instances, dataset has {len(dataset)}")
+    tasks = ((cfg, f, dataset.subset(fold.train), dataset.subset(fold.test))
+             for f, fold in enumerate(protocol.folds))
     return FoldScores(scores=tuple(run_jobs(run_fold_point, tasks, jobs)))
 
 
@@ -324,22 +328,27 @@ class SweepResult:
              ",".join(map(cell, r.test_max_gains))) for r in self.rows])
 
 
-def run_sweep_point(config):
-    """One gamma sweep point's SweepRow, for a config that carries its gamma."""
-    r = run_config(config)
-    return SweepRow(config["maxgain"]["gamma"], r.train_accuracy, r.train_loss,
+def run_sweep_point(args):
+    """One gamma sweep point's SweepRow; takes (checked config carrying its gamma, train, test)."""
+    point, train, test = args
+    r = _run(point, train, test)
+    return SweepRow(point["maxgain"]["gamma"], r.train_accuracy, r.train_loss,
                     r.test_accuracy, r.test_loss, tuple(r.test_max_gains))
 
 
 def gamma_sweep(config, gammas, jobs=1):
     """Train one model per gamma with identical data and seeds: config with
-    its maxgain gamma replaced, every point checked before any trains.
-    Rows come back sorted by gamma."""
+    its maxgain gamma replaced, every point checked before any trains and
+    the splits built once. Rows come back sorted by gamma."""
     cfg = check_config(config)
-    points = [dict(cfg, maxgain=dict(cfg["maxgain"] or {}, gamma=g))
-              for g in sorted(float(g) for g in gammas)]
+    if cfg["maxgain"] is None:
+        raise ConfigError("sweep needs a \"maxgain\" section to carry the norm order")
+    if not cfg["test_dataset"]:
+        raise ConfigError("sweep needs a \"test_dataset\" to report test metrics")
+    points = [dict(cfg, maxgain=dict(cfg["maxgain"], gamma=g)) for g in sorted(float(g) for g in gammas)]
     if not points:
         raise EmptySampleError("gamma sweep needs at least one gamma")
     for point in points:
         build_maxgain(point)
-    return SweepResult(rows=tuple(run_jobs(run_sweep_point, points, jobs)))
+    train, test = build_dataset(cfg["dataset"]), build_dataset(cfg["test_dataset"])
+    return SweepResult(rows=tuple(run_jobs(run_sweep_point, [(p, train, test) for p in points], jobs)))

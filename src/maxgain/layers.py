@@ -19,6 +19,7 @@ every walk over a network (STAGE_TYPES lists the classes):
   (then the parts; hyper by keyword), learned ones copied (training
   updates them in place);
 - weight_param: the array a gain constraint rescales; only learned layers declare one;
+- min_batch: the fewest instances a train-mode batch may hold;
 - parts: attributes holding nested stage lists (None is empty), run as
   branches whose outputs add; cache and param_grads map each part to a list;
 - operator_norm(p, in_shape): the l_p operator norm of its eval-mode map on
@@ -146,6 +147,7 @@ class Stage:
     param_names = ()
     state = ()
     weight_param = None
+    min_batch = 1
     parts = ()
     config_keys = {}
 
@@ -405,6 +407,7 @@ class BatchNorm(Stage):
     param_names = ("alpha", "beta")
     state = ("running_mean", "running_var")
     weight_param = "alpha"
+    min_batch = 2
     config_keys = {"channels": SIZE}
 
     @staticmethod
@@ -456,8 +459,8 @@ class BatchNorm(Stage):
         # per-channel statistics reduce over every axis but 1
         axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
         if mode == "train":
-            if x.shape[0] < 2:
-                raise ShapeError("train-mode batchnorm needs a batch of at least 2")
+            if x.shape[0] < self.min_batch:
+                raise ShapeError(f"train-mode batchnorm needs a batch of at least {self.min_batch}")
             mu = x.mean(axis=axes)
             var = x.var(axis=axes)
             inv_std = 1.0 / np.sqrt(var + self.eps)

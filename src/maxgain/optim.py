@@ -242,9 +242,15 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if int(batch_size) < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    rng_shuffle, rng_dropout, rng_augment = spawn_rngs(seed, 3)
     n = train.x.shape[0]
-    n_layers = len(net.learned_layers())
+    smallest = n % int(batch_size) or int(batch_size)
+    layers = net.learned_layers()
+    need = max((st.min_batch for st in layers), default=1)
+    if smallest < need:
+        raise ConfigError(f"{n} training instances at batch_size {batch_size} leave a batch of "
+                          f"{smallest}, but the model needs train batches of at least {need}")
+    rng_shuffle, rng_dropout, rng_augment = spawn_rngs(seed, 3)
+    n_layers = len(layers)
     ledger = TrainingLedger()
     global_step = 0
     for epoch in range(1, int(epochs) + 1):

@@ -4,11 +4,12 @@ import json
 import os
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from maxgain import load_network, make_folds, make_rng, run_config, save_network
+from maxgain import cli, experiment, load_network, make_folds, make_rng, run_config, save_network
 from maxgain.cli import main
 
 
@@ -122,6 +123,18 @@ class TestTrain:
             ["1", "train"], ["1", "test"]]
         assert not (out / "checkpoint.txt").exists()
 
+    def test_one_instance_batchnorm_batch_is_refused_before_training(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, model=[{"type": "dense", "in": 2, "out": 8}, {"type": "batchnorm", "channels": 8},
+                             {"type": "relu"}, {"type": "dense", "in": 8, "out": 2}],
+            dataset={**BLOBS, "n": 33})
+        out = tmp_path / "run"
+        assert main(["train", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 33 training instances at batch_size 16 leave a batch of 1, "
+            "but the model needs train batches of at least 2\n")
+        assert list(out.iterdir()) == []
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
@@ -152,13 +165,23 @@ class TestSweep:
                      "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_needs_maxgain_section(self, tmp_path):
+    def test_needs_maxgain_section(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["sweep", str(config), "--gammas", "1"]) == 2
+        assert capsys.readouterr().err == 'error: sweep needs a "maxgain" section to carry the norm order\n'
 
-    def test_needs_test_dataset(self, tmp_path):
+    def test_needs_test_dataset(self, tmp_path, capsys):
         config = write_config(tmp_path, maxgain={"gamma": 1.0, "p": 2}, test_dataset=None)
         assert main(["sweep", str(config), "--gammas", "1"]) == 2
+        assert capsys.readouterr().err == 'error: sweep needs a "test_dataset" to report test metrics\n'
+
+    def test_builds_each_split_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, maxgain={"gamma": 1.0, "p": 2}, epochs=1)
+        built = mock.Mock(wraps=experiment.build_dataset)
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "build_dataset", built)
+        assert main(["sweep", str(config), "--gammas", "0.5,1,2", "--out", str(tmp_path / "s.tsv")]) == 0
+        assert built.call_count == 2
 
     def test_bad_gamma_list(self, tmp_path):
         config = write_config(tmp_path, maxgain={"gamma": 1.0, "p": 2})
@@ -277,17 +300,32 @@ class TestFolds:
         assert main(["folds", str(config), "--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_protocol_size_mismatch(self, tmp_path):
+    def test_protocol_size_mismatch(self, tmp_path, capsys):
         config = self.fold_args(tmp_path)
         folds_path = tmp_path / "folds.json"
         doc = {"format": "maxgain-folds", "version": 1, "n_instances": 10,
                "folds": [{"train": [0, 1], "test": [2]}]}
         folds_path.write_text(json.dumps(doc))
         assert main(["folds", str(config), "--folds-file", str(folds_path)]) == 2
+        assert capsys.readouterr().err == "error: fold protocol covers 10 instances, dataset has 60\n"
 
     def test_missing_folds_section(self, tmp_path):
         config = write_config(tmp_path, test_dataset=None)
         assert main(["folds", str(config)]) == 2
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_dataset_is_built_once(self, tmp_path, monkeypatch, from_file):
+        config = self.fold_args(tmp_path)
+        folds_path = tmp_path / "folds.json"
+        argv = ["folds", str(config), "--out", str(tmp_path / "scores.tsv")]
+        if from_file:
+            make_folds(60, 2, 20, 8, make_rng(1)).save(folds_path)
+            argv += ["--folds-file", str(folds_path)]
+        built = mock.Mock(wraps=experiment.build_dataset)
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "build_dataset", built)
+        assert main(argv) == 0
+        assert built.call_count == 1
 
 
 def write_scores(path, pairs):
@@ -481,6 +519,9 @@ class TestUsageErrors:
         ([{"train": [0, 1], "test": [2]}, {"train": [2, 3], "test": [4]}], "instance 2"),
         ([], "fold list is empty"),
         ([Repeats(("train", [0, 1]), ("test", [2]), ("test", [3]))], "repeated key 'test'"),
+        ([{"train": [], "test": [1, 2]}], "folds.json: fold 0 has an empty train list"),
+        ([{"train": [0, 1], "test": [2]}, {"train": [3], "test": []}],
+         "folds.json: fold 1 has an empty test list"),
     ])
     def test_malformed_folds_file_exits_2(self, tmp_path, capsys, folds, named):
         config = write_config(tmp_path, epochs=1, test_dataset=None, dataset={**BLOBS, "n": 60})

@@ -378,6 +378,11 @@ class TestFolds:
         ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
           "folds": [{"train": [0, 1], "test": [2]}, {"train": [3, 4], "test": [1]}]},
          "instance 1 is used twice"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [], "test": [2]}]}, "fold 0 has an empty train list"),
+        ({"format": "maxgain-folds", "version": 1, "n_instances": 10,
+          "folds": [{"train": [0, 1], "test": [2]}, {"train": [3], "test": []}]},
+         "fold 1 has an empty test list"),
     ])
     def test_load_rejects_malformed_protocols(self, tmp_path, doc, named):
         path = tmp_path / "folds.json"

@@ -4,6 +4,7 @@ import math
 import re
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from maxgain import (
     check_config,
     eval_metrics,
     gamma_sweep,
+    make_folds,
     make_rng,
     network_to_text,
     parse_norm_order,
@@ -58,6 +60,9 @@ def idx_dataset(tmp_path, stem, n, side, rng):
         struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes())
     return {"type": "idx", "images": str(tmp_path / f"{stem}-images"),
             "labels": str(tmp_path / f"{stem}-labels")}
+
+
+BLOBS_TEST = {"type": "blobs", "n": 32, "seed": 6, "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5}
 
 
 def base_config(**overrides):
@@ -396,10 +401,32 @@ class TestGammaSweep:
         config = base_config(maxgain={"gamma": 1.0},
                              test_dataset={"type": "blobs", "n": 32, "seed": 6,
                                            "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5})
-        monkeypatch.setattr(experiment, "run_config", lambda config: pytest.fail("trained"))
+        monkeypatch.setattr(experiment, "fit", lambda *args, **kwargs: pytest.fail("trained"))
         with pytest.raises(ConfigError, match="gamma") as err:
             gamma_sweep(config, [1.0, gamma])
         assert "maxgain" in str(err.value)
+
+    @pytest.mark.parametrize("drop, message", [
+        ("maxgain", 'sweep needs a "maxgain" section to carry the norm order'),
+        ("test_dataset", 'sweep needs a "test_dataset" to report test metrics'),
+    ])
+    def test_config_without_a_needed_section_is_refused_before_training(self, monkeypatch, drop, message):
+        config = base_config(maxgain={"gamma": 1.0}, test_dataset=BLOBS_TEST)
+        del config[drop]
+        monkeypatch.setattr(experiment, "fit", lambda *args, **kwargs: pytest.fail("trained"))
+        with pytest.raises(ConfigError) as err:
+            gamma_sweep(config, [1.0])
+        assert str(err.value) == message
+
+    def test_splits_are_built_once_for_every_gamma(self, monkeypatch):
+        config = base_config(epochs=1, maxgain={"gamma": 1.0}, test_dataset=BLOBS_TEST)
+        built = mock.Mock(wraps=experiment.build_dataset)
+        monkeypatch.setattr(experiment, "build_dataset", built)
+        rows = gamma_sweep(config, [0.5, 1.0, 2.0]).rows
+        assert len(rows) == 3
+        assert [c.args for c in built.call_args_list] == [(config["dataset"],), (BLOBS_TEST,)]
+        monkeypatch.undo()
+        assert rows[1] == gamma_sweep(config, [1.0]).rows[0]
 
     def test_parallel_matches_serial(self):
         config = base_config(epochs=2,
@@ -442,6 +469,20 @@ class TestFolds:
     def test_missing_folds_section(self):
         with pytest.raises(ConfigError):
             run_folds(base_config())
+
+    def test_dataset_is_built_once_for_every_fold(self, monkeypatch):
+        built = mock.Mock(wraps=experiment.build_dataset)
+        monkeypatch.setattr(experiment, "build_dataset", built)
+        assert len(run_folds(self.fold_config()).scores) == 3
+        assert built.call_count == 1
+
+    def test_protocol_for_another_dataset_is_refused_before_training(self, monkeypatch):
+        config = self.fold_config()
+        protocol = make_folds(32, 2, 10, 6, make_rng(0))
+        monkeypatch.setattr(experiment, "fit", lambda *args, **kwargs: pytest.fail("trained"))
+        with pytest.raises(ConfigError) as err:
+            run_folds(config, protocol=protocol)
+        assert str(err.value) == "fold protocol covers 32 instances, dataset has 100"
 
     def test_explicit_protocol_is_used(self):
         config = self.fold_config()

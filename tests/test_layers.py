@@ -154,6 +154,16 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=0), 1.0, atol=1e-3)
 
+    def test_train_batch_below_the_declared_minimum_is_refused(self, monkeypatch):
+        layer = BatchNorm(np.ones(2), np.zeros(2))
+        assert layer.min_batch == 2
+        with pytest.raises(ShapeError, match="at least 2"):
+            layer.forward(np.ones((1, 2)), "train")
+        layer.forward(np.ones((1, 2)), "eval")
+        monkeypatch.setattr(BatchNorm, "min_batch", 3)
+        with pytest.raises(ShapeError, match="at least 3"):
+            layer.forward(np.ones((2, 2)), "train")
+
     def test_running_stats_update(self):
         layer = BatchNorm(np.ones(2), np.zeros(2), momentum=0.9)
         x = np.array([[1.0, 10.0], [3.0, 30.0]])

@@ -487,6 +487,32 @@ class TestFit:
             train_step(straight, xb, yb, straight_opt, 0.01, maxgain=cfg)
         assert network_to_text(twin) == network_to_text(net) == network_to_text(straight) != at_copy
 
+    @pytest.mark.parametrize("n, batch_size, need, smallest", [(33, 16, 2, 1), (1, 16, 2, 1), (35, 16, 4, 3)])
+    def test_batch_below_a_stages_minimum_is_refused_before_the_first_step(
+            self, monkeypatch, n, batch_size, need, smallest):
+        rng = make_rng(50)
+        net = Network([Dense(init_weights((4, 2), "he-normal", rng), np.zeros(4)),
+                       BatchNorm(np.ones(4), np.zeros(4)), ReLU(),
+                       Dense(init_weights((2, 4), "he-normal", rng), np.zeros(2))])
+        monkeypatch.setattr(BatchNorm, "min_batch", need)
+        monkeypatch.setattr(optim, "train_step", lambda *args, **kwargs: pytest.fail("stepped"))
+        with pytest.raises(ConfigError) as err:
+            fit(net, blob_data(51, n=n), optimizer=Adam(), schedule=Schedule(0.01),
+                epochs=1, batch_size=batch_size)
+        assert str(err.value) == (f"{n} training instances at batch_size {batch_size} leave a batch of "
+                                  f"{smallest}, but the model needs train batches of at least {need}")
+
+    @pytest.mark.parametrize("batchnorm, n", [(True, 34), (True, 32), (False, 33)])
+    def test_every_batch_at_a_stages_minimum_trains(self, batchnorm, n):
+        rng = make_rng(52)
+        stages = [Dense(init_weights((4, 2), "he-normal", rng), np.zeros(4)), ReLU(),
+                  Dense(init_weights((2, 4), "he-normal", rng), np.zeros(2))]
+        if batchnorm:
+            stages.insert(1, BatchNorm(np.ones(4), np.zeros(4)))
+        ledger = fit(Network(stages), blob_data(53, n=n), optimizer=Adam(), schedule=Schedule(0.01),
+                     epochs=1, batch_size=16)
+        assert [r.split for r in ledger.records] == ["train"]
+
     def test_separable_blobs_reach_full_accuracy(self):
         net = small_mlp(12)
         data = blob_data(13, n=128)

@@ -11,6 +11,10 @@ this file sits in:
   residual block with a projection shortcut, overlapping max pooling, dropout
   and a dense classifier, SGD with flip and pad-crop augmentation.
 
+On idx it also runs `folds --save-folds`, `folds --folds-file --jobs 2` at a
+second gamma on the saved protocol, and `ttest` between the two score files,
+whose stdout it digests too.
+
 Outputs are deterministic, so two checkouts that behave alike print the same
 lines; diff them to check a change that should not alter results. Needs
 numpy only. Takes about half a minute.
@@ -71,6 +75,7 @@ IDX = {
     "batch_size": 16,
     "maxgain": {"gamma": 1.5, "p": "inf"},
     "augment": {"flip": True, "pad": 1, "crop": 8},
+    "folds": {"k": 3, "train_per_fold": 24, "test_per_fold": 8, "seed": 5},
     "dataset": {"type": "idx", "images": "train-images", "labels": "train-labels"},
     "test_dataset": {"type": "idx", "images": "test-images", "labels": "test-labels"},
 }
@@ -90,14 +95,16 @@ def write_idx(directory, stem, n, rng):
 
 
 def cli(directory, *args):
+    """The stdout of the maxgain command line run in directory with args."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    subprocess.run([sys.executable, "-m", "maxgain.cli", *args], cwd=directory, env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-m", "maxgain.cli", *args], cwd=directory, env=env,
+                          check=True, stdout=subprocess.PIPE).stdout
 
 
 def digests(directory, config, gammas):
     """[(file, sha256)] of the train, sweep (over the comma-separated gammas)
-    and gain-report outputs of config."""
+    and gain-report outputs of config, then of its fold outputs if it has
+    a folds section."""
     (directory / "config.json").write_text(json.dumps(config))
     cli(directory, "train", "config.json", "--out", "run")
     cli(directory, "sweep", "config.json", "--gammas", gammas, "--jobs", "1", "--out", "sweep.tsv")
@@ -106,6 +113,14 @@ def digests(directory, config, gammas):
         cli(directory, "gain-report", "run/checkpoint.txt", "config.json", "--norm", norm,
             "--out", f"gain-report-{norm}.tsv")
         outputs.append(f"gain-report-{norm}.tsv")
+    if "folds" in config:
+        other = dict(config, maxgain=dict(config["maxgain"], gamma=4.0))
+        (directory / "config-b.json").write_text(json.dumps(other))
+        cli(directory, "folds", "config.json", "--save-folds", "folds.json", "--out", "folds-a.tsv")
+        cli(directory, "folds", "config-b.json", "--folds-file", "folds.json", "--jobs", "2",
+            "--out", "folds-b.tsv")
+        (directory / "ttest.txt").write_bytes(cli(directory, "ttest", "folds-a.tsv", "folds-b.tsv"))
+        outputs += ["folds.json", "folds-a.tsv", "folds-b.tsv", "ttest.txt"]
     return [(out, hashlib.sha256((directory / out).read_bytes()).hexdigest()) for out in outputs]
 
 
