@@ -56,6 +56,7 @@ from .experiment import (
     build_network,
     build_optimizer,
     build_schedule,
+    build_splits,
     check_config,
     gamma_sweep,
     parse_norm_order,

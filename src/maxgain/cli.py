@@ -13,7 +13,6 @@ import sys
 from .checkpoint import load_network, save_network
 from .data import FoldProtocol, read_json, write_text
 from .errors import (
-    AdjointMismatchError,
     CacheError,
     ConfigError,
     DegenerateSampleError,
@@ -24,21 +23,11 @@ from .errors import (
     ShapeError,
 )
 from .evaluate import gain_report, paired_t_test
-from .experiment import (
-    CONFIG_FIELDS,
-    FoldScores,
-    build_dataset,
-    build_fold_protocol,
-    check_config,
-    gamma_sweep,
-    run_config,
-    run_folds,
-)
-from .layers import parse_fields
+from .experiment import FoldScores, build_splits, check_config, gamma_sweep, run_config, run_folds
 
 _USAGE_ERRORS = (ConfigError, FormatError, ShapeError, EmptySampleError, DegenerateSampleError,
                  FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
-_NUMERIC_ERRORS = (DivergenceError, InvalidValueError, AdjointMismatchError, CacheError)
+_NUMERIC_ERRORS = (DivergenceError, InvalidValueError, CacheError)
 
 
 def _write_or_print(text, out_path):
@@ -84,12 +73,9 @@ def cmd_train(args):
 
 def _parse_gammas(text):
     try:
-        gammas = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--gammas must be a comma-separated list of numbers, got {text!r}") from None
-    if not gammas:
-        raise ConfigError("--gammas is empty")
-    return gammas
 
 
 def cmd_sweep(args):
@@ -104,13 +90,7 @@ _NORMS = {"1": 1, "2": 2, "inf": math.inf}
 
 def cmd_gain_report(args):
     net = load_network(args.checkpoint)
-    # the report reads the datasets only, and either one may be absent
-    optional = CONFIG_FIELDS["test_dataset"]
-    specs = parse_fields("config", {"dataset": optional, "test_dataset": optional},
-                         read_json(args.config), ConfigError, CONFIG_FIELDS)
-    train, test = (build_dataset(spec) if spec else None for spec in specs.values())
-    if train is None and test is None:
-        raise ConfigError("gain-report needs a dataset or test_dataset in the config")
+    train, test = build_splits(read_json(args.config))
     report = gain_report(net, train, test, _NORMS[args.norm])
     _write_or_print(report.to_text(), args.out)
     return 0
@@ -119,11 +99,9 @@ def cmd_gain_report(args):
 def cmd_folds(args):
     config = _training_config(args)
     protocol = FoldProtocol.load(args.folds_file) if args.folds_file else None
-    if args.save_folds and protocol is None:
-        protocol = build_fold_protocol(config, build_dataset(config["dataset"]))
     scores = run_folds(config, protocol, jobs=args.jobs)
     if args.save_folds:
-        protocol.save(args.save_folds)
+        scores.protocol.save(args.save_folds)
     _write_or_print(scores.to_text(), args.out)
     return 0
 
@@ -141,7 +119,7 @@ def cmd_ttest(args):
     k = len(folds)
     for path, vals in ((args.scores_a, a), (args.scores_b, b)):
         mean = sum(vals) / k
-        var = sum((v - mean) ** 2 for v in vals) / (k - 1) if k > 1 else 0.0
+        var = sum((v - mean) ** 2 for v in vals) / (k - 1)
         se = math.sqrt(var / k)
         print(f"{path}: mean {mean:.6g} se {se:.6g} ({k} folds)")
     print(f"t {result.t:.6g} df {result.df} p {result.p:.6g}")

@@ -12,7 +12,7 @@ spawned from the same seed inside fit().
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .data import augment, cell, load_csv, load_idx, make_folds, synth_blobs, synth_spirals, tsv
 from .errors import ConfigError, EmptySampleError, FormatError, InvalidValueError, ShapeError
@@ -138,6 +138,17 @@ def build_dataset(spec):
         return load_csv(a["path"], a["label_col"], a["feature_cols"])
 
 
+def build_splits(config):
+    """The (train, test) datasets of config's "dataset" and "test_dataset",
+    None where one is absent; a config with neither is a ConfigError."""
+    optional = CONFIG_FIELDS["test_dataset"]
+    specs = parse_fields("config", {"dataset": optional, "test_dataset": optional}, config, ConfigError,
+                         CONFIG_FIELDS)
+    if not any(specs.values()):
+        raise ConfigError("config needs a dataset or test_dataset")
+    return tuple(build_dataset(spec) if spec else None for spec in specs.values())
+
+
 def build_optimizer(config):
     """Adam, or SGD at momentum 0.9 unless the config sets one; only sgd takes a momentum."""
     cfg = _fields(config, "optimizer", "momentum")
@@ -209,13 +220,11 @@ def run_config(config):
     """Build everything from a config dict, train, and score. The test loss
     and accuracy are fit's last test row, taken on the final weights."""
     cfg = check_config(config)
-    train = build_dataset(cfg["dataset"])
-    return _run(cfg, train, build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None)
+    return _run(cfg, *build_splits(cfg), build_maxgain(cfg))
 
 
-def _run(cfg, train, test):
-    """run_config on the checked config cfg and its built splits."""
-    maxgain = build_maxgain(cfg)
+def _run(cfg, train, test, maxgain):
+    """run_config on the checked config cfg, its built splits and constraint."""
     net, ledger = _train(cfg, train, cfg["seed"], maxgain, test)
     train_loss, train_acc = eval_metrics(net, train.x, train.y)
     result = RunResult(net=net, ledger=ledger, train_loss=train_loss, train_accuracy=train_acc)
@@ -229,9 +238,11 @@ def _run(cfg, train, test):
 
 @dataclass(frozen=True)
 class FoldScores:
-    """Per-fold test accuracies of one configuration."""
+    """Per-fold test accuracies of one configuration, and the FoldProtocol
+    run_folds ran (None when loaded from a file)."""
 
     scores: tuple  # (fold_index, accuracy) pairs
+    protocol: object = field(default=None, compare=False)
 
     def to_text(self):
         return tsv([tuple(_SCORE_FIELDS), *self.scores])
@@ -281,11 +292,13 @@ def run_fold_point(args):
 
 def run_jobs(fn, tasks, jobs):
     """[fn(t) for t in tasks], mapped over a pool of `jobs` worker processes
-    when jobs > 1; results keep the order of tasks either way."""
+    when jobs > 1, one chunk of tasks per worker, so data the tasks of a
+    chunk share is sent once; results keep the order of tasks either way."""
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        tasks = list(tasks)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
+            return list(pool.map(fn, tasks, chunksize=max(1, math.ceil(len(tasks) / jobs))))
     return [fn(t) for t in tasks]
 
 
@@ -294,7 +307,7 @@ def run_folds(config, protocol=None, jobs=1):
 
     The dataset is built once and a protocol of another size refused. Each
     fold trains a fresh network with seed (config seed + fold index).
-    Returns FoldScores ordered by fold index.
+    Returns FoldScores ordered by fold index, carrying the protocol.
     """
     cfg = check_config(config)
     dataset = build_dataset(cfg["dataset"])
@@ -304,7 +317,7 @@ def run_folds(config, protocol=None, jobs=1):
         raise ConfigError(f"fold protocol covers {protocol.n_instances} instances, dataset has {len(dataset)}")
     tasks = ((cfg, f, dataset.subset(fold.train), dataset.subset(fold.test))
              for f, fold in enumerate(protocol.folds))
-    return FoldScores(scores=tuple(run_jobs(run_fold_point, tasks, jobs)))
+    return FoldScores(scores=tuple(run_jobs(run_fold_point, tasks, jobs)), protocol=protocol)
 
 
 @dataclass(frozen=True)
@@ -329,26 +342,25 @@ class SweepResult:
 
 
 def run_sweep_point(args):
-    """One gamma sweep point's SweepRow; takes (checked config carrying its gamma, train, test)."""
-    point, train, test = args
-    r = _run(point, train, test)
-    return SweepRow(point["maxgain"]["gamma"], r.train_accuracy, r.train_loss,
+    """One gamma sweep point's SweepRow; takes (checked config, its MaxGainConfig, train, test)."""
+    cfg, maxgain, train, test = args
+    r = _run(cfg, train, test, maxgain)
+    return SweepRow(maxgain.gamma, r.train_accuracy, r.train_loss,
                     r.test_accuracy, r.test_loss, tuple(r.test_max_gains))
 
 
 def gamma_sweep(config, gammas, jobs=1):
     """Train one model per gamma with identical data and seeds: config with
-    its maxgain gamma replaced, every point checked before any trains and
-    the splits built once. Rows come back sorted by gamma."""
+    its maxgain gamma replaced, every point's constraint built before any
+    trains and the splits built once. Rows come back sorted by gamma."""
     cfg = check_config(config)
     if cfg["maxgain"] is None:
         raise ConfigError("sweep needs a \"maxgain\" section to carry the norm order")
     if not cfg["test_dataset"]:
         raise ConfigError("sweep needs a \"test_dataset\" to report test metrics")
-    points = [dict(cfg, maxgain=dict(cfg["maxgain"], gamma=g)) for g in sorted(float(g) for g in gammas)]
+    with _building("maxgain"):
+        points = [MaxGainConfig(**dict(cfg["maxgain"], gamma=g)) for g in sorted(float(g) for g in gammas)]
     if not points:
         raise EmptySampleError("gamma sweep needs at least one gamma")
-    for point in points:
-        build_maxgain(point)
-    train, test = build_dataset(cfg["dataset"]), build_dataset(cfg["test_dataset"])
-    return SweepResult(rows=tuple(run_jobs(run_sweep_point, [(p, train, test) for p in points], jobs)))
+    train, test = build_splits(cfg)
+    return SweepResult(rows=tuple(run_jobs(run_sweep_point, [(cfg, m, train, test) for m in points], jobs)))

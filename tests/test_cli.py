@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from maxgain import cli, experiment, load_network, make_folds, make_rng, run_config, save_network
+from maxgain import experiment, load_network, make_folds, make_rng, run_config, save_network
 from maxgain.cli import main
 
 
@@ -34,6 +34,13 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return path
+
+
+def write_8x8_idx(tmp_path):
+    """Eight 8x8 one-channel IDX images of two classes; returns their dataset spec."""
+    (tmp_path / "images").write_bytes(struct.pack(">IIII", 0x803, 8, 8, 8) + bytes(range(0, 256, 4)) * 8)
+    (tmp_path / "labels").write_bytes(struct.pack(">II", 0x801, 8) + bytes([0, 1] * 4))
+    return {"type": "idx", "images": str(tmp_path / "images"), "labels": str(tmp_path / "labels")}
 
 
 class TestTrain:
@@ -85,18 +92,23 @@ class TestTrain:
 
     def test_crop_the_model_cannot_evaluate_at_full_size_exits_2(self, tmp_path, capsys):
         # 8x8 images whose dense layer takes the full image, cropped to 6x6
-        (tmp_path / "images").write_bytes(struct.pack(">IIII", 0x803, 8, 8, 8) + bytes(range(0, 256, 4)) * 8)
-        (tmp_path / "labels").write_bytes(struct.pack(">II", 0x801, 8) + bytes([0, 1] * 4))
         config = write_config(
-            tmp_path, augment={"pad": 1, "crop": 6}, test_dataset=None,
+            tmp_path, augment={"pad": 1, "crop": 6}, test_dataset=None, dataset=write_8x8_idx(tmp_path),
             model=[{"type": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 1}, {"type": "relu"},
-                   {"type": "flatten"}, {"type": "dense", "in": 128, "out": 2}],
-            dataset={"type": "idx", "images": str(tmp_path / "images"),
-                     "labels": str(tmp_path / "labels")})
+                   {"type": "flatten"}, {"type": "dense", "in": 128, "out": 2}])
         out = tmp_path / "o"
         assert main(["train", str(config), "--out", str(out)]) == 2
         assert "'crop' in augment" in capsys.readouterr().err
         assert not (out / "ledger.tsv").exists()
+
+    def test_crop_that_changes_the_output_shape_exits_2(self, tmp_path, capsys):
+        # a conv then flatten gives 2*6*6 values on 6x6 crops, 2*8*8 on the full 8x8 images
+        config = write_config(
+            tmp_path, augment={"crop": 6}, test_dataset=None, dataset=write_8x8_idx(tmp_path),
+            model=[{"type": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 1}, {"type": "flatten"}])
+        assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: bad 'crop' in augment: 6x6 crops and (1, 8, 8) instances "
+                                           "give different output shapes\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exits_3(self, tmp_path, capsys):
@@ -178,15 +190,16 @@ class TestSweep:
     def test_builds_each_split_once(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, maxgain={"gamma": 1.0, "p": 2}, epochs=1)
         built = mock.Mock(wraps=experiment.build_dataset)
-        for module in (cli, experiment):
-            monkeypatch.setattr(module, "build_dataset", built)
+        monkeypatch.setattr(experiment, "build_dataset", built)
         assert main(["sweep", str(config), "--gammas", "0.5,1,2", "--out", str(tmp_path / "s.tsv")]) == 0
         assert built.call_count == 2
 
-    def test_bad_gamma_list(self, tmp_path):
+    def test_bad_gamma_list(self, tmp_path, capsys):
         config = write_config(tmp_path, maxgain={"gamma": 1.0, "p": 2})
         assert main(["sweep", str(config), "--gammas", "abc"]) == 2
+        capsys.readouterr()
         assert main(["sweep", str(config), "--gammas", ","]) == 2
+        assert capsys.readouterr().err == "error: gamma sweep needs at least one gamma\n"
 
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -230,6 +243,17 @@ class TestGainReport:
         assert main(["gain-report", str(checkpoint), str(config),
                      "--norm", "inf", "--out", str(out2)]) == 0
         assert out1.read_text() != out2.read_text()
+
+    @pytest.mark.parametrize("splits", [("dataset", "test_dataset"), ("test_dataset",)], ids=["both", "test"])
+    def test_builds_each_given_split_once(self, tmp_path, monkeypatch, splits):
+        checkpoint, config = self.train_checkpoint(tmp_path)
+        specs = json.loads(config.read_text())
+        given = tmp_path / "given.json"
+        given.write_text(json.dumps({k: specs[k] for k in splits}))
+        built = mock.Mock(wraps=experiment.build_dataset)
+        monkeypatch.setattr(experiment, "build_dataset", built)
+        assert main(["gain-report", str(checkpoint), str(given), "--out", str(tmp_path / "r.tsv")]) == 0
+        assert [c.args for c in built.call_args_list] == [(specs[k],) for k in splits]
 
     def test_missing_checkpoint(self, tmp_path):
         config = write_config(tmp_path)
@@ -313,19 +337,24 @@ class TestFolds:
         config = write_config(tmp_path, test_dataset=None)
         assert main(["folds", str(config)]) == 2
 
-    @pytest.mark.parametrize("from_file", [False, True])
-    def test_dataset_is_built_once(self, tmp_path, monkeypatch, from_file):
+    @pytest.mark.parametrize("from_file, save", [(False, False), (True, False), (False, True)],
+                             ids=["False", "True", "save-folds"])
+    def test_dataset_is_built_once(self, tmp_path, monkeypatch, from_file, save):
         config = self.fold_args(tmp_path)
         folds_path = tmp_path / "folds.json"
         argv = ["folds", str(config), "--out", str(tmp_path / "scores.tsv")]
         if from_file:
             make_folds(60, 2, 20, 8, make_rng(1)).save(folds_path)
             argv += ["--folds-file", str(folds_path)]
+        if save:
+            argv += ["--save-folds", str(tmp_path / "saved.json")]
         built = mock.Mock(wraps=experiment.build_dataset)
-        for module in (cli, experiment):
-            monkeypatch.setattr(module, "build_dataset", built)
+        monkeypatch.setattr(experiment, "build_dataset", built)
         assert main(argv) == 0
         assert built.call_count == 1
+        if save:  # the protocol the config's folds section makes
+            make_folds(60, 2, 20, 8, make_rng(1)).save(folds_path)
+            assert (tmp_path / "saved.json").read_bytes() == folds_path.read_bytes()
 
 
 def write_scores(path, pairs):

@@ -1,5 +1,6 @@
 """Config-driven experiment assembly and the sweep/fold drivers."""
 
+import copyreg
 import math
 import re
 import struct
@@ -14,8 +15,10 @@ from maxgain import (
     BatchNorm,
     ConfigError,
     Conv2d,
+    Dataset,
     Dense,
     Dropout,
+    FoldScores,
     MaxPool2d,
     ReLU,
     ResidualBlock,
@@ -26,6 +29,7 @@ from maxgain import (
     build_network,
     build_optimizer,
     build_schedule,
+    build_splits,
     check_config,
     eval_metrics,
     gamma_sweep,
@@ -197,6 +201,16 @@ class TestBuilders:
             build_dataset({"type": "parquet"})
         with pytest.raises(ConfigError):
             build_dataset({"type": "blobs", "n": 20})  # centers missing
+
+    def test_splits_builder(self):
+        train, test = build_splits(base_config())
+        assert (len(train), test) == (64, None)
+        train, test = build_splits({"test_dataset": BLOBS_TEST})
+        assert (train, len(test)) == (None, 32)
+        with pytest.raises(ConfigError, match="^config needs a dataset or test_dataset$"):
+            build_splits({"epochs": 2, "test_dataset": None})
+        with pytest.raises(ConfigError, match="unknown key 'datasets'"):
+            build_splits({"datasets": BLOBS_TEST})
 
     def test_dataset_seed_isolated_from_training_seed(self):
         a = build_dataset({"type": "spirals", "n": 25, "seed": 9})
@@ -428,6 +442,21 @@ class TestGammaSweep:
         monkeypatch.undo()
         assert rows[1] == gamma_sweep(config, [1.0]).rows[0]
 
+    def test_parallel_sweep_sends_each_split_once_per_worker(self, monkeypatch):
+        config = base_config(epochs=1, maxgain={"gamma": 1.0}, test_dataset=BLOBS_TEST)
+        gammas = [0.25, 0.5, 1.0, 2.0, 4.0]
+        pickled = []
+
+        def counting_reduce(dataset):
+            pickled.append(len(dataset))
+            return Dataset, (dataset.x, dataset.y, dataset.class_count)
+
+        monkeypatch.setitem(copyreg.dispatch_table, Dataset, counting_reduce)
+        parallel = gamma_sweep(config, gammas, jobs=2)
+        monkeypatch.undo()
+        assert len(pickled) <= 4  # the two splits, once to each of two workers
+        assert parallel.rows == gamma_sweep(config, gammas, jobs=1).rows
+
     def test_parallel_matches_serial(self):
         config = base_config(epochs=2,
                              maxgain={"gamma": 1.0, "p": 2},
@@ -483,6 +512,17 @@ class TestFolds:
         with pytest.raises(ConfigError) as err:
             run_folds(config, protocol=protocol)
         assert str(err.value) == "fold protocol covers 32 instances, dataset has 100"
+
+    def test_scores_carry_the_protocol_they_ran(self, tmp_path):
+        config = self.fold_config()
+        scores = run_folds(config, jobs=2)
+        scores.protocol.save(tmp_path / "ran.json")
+        build_fold_protocol(config, build_dataset(config["dataset"])).save(tmp_path / "made.json")
+        assert (tmp_path / "ran.json").read_bytes() == (tmp_path / "made.json").read_bytes()
+        # the protocol stays out of comparisons, and a loaded file has none
+        assert scores == FoldScores(scores.scores) and hash(scores) == hash(FoldScores(scores.scores))
+        (tmp_path / "scores.tsv").write_text(scores.to_text())
+        assert FoldScores.load(tmp_path / "scores.tsv").protocol is None
 
     def test_explicit_protocol_is_used(self):
         config = self.fold_config()

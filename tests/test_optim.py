@@ -375,6 +375,15 @@ class TestTrainStep:
         with pytest.raises(InvalidValueError, match="logits contains non-finite values"):
             softmax_cross_entropy(np.array([[0.0, np.inf]]), np.array([0]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_logits_with_an_infinite_loss_raise_divergence(self):
+        # logits of +-1e308 are finite, but the true class trails by 2e308
+        net = Network([Dense(np.array([[1e308], [-1e308]]), np.zeros(2))])
+        before = network_to_text(net)
+        with pytest.raises(DivergenceError, match="^non-finite training loss inf$"):
+            train_step(net, np.array([[1.0], [1.0]]), np.array([1, 1]), SgdNesterov(0.0), 0.1)
+        assert network_to_text(net) == before
+
     @pytest.mark.parametrize("labels, error", [
         (np.array([0.0, 1.0, 0.0, 1.0]), InvalidValueError),
         (np.array([0, 2, 0, 1]), IndexError),

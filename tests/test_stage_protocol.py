@@ -533,8 +533,19 @@ def test_network_walkers_name_no_stage_class(module):
     classes) walk networks through the declarations on the stage classes
     (parts, weight_param, operator_norm, out_shape), so each stage type is
     described once, in layers.py."""
-    path = SRC / module
     forbidden = {cls.__name__ for cls in STAGE_TYPES.values()} | {"LEARNED_TYPES"}
+    assert _names(SRC / module) & forbidden == set()
+
+
+def test_cli_names_no_config_table_or_builder():
+    """cli.py loads inputs, calls one driver and writes outputs; the drivers
+    in experiment.py parse the config sections and build each command's data."""
+    forbidden = {"CONFIG_FIELDS", "parse_fields", "build_dataset", "build_fold_protocol"}
+    assert _names(SRC / "cli.py") & forbidden == set()
+
+
+def _names(path):
+    """Every name, attribute and imported name the module at path uses."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
@@ -543,7 +554,7 @@ def test_network_walkers_name_no_stage_class(module):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name.rsplit(".", 1)[-1])
-    assert names & forbidden == set()
+    return names
 
 
 def _name(node):

@@ -2,9 +2,10 @@
 
     python3 tools/output_digests.py
 
-Runs `train`, `sweep --jobs 1` and `gain-report --norm 1|2|inf` in a
-temporary directory on two configs, using the `src/maxgain` of the checkout
-this file sits in:
+Runs `train`, `sweep --jobs 1`, `sweep --jobs 2` at one more gamma and
+`gain-report --norm 1|2|inf` in a temporary directory on two configs, and
+`gain-report` on a config that holds only the test split, using the
+`src/maxgain` of the checkout this file sits in:
 
 - spiral: the example config of README.md (a 2-64-64-2 MLP, Adam, 200 epochs);
 - idx: seeded 8x8 IDX images this script writes, through conv, batchnorm, a
@@ -106,6 +107,7 @@ def digests(directory, config, gammas):
     and gain-report outputs of config, then of its fold outputs if it has
     a folds section."""
     (directory / "config.json").write_text(json.dumps(config))
+    (directory / "config-test.json").write_text(json.dumps({"test_dataset": config["test_dataset"]}))
     cli(directory, "train", "config.json", "--out", "run")
     cli(directory, "sweep", "config.json", "--gammas", gammas, "--jobs", "1", "--out", "sweep.tsv")
     outputs = ["run/ledger.tsv", "run/checkpoint.txt", "sweep.tsv"]
@@ -113,6 +115,10 @@ def digests(directory, config, gammas):
         cli(directory, "gain-report", "run/checkpoint.txt", "config.json", "--norm", norm,
             "--out", f"gain-report-{norm}.tsv")
         outputs.append(f"gain-report-{norm}.tsv")
+    # three points on two workers: one worker's chunk holds two of them
+    cli(directory, "sweep", "config.json", "--gammas", f"{gammas},2", "--jobs", "2", "--out", "sweep-jobs-2.tsv")
+    cli(directory, "gain-report", "run/checkpoint.txt", "config-test.json", "--out", "gain-report-test.tsv")
+    outputs += ["sweep-jobs-2.tsv", "gain-report-test.tsv"]
     if "folds" in config:
         other = dict(config, maxgain=dict(config["maxgain"], gamma=4.0))
         (directory / "config-b.json").write_text(json.dumps(other))
