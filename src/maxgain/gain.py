@@ -24,15 +24,36 @@ from .layers import stages_operator_norm
 from .tensor import DTYPE, check_norm_order, make_rng
 
 
+# Entries batch_norms squares (or takes abs of) at a time: as many whole
+# instances as fit, but at least one. Each chunk's pass stays in cache, and
+# no call allocates a temporary of the whole batch's size.
+_NORM_CHUNK = 1 << 15
+
+
 def batch_norms(arr, p):
-    """Per-instance p-norms of a batch, flattening everything past axis 0."""
+    """Per-instance p-norms of a batch, over everything past axis 0.
+
+    Each instance's entries are summed in the order they are stored: the
+    instance axes are taken by decreasing stride, and one elementwise pass
+    (abs, or the square for p=2) writes a chunk of instances into a compact
+    C-order array whose rows are then reduced. A channels-last view, such
+    as a conv's gain input, is read once and never copied in logical order.
+    On C-contiguous input this is the row sum of the flattened batch; on
+    other layouts it differs from that only in rounding. An instance's norm
+    is the same alone as in a batch of any size.
+    """
     check_norm_order(p)
-    flat = np.asarray(arr, dtype=DTYPE).reshape(arr.shape[0], -1)
-    if p == 1:
-        return np.abs(flat).sum(axis=1)
-    if p == 2:
-        return np.sqrt((flat * flat).sum(axis=1))
-    return np.abs(flat).max(axis=1)
+    arr = np.asarray(arr, dtype=DTYPE)
+    if not arr.flags.c_contiguous:  # else storage order is the logical one
+        arr = arr.transpose(0, *sorted(range(1, arr.ndim), key=lambda a: -abs(arr.strides[a])))
+    entry = np.square if p == 2 else np.abs
+    reduce = np.maximum.reduce if p == math.inf else np.add.reduce
+    k = max(1, _NORM_CHUNK // max(1, math.prod(arr.shape[1:])))
+    norms = np.empty(len(arr), dtype=DTYPE)
+    for i in range(0, len(arr), k):
+        chunk = entry(arr[i:i + k], order="C")
+        reduce(chunk.reshape(len(chunk), -1), axis=1, out=norms[i:i + k])
+    return np.sqrt(norms, out=norms) if p == 2 else norms
 
 
 def instance_gains(xs, zs, p):

@@ -2,8 +2,12 @@
 
 Stages are plain objects holding float64 parameter arrays. Every stage,
 residual blocks included, has forward(x, mode, rng=None) -> (y, cache) and
-backward(grad_y, cache) -> (grad_x, param_grads). In train mode a stage's
-cache holds only what its own backward reads; in eval mode it holds no array.
+backward(grad_y, cache, input_grad=True) -> (grad_x, param_grads). With
+input_grad False no caller reads grad_x, and a learned stage skips it and
+returns None: the network backward asks only its first stage, and only when
+its own caller wants the input gradient, so a training step never computes
+the gradient with respect to its input batch. In train mode a stage's cache
+holds only what its own backward reads; in eval mode it holds no array.
 A learned stage's cache also carries its gain pair ("gain"): the input batch X
 and the bias-free linear outputs Z that the gain machinery consumes. The
 network forward moves every pair into StepCaches, so a stage cache that
@@ -207,12 +211,9 @@ class Dense(Stage):
         y = z + self.b
         return y, {"gain": (x, z), "x": x} if mode == "train" else {"gain": (x, z)}
 
-    def backward(self, grad_y, cache):
-        x = cache["x"]
-        grad_w = grad_y.T @ x
-        grad_b = grad_y.sum(axis=0)
-        grad_x = grad_y @ self.w
-        return grad_x, {"w": grad_w, "b": grad_b}
+    def backward(self, grad_y, cache, input_grad=True):
+        grads = {"w": grad_y.T @ cache["x"], "b": grad_y.sum(axis=0)}
+        return (grad_y @ self.w if input_grad else None), grads
 
     def apply_linear(self, x):
         self.out_shape(x.shape)
@@ -364,7 +365,7 @@ class Conv2d(Stage):
         gain = (self._interior(xt), z)
         return y, {"gain": gain, "xt": xt} if mode == "train" else {"gain": gain}
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, input_grad=True):
         xt = cache["xt"]
         n, oc, oh, ow = grad_y.shape
         g = grad_y.transpose(0, 2, 3, 1)
@@ -376,7 +377,7 @@ class Conv2d(Stage):
             for i, j, r in self._tap_rows(xt[blk], rows):
                 grad_kernel[:, :, i, j] += gb.T @ r
         grad_b = grad_y.sum(axis=(0, 2, 3))
-        grad_x = self._grad_input(g, self._interior(xt).shape)
+        grad_x = self._grad_input(g, self._interior(xt).shape) if input_grad else None
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
@@ -461,11 +462,16 @@ class BatchNorm(Stage):
         if mode == "train":
             if x.shape[0] < self.min_batch:
                 raise ShapeError(f"train-mode batchnorm needs a batch of at least {self.min_batch}")
+            # x.var's own steps, keeping the centred copy and its square:
+            # xhat is then built in the first and y in the second
             mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mu.reshape(bshape)
+            y = np.square(xhat)
+            var = y.sum(axis=axes) / (x.size // self.channels)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mu.reshape(bshape)) * inv_std.reshape(bshape)
-            y = self.alpha.reshape(bshape) * xhat + self.beta.reshape(bshape)
+            xhat *= inv_std.reshape(bshape)
+            np.multiply(self.alpha.reshape(bshape), xhat, out=y)
+            y += self.beta.reshape(bshape)
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
@@ -476,18 +482,24 @@ class BatchNorm(Stage):
         y = z + (self.beta - scale * self.running_mean).reshape(bshape)
         return y, {"gain": (x, z)}
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, input_grad=True):
         xhat, inv_std = cache["xhat"], cache["inv_std"]
         axes, bshape = (0, *range(2, xhat.ndim)), (1, -1) + (1,) * (xhat.ndim - 2)
         m = xhat.size // self.channels
-        grad_beta = grad_y.sum(axis=axes)
-        grad_alpha = (grad_y * xhat).sum(axis=axes)
-        # gradient through the minibatch mean and variance
+        prod = grad_y * xhat
+        grads = {"alpha": prod.sum(axis=axes), "beta": grad_y.sum(axis=axes)}
+        if not input_grad:
+            return None, grads
+        # gradient through the minibatch mean and variance, in place in gxhat:
+        # inv_std / m * (m * gxhat - gsum - xhat * gdot)
         gxhat = grad_y * self.alpha.reshape(bshape)
         gsum = gxhat.sum(axis=axes).reshape(bshape)
-        gdot = (gxhat * xhat).sum(axis=axes).reshape(bshape)
-        grad_x = inv_std.reshape(bshape) / m * (m * gxhat - gsum - xhat * gdot)
-        return grad_x, {"alpha": grad_alpha, "beta": grad_beta}
+        gdot = np.multiply(gxhat, xhat, out=prod).sum(axis=axes).reshape(bshape)
+        gxhat *= m
+        gxhat -= gsum
+        gxhat -= np.multiply(xhat, gdot, out=prod)
+        gxhat *= inv_std.reshape(bshape) / m
+        return gxhat, grads
 
     def apply_linear(self, x):
         self.out_shape(x.shape)
@@ -520,7 +532,7 @@ class Dropout(Stage):
             return x * mask, {"mask": mask}
         return x * (1.0 - self.rate), {}
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, input_grad=True):
         return grad_y * cache["mask"], None
 
 
@@ -530,7 +542,7 @@ class ReLU(Stage):
     def forward(self, x, mode, rng=None):
         return np.maximum(x, 0.0), {"mask": x > 0.0} if mode == "train" else {}
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, input_grad=True):
         return grad_y * cache["mask"], None
 
 
@@ -577,23 +589,27 @@ class MaxPool2d(Stage):
     def forward(self, x, mode, rng=None):
         """A running maximum over the taps: no window is copied. Train mode
         also records the index of the tap that reached it, in the smallest
-        unsigned dtype that holds kernel**2 - 1 (uint8 up to kernel 16)."""
+        unsigned dtype that holds kernel**2 - 1 (uint8 up to kernel 16).
+        y and the index are stored in the axis order x is stored in, and so
+        is the gradient backward returns: a conv's channels-last output gets
+        a channels-last gradient, which the stages before it then read and
+        reduce in their own arrays' order."""
         _check_batch(x, 4, "maxpool")
         taps = self._taps(x, *self.out_shape(x.shape[1:])[1:])
         y = taps[0].astype(DTYPE)
-        idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(taps) - 1)) if mode == "train" else None
+        idx = np.zeros_like(y, dtype=np.min_scalar_type(len(taps) - 1)) if mode == "train" else None
         for t in range(1, len(taps)):
             # taps[t] > y, or a NaN over a number: argmax's order, in which
             # the first maximum, or the first NaN, of each window wins
             hit = ~(taps[t] <= y) & (y == y)
             np.copyto(y, taps[t], where=hit)
             if idx is not None:
-                idx[hit] = t
+                np.copyto(idx, t, where=hit)
         return y, {"x_shape": x.shape, "idx": idx} if mode == "train" else {}
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, input_grad=True):
         idx = cache["idx"]
-        grad_x = np.zeros(cache["x_shape"], dtype=DTYPE)
+        grad_x = np.zeros_like(idx, dtype=DTYPE, shape=cache["x_shape"])
         for t, tap in enumerate(self._taps(grad_x, *idx.shape[2:])):
             tap += np.where(idx == t, grad_y, 0.0)
         return grad_x, None
@@ -611,7 +627,7 @@ class Flatten(Stage):
             raise ShapeError(f"flatten expects a batch, got shape {x.shape}")
         return x.reshape(x.shape[0], -1), {"x_shape": x.shape}
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, input_grad=True):
         return grad_y.reshape(cache["x_shape"]), None
 
 
@@ -649,10 +665,11 @@ class ResidualBlock(Stage):
         y_short, caches_short = _forward_stages(self.shortcut or (), x, mode, rng)
         return y_main + y_short, {"main": caches_main, "shortcut": caches_short}
 
-    def backward(self, grad_y, cache):
-        grad_main, grads_main = _backward_stages(self.main, grad_y, cache["main"])
-        grad_short, grads_short = _backward_stages(self.shortcut or (), grad_y, cache["shortcut"])
-        return grad_main + grad_short, {"main": grads_main, "shortcut": grads_short}
+    def backward(self, grad_y, cache, input_grad=True):
+        grad_main, grads_main = _backward_stages(self.main, grad_y, cache["main"], input_grad)
+        grad_short, grads_short = _backward_stages(self.shortcut or (), grad_y, cache["shortcut"], input_grad)
+        grad_x = grad_main + grad_short if input_grad else None
+        return grad_x, {"main": grads_main, "shortcut": grads_short}
 
 
 STAGE_TYPES = {cls.kind: cls for cls in (
@@ -722,6 +739,11 @@ class StepCaches:
 
 @dataclass
 class Gradients:
+    """What backward returns: by_layer[j] maps the j-th learned layer's
+    param_names to their gradients, in Network.learned_layers() order, and
+    input_grad is the gradient with respect to the network input, None
+    unless backward was asked for it."""
+
     by_layer: list
     input_grad: np.ndarray
 
@@ -734,13 +756,15 @@ def _forward_stages(stages, x, mode, rng):
     return x, caches
 
 
-def _backward_stages(stages, grad, caches):
-    """(input gradient, per-stage param_grads in stage order)."""
+def _backward_stages(stages, grad, caches, input_grad):
+    """(input gradient, per-stage param_grads in stage order). Only the
+    first stage is told input_grad; every later one's input gradient is what
+    the stage before it reads."""
     if len(caches) != len(stages):
         raise CacheError("stage caches do not cover every learned layer")
     grads = [None] * len(stages)
     for i in reversed(range(len(stages))):
-        grad, grads[i] = stages[i].backward(grad, caches[i])
+        grad, grads[i] = stages[i].backward(grad, caches[i], input_grad=input_grad or i > 0)
     return grad, grads
 
 
@@ -761,19 +785,22 @@ def forward(net, x, mode, rng=None):
                          [gx for gx, _ in pairs], [gz for _, gz in pairs])
 
 
-def backward(net, caches, loss_grad):
+def backward(net, caches, loss_grad, input_grad=False):
     """Backpropagate loss_grad through the network using one step's caches.
 
     The caches must come from a train-mode forward pass on this very network;
-    anything else raises CacheError.
+    anything else raises CacheError. The gradient with respect to the network
+    input is computed only if input_grad is set (Gradients.input_grad is None
+    otherwise); training never asks for it.
     """
     if not isinstance(caches, StepCaches) or caches.net_id != id(net):
         raise CacheError("caches were not produced by this network")
     if caches.mode != "train":
         raise CacheError("backward needs caches from a train-mode forward pass")
     loss_grad = np.asarray(loss_grad, dtype=DTYPE)
-    input_grad, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches)
-    return Gradients(by_layer=[g for _, g in _learned(net.stages, grads)], input_grad=input_grad)
+    grad_x, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches, input_grad)
+    return Gradients(by_layer=[g for _, g in _learned(net.stages, grads)],
+                     input_grad=grad_x if input_grad else None)
 
 
 def softmax_cross_entropy(logits, labels):

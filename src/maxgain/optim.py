@@ -186,7 +186,9 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
         scales = []
         for layer, gh in zip(layers, gamma_hats):
             w = getattr(layer, layer.weight_param)
-            np.copyto(w, project(w, gh, maxgain.gamma))
+            projected = project(w, gh, maxgain.gamma)
+            if projected is not w:
+                np.copyto(w, projected)
             scales.append(projection_scale(gh, maxgain.gamma))
     n_correct = int(np.sum(np.argmax(logits, axis=1) == np.asarray(y)))
     return StepReport(loss=loss, batch_size=x.shape[0], n_correct=n_correct,

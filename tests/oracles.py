@@ -167,6 +167,38 @@ def maxpool_oracle(x, kernel, stride, grad_y):
     return y, grad_x
 
 
+def batchnorm_train_oracle(layer, x):
+    """One train-mode BatchNorm forward by the textbook formulas, leaving the
+    layer alone: (y, xhat, inv_std, z, running_mean, running_var), with the
+    running statistics the layer holds after the step and z = x times the
+    eval-mode scale they give."""
+    axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
+    mu = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = (x - mu.reshape(bshape)) * inv_std.reshape(bshape)
+    y = layer.alpha.reshape(bshape) * xhat + layer.beta.reshape(bshape)
+    m = layer.momentum
+    running_mean = m * layer.running_mean + (1.0 - m) * mu
+    running_var = m * layer.running_var + (1.0 - m) * var
+    z = x * (layer.alpha / np.sqrt(running_var + layer.eps)).reshape(bshape)
+    return y, xhat, inv_std, z, running_mean, running_var
+
+
+def batchnorm_backward_oracle(layer, xhat, inv_std, grad_y):
+    """(grad_x, grad_alpha, grad_beta) of a train-mode BatchNorm by the
+    textbook formulas, the gradient flowing through the batch statistics."""
+    axes, bshape = (0, *range(2, xhat.ndim)), (1, -1) + (1,) * (xhat.ndim - 2)
+    m = xhat.size // layer.channels
+    grad_beta = grad_y.sum(axis=axes)
+    grad_alpha = (grad_y * xhat).sum(axis=axes)
+    gxhat = grad_y * layer.alpha.reshape(bshape)
+    gsum = gxhat.sum(axis=axes).reshape(bshape)
+    gdot = (gxhat * xhat).sum(axis=axes).reshape(bshape)
+    grad_x = inv_std.reshape(bshape) / m * (m * gxhat - gsum - xhat * gdot)
+    return grad_x, grad_alpha, grad_beta
+
+
 class SgdNesterovOracle:
     """SGD with Nesterov momentum, one array at a time: each key keeps its
     own velocity, v = g on its first step and mu * v + g after, and the

@@ -211,7 +211,7 @@ def test_03_gradient_checks():
         mask_seed = int(rng.integers(0, 1000))
         y, caches = forward(net, x, "train", rng=make_rng(mask_seed))
         r = rng.normal(size=y.shape)
-        grads = backward(net, caches, r)
+        grads = backward(net, caches, r, input_grad=True)
 
         def dropped(v):
             return float((forward(net, v, "train", rng=make_rng(mask_seed))[0] * r).sum())
@@ -258,7 +258,7 @@ def test_03_gradient_checks():
         x = rng.normal(size=(batch, width)) + 0.5
         y, caches = forward(net, x, "train")
         r = rng.normal(size=y.shape)
-        grads = backward(net, caches, r)
+        grads = backward(net, caches, r, input_grad=True)
 
         def through_block(v):
             return float((forward(net, v, "train")[0] * r).sum())

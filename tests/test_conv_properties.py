@@ -124,6 +124,8 @@ BLOCKED_CASES = [
     (None, 9, 2, 3, 3, 3, 1, 1, 16, 16),  # the library's budget: four 16x16 outputs a block, 4+4+1
     (40, 7, 2, 3, 3, 2, 2, 1, 7, 5),      # 4x3 outputs, three images a block, 3+3+1
     (4, 3, 3, 2, 2, 3, 1, 0, 4, 5),       # budget below one image: one image a block
+    (60, 7, 1, 2, 3, 3, 2, 1, 9, 7),      # one channel, 5x4 outputs, three images a block, 3+3+1
+    (36, 8, 3, 2, 3, 2, 2, 0, 8, 9),      # three channels, 3x4 outputs, three images a block, 3+3+2
 ]
 
 
@@ -148,6 +150,15 @@ def test_blocked_forward_matches_direct_oracle(blocked_case):
     layer, x = blocked_case
     _, cache = layer.forward(x, "train")
     assert rel_error(cache["gain"][1], conv2d_oracle(x, layer.kernel, layer.stride, layer.pad)) <= 1e-12
+
+
+def test_blocked_forward_is_bitwise_one_image_a_block(blocked_case, monkeypatch):
+    # each output row is its own dot over the kernel's input channels, so the
+    # number of images sharing a GEMM does not change a bit of it
+    layer, x = blocked_case
+    y, _ = layer.forward(x, "eval")
+    monkeypatch.setattr(layers, "_BLOCK_POSITIONS", 1)
+    np.testing.assert_array_equal(y, layer.forward(x, "eval")[0])
 
 
 def test_blocked_backward_matches_per_image_sums(blocked_case):

@@ -1,9 +1,12 @@
 """Gain measurement, operator norms, and the whole-network Lipschitz bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxgain import (
     AdjointMismatchError,
@@ -31,6 +34,8 @@ from maxgain import (
     operator_norm_exact,
     spectral_norm_power_iteration,
 )
+from maxgain import gain as gain_module
+from maxgain.gain import batch_norms
 from oracles import (
     brute_force_operator_norm_p1,
     brute_force_operator_norm_pinf,
@@ -40,6 +45,7 @@ from oracles import (
 )
 
 ALL_P = (1, 2, math.inf)
+LAYOUTS = ("c", "channels-last", "padded", "flipped", "broadcast")
 
 
 def dense_ops(w):
@@ -434,3 +440,108 @@ class TestGainStats:
     def test_empty_sample(self):
         with pytest.raises(EmptySampleError):
             gain_stats([])
+
+
+def laid_out(rng, shape, layout):
+    """A random (n, c, h, w) batch stored one of the LAYOUTS ways: C order, a
+    channels-last array seen as NCHW, the interior of a padded channels-last
+    buffer (whose padding holds values that must not be read), that view
+    flipped along h and w (negative strides), or a batch broadcast along h."""
+    n, c, h, w = shape
+    if layout == "c":
+        return rng.normal(size=shape)
+    if layout == "broadcast":
+        return np.broadcast_to(rng.normal(size=(n, c, 1, w)), shape)
+    if layout == "channels-last":
+        return rng.normal(size=(n, h, w, c)).transpose(0, 3, 1, 2)
+    interior = rng.normal(size=(n, h + 2, w + 2, c))[:, 1:h + 1, 1:w + 1].transpose(0, 3, 1, 2)
+    return interior if layout == "padded" else interior[:, :, ::-1, ::-1]
+
+
+def old_batch_norms(arr, p):
+    """The row norms of the batch flattened in logical order, as batch_norms
+    computed them before it summed in storage order."""
+    flat = np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1)
+    if p == 1:
+        return np.abs(flat).sum(axis=1)
+    if p == 2:
+        return np.sqrt((flat * flat).sum(axis=1))
+    return np.abs(flat).max(axis=1)
+
+
+@st.composite
+def stored_batches(draw, layouts=LAYOUTS):
+    """(arr, layout): a batch of 1-5 instances of shape (1-6, 1-9, 1-9),
+    with entries spread over six decades, in one of the given layouts."""
+    shape = tuple(draw(st.integers(1, k)) for k in (5, 6, 9, 9))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(layouts))
+    arr = laid_out(rng, shape, layout)
+    return arr * 10.0 ** laid_out(rng, shape, "c").clip(-3, 3), layout
+
+
+NORM_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestStorageOrderNorms:
+    @NORM_SETTINGS
+    @given(stored_batches())
+    def test_norms_match_the_logical_flattening(self, case):
+        arr, layout = case
+        flat = np.array(arr).reshape(len(arr), -1)
+        for p in (1, 2):
+            got, want = batch_norms(arr, p), np.linalg.norm(flat, ord=p, axis=1)
+            assert np.all(np.abs(got - want) <= 1e-13 * want), (layout, p)
+        np.testing.assert_array_equal(batch_norms(arr, math.inf), np.abs(flat).max(axis=1))
+
+    @pytest.mark.parametrize("layout, stored_axes", [
+        ("c", (0, 1, 2, 3)), ("channels-last", (0, 2, 3, 1)), ("padded", (0, 2, 3, 1)),
+        ("flipped", (0, 2, 3, 1)), ("broadcast", (0, 1, 3, 2))])
+    def test_norms_sum_each_instance_in_storage_order(self, layout, stored_axes):
+        # bitwise the row norms of the batch flattened with its axes in the
+        # order of decreasing stride
+        arr = laid_out(make_rng(7), (3, 4, 5, 6), layout)
+        flat = np.ascontiguousarray(arr.transpose(stored_axes))
+        for p in ALL_P:
+            np.testing.assert_array_equal(batch_norms(arr, p), old_batch_norms(flat, p))
+
+    @NORM_SETTINGS
+    @given(stored_batches(layouts=("c",)))
+    def test_c_contiguous_norms_are_bitwise_the_flattened_row_norms(self, case):
+        arr, _ = case
+        for p in ALL_P:
+            np.testing.assert_array_equal(batch_norms(arr, p), old_batch_norms(arr, p))
+
+    @NORM_SETTINGS
+    @given(stored_batches(), stored_batches())
+    def test_an_instance_gain_is_the_same_alone_as_in_a_batch(self, xs_case, zs_case):
+        (xs, _), (zs, _) = xs_case, zs_case
+        k = min(len(xs), len(zs))
+        xs, zs = xs[:k], zs[:k]
+        for p in ALL_P:
+            batch = instance_gains(xs, zs, p)
+            for i in range(k):
+                assert instance_gains(xs[i:i + 1], zs[i:i + 1], p)[0] == batch[i]
+
+    @NORM_SETTINGS
+    @given(stored_batches(), st.integers(1, 3000))
+    def test_norms_do_not_depend_on_how_many_instances_a_chunk_holds(self, case, chunk):
+        arr, _ = case
+        for p in ALL_P:
+            whole = batch_norms(arr, p)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gain_module, "_NORM_CHUNK", chunk)
+                np.testing.assert_array_equal(batch_norms(arr, p), whole)
+
+    @pytest.mark.parametrize("p", ALL_P)
+    def test_a_channels_last_view_allocates_at_most_its_own_size(self, p):
+        # a conv's gain input: the interior of its padded channels-last copy,
+        # which a logical-order flattening would copy whole before squaring
+        view = laid_out(make_rng(6), (64, 16, 16, 16), "padded")
+        tracemalloc.start()
+        try:
+            batch_norms(view, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= view.nbytes, f"peak {peak} bytes for a {view.nbytes}-byte view"

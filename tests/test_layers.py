@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxgain import (
     BatchNorm,
@@ -21,7 +23,13 @@ from maxgain import (
     make_rng,
     softmax_cross_entropy,
 )
-from oracles import apply_linear, gradient_rel_error, numeric_gradient
+from oracles import (
+    apply_linear,
+    batchnorm_backward_oracle,
+    batchnorm_train_oracle,
+    gradient_rel_error,
+    numeric_gradient,
+)
 
 GRAD_TOL = 1e-6
 
@@ -232,6 +240,41 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
 
 
+def stored(arr, channels_last):
+    """arr itself, or a copy of it stored channels-last (a conv's output layout)."""
+    if not channels_last or arr.ndim == 2:
+        return arr
+    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([2, 4]), n=st.integers(2, 6),
+       c=st.integers(1, 5), hw=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       x_last=st.booleans(), g_last=st.booleans())
+def test_batchnorm_train_pass_is_bitwise_the_formulas(seed, rank, n, c, hw, x_last, g_last):
+    rng = make_rng(seed)
+    shape = (n, c) + (hw if rank == 4 else ())
+    layer = BatchNorm(rng.normal(size=c), rng.normal(size=c), rng.normal(size=c), rng.uniform(0.1, 3.0, size=c))
+    x = stored(3.0 * rng.normal(size=shape) + rng.normal(size=c).reshape((1, c) + (1,) * (rank - 2)), x_last)
+    y_want, xhat, inv_std, z, mean, var = batchnorm_train_oracle(layer, x)
+    y, cache = layer.forward(x, "train")
+    for got, want in [(y, y_want), (cache["xhat"], xhat), (cache["inv_std"], inv_std),
+                      (cache["gain"][1], z), (layer.running_mean, mean), (layer.running_var, var)]:
+        np.testing.assert_array_equal(got, want)
+    assert cache["gain"][0] is x
+    grad_y = stored(rng.normal(size=shape), g_last)
+    held = grad_y.copy()
+    grad_x, grads = layer.backward(grad_y, cache)
+    want = batchnorm_backward_oracle(layer, xhat, inv_std, grad_y)
+    for got, w in zip((grad_x, grads["alpha"], grads["beta"]), want):
+        np.testing.assert_array_equal(got, w)
+    np.testing.assert_array_equal(grad_y, held)
+    no_input, same = layer.backward(grad_y, cache, input_grad=False)
+    assert no_input is None
+    np.testing.assert_array_equal(same["alpha"], grads["alpha"])
+    np.testing.assert_array_equal(same["beta"], grads["beta"])
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = make_rng(12).normal(size=(4, 5))
@@ -317,6 +360,15 @@ class TestReLUMaxPoolFlatten:
         num = numeric_gradient(lambda v: scalar_loss(layer.forward(v, "train")[0], r), x, h=1e-3)
         assert gradient_rel_error(grad, num) < 1e-9
 
+    def test_maxpool_keeps_the_input_layout(self):
+        # a conv's channels-last output gets a channels-last gradient back
+        rng = make_rng(17)
+        channels_last = np.ascontiguousarray(rng.normal(size=(2, 6, 6, 3))).transpose(0, 3, 1, 2)
+        for x in (rng.normal(size=(2, 3, 6, 6)), channels_last):
+            y, cache = MaxPool2d(2).forward(x, "train")
+            grad, _ = MaxPool2d(2).backward(np.ones_like(y), cache)
+            assert grad.strides == x.strides
+
     def test_overlapping_windows_each_route_to_their_own_max(self):
         x = np.arange(9.0).reshape(1, 1, 3, 3)
         layer = MaxPool2d(2, stride=1)
@@ -386,7 +438,7 @@ class TestResidualBlock:
         x = rng.normal(size=(3, 4)) + 0.5  # keep relu inputs off the kink
         r = rng.normal(size=(3, 4))
         y, caches = forward(net, x, "train")
-        grads = backward(net, caches, r)
+        grads = backward(net, caches, r, input_grad=True)
 
         def loss_of_x(v):
             out, _ = forward(net, v, "train")

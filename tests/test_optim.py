@@ -23,6 +23,7 @@ from maxgain import (
     MaxGainConfig,
     Network,
     ReLU,
+    ResidualBlock,
     Schedule,
     ShapeError,
     SgdNesterov,
@@ -432,6 +433,57 @@ class TestTrainStep:
         # while the stages' own weights did move
         for layer, before in zip(net.learned_layers(), (kernel, alpha, w)):
             assert not np.array_equal(getattr(layer, layer.weight_param), before)
+
+    @staticmethod
+    def first_stage_nets(rng):
+        """(net, the convs whose input gradient a step computes, x) per first
+        stage kind: conv, dense, batchnorm and a residual block whose two
+        branches both open with a conv."""
+        def conv(i, o, k=3):
+            return Conv2d(rng.normal(size=(o, i, k, k)), np.zeros(o), pad=k // 2)
+
+        head = [Flatten(), Dense(rng.normal(size=(2, 2 * 4 * 4)), np.zeros(2))]
+        images = rng.normal(size=(4, 1, 4, 4))
+        c1, c2, c3, c4, c5, c6 = conv(1, 2), conv(2, 2), conv(1, 2), conv(2, 2), conv(1, 2, 1), conv(1, 2)
+        return [
+            (Network([c1, ReLU(), c2] + head), [c2], images),
+            (Network([ResidualBlock([c3, ReLU(), c4], [c5])] + head), [c4], images),
+            (Network([BatchNorm(np.ones(1), np.zeros(1)), c6] + head), [c6], images),
+            (small_mlp(45), [], rng.normal(size=(4, 2))),
+        ]
+
+    def test_the_input_gradient_of_the_batch_is_never_computed(self, monkeypatch):
+        ran = []
+        grad_input = Conv2d._grad_input
+        monkeypatch.setattr(Conv2d, "_grad_input", lambda st, *a: ran.append(st) or grad_input(st, *a))
+        for net, computed, x in self.first_stage_nets(make_rng(46)):
+            asked = []
+
+            def spy(*args, backward=net.stages[0].backward, **kwargs):
+                out = backward(*args, **kwargs)
+                asked.append((kwargs, out[0]))
+                return out
+
+            net.stages[0].backward = spy
+            ran.clear()
+            train_step(net, x, np.array([0, 1, 1, 0]), SgdNesterov(0.9), 0.1,
+                       maxgain=MaxGainConfig(gamma=0.5))
+            assert asked == [({"input_grad": False}, None)]
+            assert ran == computed
+
+    def test_weights_are_written_back_only_when_projected(self, monkeypatch):
+        net = small_mlp(47)
+        data = blob_data(48, n=8)
+        weights = [layer.w for layer in net.learned_layers()]
+        written = []
+        copyto = np.copyto
+        monkeypatch.setattr(np, "copyto", lambda dst, *a, **k: written.append(
+            any(dst is w for w in weights)) or copyto(dst, *a, **k))
+        train_step(net, data.x, data.y, SgdNesterov(0.9), 0.1, maxgain=MaxGainConfig(gamma=1e9))
+        assert not any(written)
+        report = train_step(net, data.x, data.y, SgdNesterov(0.9), 0.1, maxgain=MaxGainConfig(gamma=1e-3))
+        assert all(scale < 1.0 for scale in report.scales)
+        assert sum(written) == len(weights)
 
 
 # 6x6 one-channel images: conv, batchnorm, a residual block, pooling and

@@ -228,7 +228,7 @@ def test_gradients_come_back_per_learned_layer(case):
     net, x, _ = case
     y, caches = forward(net, x, "train", rng=make_rng(1))
     r = make_rng(2).normal(size=y.shape)
-    grads = backward(net, caches, r)
+    grads = backward(net, caches, r, input_grad=True)
     layers = net.learned_layers()
     assert len(grads.by_layer) == len(layers)
     for layer, pgrads in zip(layers, grads.by_layer):
@@ -255,6 +255,23 @@ def test_gradients_come_back_per_learned_layer(case):
     terms += [(g[name] * d[name]).sum() for g, d in zip(grads.by_layer, dirs) for name in d]
     numeric = (loss(1) - loss(-1)) / (2 * h)
     assert abs(numeric - sum(terms)) <= 1e-5 * max(1.0, sum(abs(t) for t in terms))
+
+
+@PROPERTY_SETTINGS
+@given(trees())
+def test_the_input_gradient_is_computed_only_on_request(case):
+    # asked for or not, the parameter gradients are the same bits, and
+    # neither backward writes into the loss gradient it was given
+    net, x, _ = case
+    y, caches = forward(net, x, "train", rng=make_rng(1))
+    r = make_rng(2).normal(size=y.shape)
+    asked = backward(net, caches, r, input_grad=True)
+    skipped = backward(net, caches, r)
+    assert asked.input_grad.shape == x.shape and skipped.input_grad is None
+    for got, want in zip(skipped.by_layer, asked.by_layer):
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+    np.testing.assert_array_equal(r, make_rng(2).normal(size=y.shape))
 
 
 @PROPERTY_SETTINGS

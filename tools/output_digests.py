@@ -1,6 +1,6 @@
-"""Print the sha256 of every file the maxgain CLI writes for two fixed configs.
+"""Print the sha256 of every file the maxgain CLI writes for fixed configs.
 
-    python3 tools/output_digests.py
+    python3 tools/output_digests.py [--keep DIR]
 
 Runs `train`, `sweep --jobs 1`, `sweep --jobs 2` at one more gamma and
 `gain-report --norm 1|2|inf` in a temporary directory on two configs, and
@@ -14,13 +14,18 @@ Runs `train`, `sweep --jobs 1`, `sweep --jobs 2` at one more gamma and
 
 On idx it also runs `folds --save-folds`, `folds --folds-file --jobs 2` at a
 second gamma on the saved protocol, and `ttest` between the two score files,
-whose stdout it digests too.
+whose stdout it digests too. Last, idx-p2 trains the idx config at p=2, the
+norm whose conv and batchnorm gains depend on summation order, and digests
+its ledger, checkpoint and `gain-report --norm 2`.
 
 Outputs are deterministic, so two checkouts that behave alike print the same
-lines; diff them to check a change that should not alter results. Needs
-numpy only. Takes about half a minute.
+lines; diff them to check a change that should not alter results. With
+`--keep DIR` the files stay in DIR (one directory per config, DIR must not
+exist yet), so the files two checkouts write differently can be compared
+value by value. Needs numpy only. Takes about half a minute.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -130,17 +135,41 @@ def digests(directory, config, gammas):
     return [(out, hashlib.sha256((directory / out).read_bytes()).hexdigest()) for out in outputs]
 
 
+def trained_digests(directory, config):
+    """[(file, sha256)] of the train outputs of config and their gain report
+    at the config's norm."""
+    (directory / "config.json").write_text(json.dumps(config))
+    cli(directory, "train", "config.json", "--out", "run")
+    cli(directory, "gain-report", "run/checkpoint.txt", "config.json",
+        "--norm", str(config["maxgain"]["p"]), "--out", "gain-report.tsv")
+    outputs = ["run/ledger.tsv", "run/checkpoint.txt", "gain-report.tsv"]
+    return [(out, hashlib.sha256((directory / out).read_bytes()).hexdigest()) for out in outputs]
+
+
+def run(root):
+    idx_p2 = dict(IDX, maxgain=dict(IDX["maxgain"], p=2))
+    for name, config, gammas in (("spiral", SPIRAL, "1,4"), ("idx", IDX, "0.5,4"), ("idx-p2", idx_p2, None)):
+        directory = root / name
+        directory.mkdir(parents=True)
+        if name.startswith("idx"):
+            rng = np.random.default_rng(11)
+            write_idx(directory, "train", 96, rng)
+            write_idx(directory, "test", 48, rng)
+        pairs = digests(directory, config, gammas) if gammas else trained_digests(directory, config)
+        for out, digest in pairs:
+            print(f"{digest}  {name}/{out}")
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", type=Path, help="write the files here and leave them")
+    args = parser.parse_args()
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=False)
+        run(args.keep.resolve())
+        return
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config, gammas in (("spiral", SPIRAL, "1,4"), ("idx", IDX, "0.5,4")):
-            directory = Path(tmp) / name
-            directory.mkdir()
-            if name == "idx":
-                rng = np.random.default_rng(11)
-                write_idx(directory, "train", 96, rng)
-                write_idx(directory, "test", 48, rng)
-            for out, digest in digests(directory, config, gammas):
-                print(f"{digest}  {name}/{out}")
+        run(Path(tmp))
 
 
 if __name__ == "__main__":
