@@ -15,11 +15,9 @@ from .data import (
     Fold,
     FoldProtocol,
     augment,
-    flip_images,
     load_csv,
     load_idx,
     make_folds,
-    pad_crop_images,
     synth_blobs,
     synth_spirals,
 )

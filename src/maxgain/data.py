@@ -5,6 +5,7 @@ through."""
 import contextlib
 import csv
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -83,11 +84,24 @@ class Dataset:
         return Dataset(self.x[indices], self.y[indices], self.class_count)
 
 
-def _read_exact(fh, count, path, what):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise FormatError(f"{path}: truncated {what} (wanted {count} bytes, got {len(buf)})")
-    return buf
+def _read_idx(path, magic, dims, what):
+    """The `dims` header counts and the payload of one IDX file: a big-endian
+    uint32 magic and counts, then exactly their product of bytes. Every
+    FormatError names the file and the part that failed."""
+    def exact(fh, count, part):
+        buf = fh.read(count)
+        if len(buf) != count:
+            raise FormatError(f"{path}: truncated {part} (wanted {count} bytes, got {len(buf)})")
+        return buf
+
+    with open(path, "rb") as fh:
+        found, *counts = struct.unpack(f">{dims + 1}I", exact(fh, 4 * (dims + 1), "header"))
+        if found != magic:
+            raise FormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+        raw = exact(fh, math.prod(counts), what)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after {what}")
+    return counts, raw
 
 
 def load_idx(images_path, labels_path):
@@ -96,26 +110,12 @@ def load_idx(images_path, labels_path):
     Pixels come in as unsigned bytes and are mapped to [-1, 1] via v / 127.5 - 1.
     Output x has shape (n, 1, rows, cols).
     """
-    with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(fh, n * rows * cols, images_path, "pixel data")
-        if fh.read(1):
-            raise FormatError(f"{images_path}: trailing bytes after pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
-    x = pixels.astype(DTYPE) / 127.5 - 1.0
-
-    with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, labels_path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        raw = _read_exact(fh, n_labels, labels_path, "label data")
-        if fh.read(1):
-            raise FormatError(f"{labels_path}: trailing bytes after label data")
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "pixel data")
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label data")
     if n_labels != n:
         raise FormatError(f"count mismatch: {n} images vs {n_labels} labels")
-    y = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    x = np.frombuffer(pixels, dtype=np.uint8).reshape(n, 1, rows, cols).astype(DTYPE) / 127.5 - 1.0
+    y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     return Dataset(x, y, class_count=int(y.max()) + 1 if n else 0)
 
 
@@ -219,50 +219,34 @@ def synth_blobs(n, rng, centers, sd=1.0):
     return Dataset(np.concatenate(xs).astype(DTYPE), np.concatenate(ys), class_count=k)
 
 
-def flip_images(x, mask):
-    """Mirror the selected instances of an (N, C, H, W) batch horizontally."""
-    out = np.array(x, dtype=DTYPE)
-    out[mask] = out[mask][..., ::-1]
-    return out
-
-
-def pad_crop_images(x, pad, size, offsets):
-    """Zero-pad all sides by pad, then crop a (size x size) window per instance.
-
-    offsets[i] = (row, col) of the top-left corner in the padded image.
-    """
-    n, c, h, w = x.shape
-    ph, pw = h + 2 * pad, w + 2 * pad
-    if size > ph or size > pw:
-        raise ConfigError(f"crop {size} exceeds padded image ({ph}x{pw})")
-    padded = np.pad(np.asarray(x, dtype=DTYPE), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.empty((n, c, size, size), dtype=DTYPE)
-    for i in range(n):
-        r, col = int(offsets[i][0]), int(offsets[i][1])
-        out[i] = padded[i, :, r:r + size, col:col + size]
-    return out
-
-
 def augment(x, rng, flip=False, pad=0, crop=None):
     """Random horizontal flips (p=0.5) and random zero-pad crops on a batch.
 
-    Flips happen first, then cropping, whenever pad or crop is set. crop
-    defaults to the original height (images are assumed square for
-    cropping). Labels are untouched; pass the image batch only.
+    The batch is zero-padded by pad on every side, the drawn instances are
+    mirrored, and each instance keeps one window of its padded image: crop x
+    crop, or the image's own (h, w) when crop is None. Flips draw first; the
+    window's (row, col) offsets are drawn only when pad or crop is set, each
+    in its own axis's range. Labels are untouched; pass the image batch only.
     """
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 4:
         raise ShapeError(f"augment expects an (N, C, H, W) batch, got shape {x.shape}")
+    n, c, h, w = x.shape
+    padded = (h + 2 * pad, w + 2 * pad)
+    window = (h, w) if crop is None else (crop, crop)
+    room = (padded[0] - window[0], padded[1] - window[1])
+    if min(room) < 0:
+        raise ConfigError(f"crop {crop} exceeds padded image ({padded[0]}x{padded[1]})")
+    buf = np.zeros((n, c) + padded, dtype=DTYPE)
+    buf[:, :, pad:pad + h, pad:pad + w] = x
     if flip:
-        x = flip_images(x, rng.random(x.shape[0]) < 0.5)
+        mirrored = rng.random(n) < 0.5
+        buf[mirrored] = buf[mirrored, ..., ::-1]  # the padding is symmetric
+    offsets = np.zeros((n, 2), dtype=np.int64)
     if pad or crop is not None:
-        size = crop if crop is not None else x.shape[2]
-        high = x.shape[2] + 2 * pad - size
-        if high < 0:
-            raise ConfigError(f"crop {size} exceeds padded image")
-        offsets = rng.integers(0, high + 1, size=(x.shape[0], 2))
-        x = pad_crop_images(x, pad, size, offsets)
-    return x
+        offsets = rng.integers(0, [room[0] + 1, room[1] + 1], size=(n, 2))
+    windows = np.lib.stride_tricks.sliding_window_view(buf, window, axis=(2, 3))
+    return windows[np.arange(n), :, offsets[:, 0], offsets[:, 1]]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class AdjointMismatchError(MaxGainError, ValueError):
 
 
 class DivergenceError(MaxGainError, RuntimeError):
-    """Training produced a non-finite loss or gradient.
+    """Training produced a non-finite loss, measured gain or gradient.
 
     Attributes:
         step: global step index at which the failure was detected.

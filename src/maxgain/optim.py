@@ -172,6 +172,9 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     gamma_hats = None
     if maxgain is not None:
         gamma_hats = [batch_max_gain(xs, zs, maxgain.p) for xs, zs in zip(caches.xs, caches.zs)]
+        for j, gh in enumerate(gamma_hats):
+            if not math.isfinite(gh):
+                raise DivergenceError(f"non-finite gain of layer {j}")
     caches.xs = caches.zs = None
     grads = backward(net, caches, loss_grad)
     layers = net.learned_layers()
@@ -236,9 +239,9 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
     Shuffling, dropout, and augmentation draw from three independent streams
     derived from the seed, so the whole run is a pure function of (initial
     weights, data, seed, hyperparameters). augment_fn, when given, maps
-    (x_batch, rng) to a transformed batch before each step. A non-finite loss
-    or gradient raises DivergenceError carrying the global step index and the
-    partial ledger.
+    (x_batch, rng) to a transformed batch before each step. A non-finite
+    loss, measured gain or gradient raises DivergenceError carrying the global
+    step index and the partial ledger.
     """
     if int(epochs) < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")

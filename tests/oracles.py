@@ -167,6 +167,26 @@ def maxpool_oracle(x, kernel, stride, grad_y):
     return y, grad_x
 
 
+def augment_oracle(x, rng, flip=False, pad=0, crop=None):
+    """augment one image at a time: mirror it with [..., ::-1], zero-pad it
+    with np.pad, then slice its window out at its drawn (row, col) offset.
+    The draws are augment's, in its order: the flips, then the offsets (only
+    when pad or crop is set), each axis in its own range."""
+    n, _, h, w = x.shape
+    rows, cols = (h, w) if crop is None else (crop, crop)
+    mirrored = rng.random(n) < 0.5 if flip else np.zeros(n, dtype=bool)
+    offsets = np.zeros((n, 2), dtype=np.int64)
+    if pad or crop is not None:
+        offsets = rng.integers(0, [h + 2 * pad - rows + 1, w + 2 * pad - cols + 1], size=(n, 2))
+    out = []
+    for i in range(n):
+        image = x[i][..., ::-1] if mirrored[i] else x[i]
+        padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
+        r, c = offsets[i]
+        out.append(padded[:, r:r + rows, c:c + cols])
+    return np.stack(out)
+
+
 def batchnorm_train_oracle(layer, x):
     """One train-mode BatchNorm forward by the textbook formulas, leaving the
     layer alone: (y, xhat, inv_std, z, running_mean, running_var), with the

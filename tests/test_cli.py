@@ -125,6 +125,16 @@ class TestTrain:
         assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == "numerical failure: non-finite logits at step 1 (epoch 1)\n"
 
+    def test_non_finite_gain_exits_3_naming_the_layer_and_step(self, tmp_path, capsys):
+        # ||x||^2 overflows at 1e160 while the logits stay finite, so the gain is inf / inf
+        config = write_config(tmp_path, optimizer="sgd", maxgain={"gamma": 2.0, "p": 2}, test_dataset=None,
+                              dataset={**BLOBS, "centers": [[1e160, 0.0], [0.0, 1e160]]})
+        out = tmp_path / "o"
+        assert main(["train", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite gain of layer 0 at step 1 (epoch 1)\n"
+        assert (out / "ledger.tsv").read_text() == ""
+        assert not (out / "checkpoint.txt").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_leaves_the_completed_epochs_ledger(self, tmp_path, capsys):
         config = write_config(tmp_path, optimizer="sgd", lr=0.01, epochs=3, schedule=[[2, 1e302]])

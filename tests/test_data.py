@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxgain.data as data_module
 
@@ -16,16 +18,17 @@ from maxgain import (
     FormatError,
     ShapeError,
     augment,
-    flip_images,
     load_csv,
     load_idx,
     make_folds,
     make_rng,
-    pad_crop_images,
     synth_blobs,
     synth_spirals,
 )
 from maxgain.data import write_text
+from oracles import augment_oracle
+
+AUGMENT_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801,
@@ -98,6 +101,22 @@ class TestLoadIdx:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_idx(tmp_path / "none-images", tmp_path / "none-labels")
+
+    @pytest.mark.parametrize("which, damage, message", [
+        (0, lambda b: b[:10], "truncated header (wanted 16 bytes, got 10)"),
+        (0, lambda b: b[:-1], "truncated pixel data (wanted 8 bytes, got 7)"),
+        (0, lambda b: b + b"\x00", "trailing bytes after pixel data"),
+        (1, lambda b: b[:7], "truncated header (wanted 8 bytes, got 7)"),
+        (1, lambda b: b"\x00\x00\x08\x03" + b[4:], "bad magic 0x00000803, expected 0x00000801"),
+        (1, lambda b: b[:-1], "truncated label data (wanted 2 bytes, got 1)"),
+        (1, lambda b: b + b"\x00", "trailing bytes after label data"),
+    ])
+    def test_errors_name_the_file_and_the_part(self, tmp_path, which, damage, message):
+        paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        paths[which].write_bytes(damage(paths[which].read_bytes()))
+        with pytest.raises(FormatError) as err:
+            load_idx(*paths)
+        assert str(err.value) == f"{paths[which]}: {message}"
 
 
 class TestLoadCsv:
@@ -226,33 +245,62 @@ class TestSynthetic:
             synth_blobs(10, make_rng(0), centers=[(0.0, 0.0)])
 
 
+class FixedDraws:
+    """An rng stand-in that hands augment the flip draws and offsets a test chooses."""
+
+    def __init__(self, flips=None, offsets=None):
+        self.flips, self.offsets = flips, offsets
+
+    def random(self, n):
+        return np.asarray(self.flips, dtype=float)
+
+    def integers(self, low, high, size):
+        return np.asarray(self.offsets)
+
+
 class TestAugment:
     def test_flip_selected_instances(self):
         x = np.arange(8.0).reshape(2, 1, 2, 2)
-        out = flip_images(x, np.array([True, False]))
+        out = augment(x, FixedDraws(flips=[0.2, 0.7]), flip=True)
         np.testing.assert_array_equal(out[0, 0], [[1.0, 0.0], [3.0, 2.0]])
         np.testing.assert_array_equal(out[1], x[1])
 
     def test_double_flip_is_identity(self):
-        x = make_rng(4).normal(size=(3, 2, 4, 4))
-        mask = np.array([True, True, False])
-        np.testing.assert_array_equal(flip_images(flip_images(x, mask), mask), x)
+        x = make_rng(4).normal(size=(3, 2, 4, 5))
+        draws = FixedDraws(flips=[0.1, 0.4, 0.9])
+        once = augment(x, draws, flip=True)
+        assert not np.array_equal(once, x)
+        np.testing.assert_array_equal(augment(once, draws, flip=True), x)
 
     def test_pad_crop_center_offset_reproduces_input(self):
-        x = make_rng(5).normal(size=(2, 1, 4, 4))
-        out = pad_crop_images(x, 1, 4, [(1, 1), (1, 1)])
+        x = make_rng(5).normal(size=(2, 1, 4, 6))
+        out = augment(x, FixedDraws(offsets=[(1, 1), (1, 1)]), pad=1)
         np.testing.assert_array_equal(out, x)
 
     def test_pad_crop_corner_offset_shifts_with_zero_border(self):
         x = np.ones((1, 1, 3, 3))
-        out = pad_crop_images(x, 1, 3, [(0, 0)])
+        out = augment(x, FixedDraws(offsets=[(0, 0)]), pad=1, crop=3)
         assert out[0, 0, 0, :].sum() == 0.0  # zero border moved in
         assert out[0, 0, :, 0].sum() == 0.0
         np.testing.assert_array_equal(out[0, 0, 1:, 1:], np.ones((2, 2)))
 
     def test_pad_crop_too_large(self):
-        with pytest.raises(ConfigError):
-            pad_crop_images(np.ones((1, 1, 3, 3)), 0, 5, [(0, 0)])
+        with pytest.raises(ConfigError, match=r"crop 5 exceeds padded image \(3x3\)"):
+            augment(np.ones((1, 1, 3, 3)), make_rng(0), crop=5)
+
+    @AUGMENT_SETTINGS
+    @given(n=st.integers(1, 4), c=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
+           pad=st.integers(0, 4), flip=st.booleans(), crop_frac=st.none() | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_image_oracle(self, n, c, h, w, pad, flip, crop_frac, seed):
+        crop = None if crop_frac is None else 1 + int(crop_frac * (min(h, w) + 2 * pad - 1))
+        x = make_rng(seed).normal(size=(n, c, h, w))
+        rng, twin = make_rng(seed + 1), make_rng(seed + 1)
+        out = augment(x, rng, flip=flip, pad=pad, crop=crop)
+        expected = augment_oracle(x, twin, flip=flip, pad=pad, crop=crop)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+        assert out.flags.c_contiguous
+        assert rng.random() == twin.random()  # augment drew what the oracle drew
 
     def test_augment_noop_without_options(self):
         x = make_rng(6).normal(size=(4, 1, 3, 3))
@@ -266,9 +314,9 @@ class TestAugment:
         assert abs(flipped - 0.5) < 0.07
 
     def test_augment_pad_keeps_size_by_default(self):
-        x = make_rng(8).normal(size=(5, 1, 6, 6))
-        out = augment(x, make_rng(9), pad=2)
-        assert out.shape == x.shape
+        for shape in [(6, 6), (10, 6), (6, 10)]:
+            x = make_rng(8).normal(size=(5, 1) + shape)
+            assert augment(x, make_rng(9), flip=True, pad=2).shape == x.shape
 
     def test_augment_crop_changes_size(self):
         x = make_rng(10).normal(size=(5, 1, 8, 8))
@@ -291,6 +339,10 @@ class TestAugment:
     def test_augment_crop_exceeding_padded_size(self):
         with pytest.raises(ConfigError):
             augment(np.ones((1, 1, 4, 4)), make_rng(0), pad=1, crop=8)
+        # each padded side is checked, on tall and wide images alike
+        for shape, padded in [((10, 6), "12x8"), ((6, 10), "8x12")]:
+            with pytest.raises(ConfigError, match=f"crop 9 exceeds padded image \\({padded}\\)"):
+                augment(np.ones((1, 1) + shape), make_rng(0), pad=1, crop=9)
 
 
 class TestFolds:

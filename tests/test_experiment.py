@@ -55,11 +55,13 @@ from maxgain.layers import STAGE_TYPES
 
 def idx_dataset(tmp_path, stem, n, side, rng):
     """Spec of an IDX dataset written under tmp_path: n side x side images
-    whose brightness follows a random binary label."""
+    (side may also be a (rows, cols) pair) whose brightness follows a random
+    binary label."""
+    rows, cols = (side, side) if isinstance(side, int) else side
     labels = rng.integers(0, 2, size=n)
-    pixels = np.clip(60 + 120 * labels[:, None, None] + rng.normal(0, 20, size=(n, side, side)), 0, 255)
+    pixels = np.clip(60 + 120 * labels[:, None, None] + rng.normal(0, 20, size=(n, rows, cols)), 0, 255)
     (tmp_path / f"{stem}-images").write_bytes(
-        struct.pack(">IIII", 0x803, n, side, side) + pixels.astype(np.uint8).tobytes())
+        struct.pack(">IIII", 0x803, n, rows, cols) + pixels.astype(np.uint8).tobytes())
     (tmp_path / f"{stem}-labels").write_bytes(
         struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes())
     return {"type": "idx", "images": str(tmp_path / f"{stem}-images"),
@@ -323,6 +325,17 @@ class TestRunConfig:
         assert len(result.test_max_gains) == 6
         assert 0.0 <= result.test_accuracy <= 1.0
         assert network_to_text(run_config(config).net) == network_to_text(result.net)
+        assert network_to_text(run_config({**config, "augment": None}).net) != network_to_text(result.net)
+
+    @pytest.mark.parametrize("shape", [(10, 6), (6, 10)])
+    def test_non_square_idx_images_train_with_pad(self, tmp_path, shape):
+        config = base_config(
+            model=[{"type": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 1}, {"type": "relu"},
+                   {"type": "flatten"}, {"type": "dense", "in": 2 * shape[0] * shape[1], "out": 2}],
+            epochs=2, batch_size=8, augment={"pad": 2},
+            dataset=idx_dataset(tmp_path, "train", 32, shape, make_rng(12)), test_dataset=None)
+        result = run_config(config)
+        assert [r.split for r in result.ledger.records] == ["train", "train"]
         assert network_to_text(run_config({**config, "augment": None}).net) != network_to_text(result.net)
 
     def test_crop_the_model_cannot_evaluate_at_full_size_is_refused(self, tmp_path, monkeypatch):
