@@ -43,10 +43,16 @@ class AdjointMismatchError(MaxGainError, ValueError):
 
 
 class DivergenceError(MaxGainError, RuntimeError):
-    """Training produced a non-finite loss, measured gain or gradient.
+    """A network produced non-finite logits, loss, measured gain or gradient.
+
+    softmax_cross_entropy raises it for non-finite logits or loss, in training
+    and evaluation alike; a training step also for a gain or gradient. The
+    callers above it prefix or suffix where it happened: the step and epoch,
+    the split of an eval pass, the sweep gamma or the fold.
 
     Attributes:
-        step: global step index at which the failure was detected.
+        step: global step index at which the failure was detected (None
+            outside fit's steps, as for a pass after training).
         ledger: partial training ledger accumulated up to that point (may be None).
     """
 

@@ -128,8 +128,13 @@ def _eval_batches(net, x, what):
         yield (rows, *forward(net, x[rows], "eval"))
 
 
+# Overflow warnings stay silent: the loss reports non-finite logits.
+@np.errstate(all="ignore")
 def eval_metrics(net, x, y):
-    """Mean cross-entropy loss and accuracy of the eval-mode network."""
+    """Mean cross-entropy loss and accuracy of the eval-mode network.
+
+    Non-finite logits or loss raise the loss's DivergenceError.
+    """
     loss_sum = 0.0
     correct = 0
     for rows, logits, _ in _eval_batches(net, x, "eval_metrics"):

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .data import augment, cell, load_csv, load_idx, make_folds, synth_blobs, synth_spirals, tsv
-from .errors import ConfigError, EmptySampleError, FormatError, InvalidValueError, ShapeError
+from .errors import ConfigError, DivergenceError, EmptySampleError, FormatError, InvalidValueError, ShapeError
 from .evaluate import eval_metrics, per_layer_gains
 from .layers import (
     REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, integer, of_type, one_of, parse_fields, real)
@@ -39,6 +39,17 @@ def _building(what):
         yield
     except (InvalidValueError, ShapeError) as err:
         raise ConfigError(f"bad {what}: {err}") from None
+
+
+@contextmanager
+def _where(prefix="", suffix="", ledger=None):
+    """A divergence raised inside says where: its message gets prefix and
+    suffix, and it carries ledger, if given, in place of its own."""
+    try:
+        yield
+    except DivergenceError as err:
+        raise DivergenceError(f"{prefix}{err}{suffix}", err.step,
+                              err.ledger if ledger is None else ledger) from None
 
 
 def _kind(what, kinds, spec):
@@ -218,7 +229,9 @@ class RunResult:
 
 def run_config(config):
     """Build everything from a config dict, train, and score. The test loss
-    and accuracy are fit's last test row, taken on the final weights."""
+    and accuracy are fit's last test row, taken on the final weights. A
+    divergence in the final train pass names that split and carries the
+    finished ledger."""
     cfg = check_config(config)
     return _run(cfg, *build_splits(cfg), build_maxgain(cfg))
 
@@ -226,7 +239,8 @@ def run_config(config):
 def _run(cfg, train, test, maxgain):
     """run_config on the checked config cfg, its built splits and constraint."""
     net, ledger = _train(cfg, train, cfg["seed"], maxgain, test)
-    train_loss, train_acc = eval_metrics(net, train.x, train.y)
+    with _where(suffix=" on the train split after training", ledger=ledger):
+        train_loss, train_acc = eval_metrics(net, train.x, train.y)
     result = RunResult(net=net, ledger=ledger, train_loss=train_loss, train_accuracy=train_acc)
     if test is not None:
         last = ledger.records[-1]
@@ -283,10 +297,13 @@ def build_fold_protocol(config, dataset):
 
 
 def run_fold_point(args):
-    """Train on one fold; takes (checked config, fold_index, train, test)."""
+    """Train on one fold; takes (checked config, fold_index, train, test).
+    A divergence is prefixed "fold <fold_index>: "."""
     cfg, fold_index, train, test = args
-    net, _ = _train(cfg, train, cfg["seed"] + fold_index, build_maxgain(cfg))
-    _, acc = eval_metrics(net, test.x, test.y)
+    with _where(prefix=f"fold {fold_index}: "):
+        net, ledger = _train(cfg, train, cfg["seed"] + fold_index, build_maxgain(cfg))
+        with _where(suffix=" on the test split after training", ledger=ledger):
+            _, acc = eval_metrics(net, test.x, test.y)
     return fold_index, acc
 
 
@@ -342,9 +359,11 @@ class SweepResult:
 
 
 def run_sweep_point(args):
-    """One gamma sweep point's SweepRow; takes (checked config, its MaxGainConfig, train, test)."""
+    """One gamma sweep point's SweepRow; takes (checked config, its MaxGainConfig, train, test).
+    A divergence is prefixed "gamma <gamma>: "."""
     cfg, maxgain, train, test = args
-    r = _run(cfg, train, test, maxgain)
+    with _where(prefix=f"gamma {maxgain.gamma}: "):
+        r = _run(cfg, train, test, maxgain)
     return SweepRow(maxgain.gamma, r.train_accuracy, r.train_loss,
                     r.test_accuracy, r.test_loss, tuple(r.test_max_gains))
 

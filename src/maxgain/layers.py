@@ -34,11 +34,12 @@ every walk over a network (STAGE_TYPES lists the classes):
 - out_shape(in_shape): the instance shape it maps an instance shape to.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CacheError, InvalidValueError, ShapeError
+from .errors import CacheError, DivergenceError, InvalidValueError, ShapeError
 from .tensor import DTYPE, as_tensor, init_weights, operator_norm_exact
 
 MODES = ("train", "eval")
@@ -807,8 +808,15 @@ def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch and its gradient wrt the logits.
 
     Returns (loss, grad) with grad = (softmax(logits) - onehot(labels)) / N.
+    This is the one verdict on non-finite outputs, in training and evaluation
+    alike: a non-finite logit, found before the labels are checked, or a
+    non-finite loss (finite logits whose true class trails by more than the
+    float range) raises DivergenceError.
     """
-    logits = as_tensor(logits, "logits")
+    try:
+        logits = as_tensor(logits, "logits")
+    except InvalidValueError:
+        raise DivergenceError("non-finite logits") from None
     if logits.ndim != 2:
         raise ShapeError(f"logits must be rank 2, got shape {logits.shape}")
     labels = np.asarray(labels)
@@ -826,6 +834,8 @@ def softmax_cross_entropy(logits, labels):
     total = grad.sum(axis=1, keepdims=True)
     lse = (row_max + np.log(total))[:, 0]
     loss = float(np.mean(lse - logits[np.arange(n), labels]))
+    if not math.isfinite(loss):
+        raise DivergenceError(f"non-finite loss {loss}")
     grad /= total
     grad[np.arange(n), labels] -= 1.0
     grad /= n

@@ -8,6 +8,11 @@ bias, BatchNorm beta) are never rescaled.
 
 fit scores the test split after every epoch with evaluate.eval_metrics, so
 its ledger's last test row is the final weights' test loss and accuracy.
+
+Non-finite logits or loss are judged by layers.softmax_cross_entropy alone,
+in a training step and an eval pass alike; train_step adds non-finite
+measured gains and gradients. fit names the step, or the test pass after it,
+and attaches the ledger to the DivergenceError.
 """
 
 import math
@@ -159,16 +164,7 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     Returns a StepReport.
     """
     logits, caches = forward(net, x, "train", rng=rng)
-    try:
-        loss, loss_grad = softmax_cross_entropy(logits, y)
-    except InvalidValueError:
-        # the loss checks the logits are finite; scan them again only to tell
-        # a divergence from bad labels
-        if not np.isfinite(logits).all():
-            raise DivergenceError("non-finite logits") from None
-        raise
-    if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite training loss {loss}")
+    loss, loss_grad = softmax_cross_entropy(logits, y)
     gamma_hats = None
     if maxgain is not None:
         gamma_hats = [batch_max_gain(xs, zs, maxgain.p) for xs, zs in zip(caches.xs, caches.zs)]
@@ -229,8 +225,8 @@ class TrainingLedger:
         write_text(path, self.to_text())
 
 
-# Overflow warnings stay silent: train_step's finiteness checks report a
-# divergence with its step and epoch.
+# Overflow warnings stay silent: the finiteness checks of train_step and the
+# loss report a divergence with its step and epoch.
 @np.errstate(all="ignore")
 def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
         maxgain=None, seed=0, test=None, augment_fn=None):
@@ -239,9 +235,10 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
     Shuffling, dropout, and augmentation draw from three independent streams
     derived from the seed, so the whole run is a pure function of (initial
     weights, data, seed, hyperparameters). augment_fn, when given, maps
-    (x_batch, rng) to a transformed batch before each step. A non-finite
-    loss, measured gain or gradient raises DivergenceError carrying the global
-    step index and the partial ledger.
+    (x_batch, rng) to a transformed batch before each step. Non-finite
+    logits, loss, measured gain or gradient, in a step or in the per-epoch
+    test pass, raise DivergenceError carrying the global step index and the
+    partial ledger; a test pass's ledger holds its epoch's train row.
     """
     if int(epochs) < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -288,7 +285,11 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
             record.scale_min = [projection_scale(gh, maxgain.gamma) for gh in gh_max]
         ledger.records.append(record)
         if test is not None:
-            test_loss, test_acc = eval_metrics(net, test.x, test.y)
+            try:
+                test_loss, test_acc = eval_metrics(net, test.x, test.y)
+            except DivergenceError as err:
+                raise DivergenceError(f"{err} on the test split after step {global_step} (epoch {epoch})",
+                                      step=global_step, ledger=ledger) from None
             ledger.records.append(EpochRecord(
                 epoch=epoch, split="test", loss=test_loss, accuracy=test_acc))
     return ledger

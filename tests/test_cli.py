@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from maxgain import experiment, load_network, make_folds, make_rng, run_config, save_network
+from maxgain import DivergenceError, experiment, load_network, make_folds, make_rng, run_config, save_network
 from maxgain.cli import main
 
 
@@ -145,6 +145,25 @@ class TestTrain:
             ["1", "train"], ["1", "test"]]
         assert not (out / "checkpoint.txt").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_logits_in_the_test_pass_exit_3_naming_split_step_and_epoch(self, tmp_path, capsys):
+        # step 1's update makes the next forward, the epoch-1 test pass, overflow
+        out = tmp_path / "o"
+        assert main(["train", str(write_config(tmp_path, **BLOW_UP)), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite logits on the test split after step 1 (epoch 1)\n")
+        assert [row.split("\t")[:2] for row in (out / "ledger.tsv").read_text().splitlines()] == [["1", "train"]]
+        assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_logits_in_the_final_train_pass_exit_3_with_the_ledger(self, tmp_path, capsys):
+        config = write_config(tmp_path, **dict(BLOW_UP, epochs=1, test_dataset=None))
+        out = tmp_path / "o"
+        assert main(["train", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite logits on the train split after training\n"
+        assert [row.split("\t")[:2] for row in (out / "ledger.tsv").read_text().splitlines()] == [["1", "train"]]
+        assert not (out / "checkpoint.txt").exists()
+
     def test_one_instance_batchnorm_batch_is_refused_before_training(self, tmp_path, capsys):
         config = write_config(
             tmp_path, model=[{"type": "dense", "in": 2, "out": 8}, {"type": "batchnorm", "channels": 8},
@@ -222,6 +241,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "maxgain" in err and "gamma" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_names_the_gamma(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path, **BLOW_UP, maxgain={"gamma": 2.0})
+        assert main(["sweep", str(config), "--gammas", "1,1e300", "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: gamma 1.0: non-finite logits on the test split after step 1 (epoch 1)\n")
 
 
 # A two-channel batchnorm checkpoint stage with the given running statistics.
@@ -366,6 +393,35 @@ class TestFolds:
             make_folds(60, 2, 20, 8, make_rng(1)).save(folds_path)
             assert (tmp_path / "saved.json").read_bytes() == folds_path.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_names_the_fold(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path, **dict(BLOW_UP, epochs=2, test_dataset=None),
+                              folds={"k": 2, "train_per_fold": 16, "test_per_fold": 8})
+        assert main(["folds", str(config), "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == "numerical failure: fold 0: non-finite logits at step 2 (epoch 2)\n"
+
+    def test_divergence_from_a_worker_keeps_its_step_and_ledger(self, tmp_path):
+        config = json.loads(write_config(tmp_path, **dict(BLOW_UP, epochs=2, test_dataset=None),
+                                         folds={"k": 2, "train_per_fold": 16, "test_per_fold": 8}).read_text())
+        with pytest.raises(DivergenceError, match="^fold 0: ") as err:
+            experiment.run_folds(config, jobs=2)
+        assert err.value.step == 2
+        assert [(r.epoch, r.split) for r in err.value.ledger.records] == [(1, "train")]
+
+    def test_divergence_scoring_a_fold_names_its_test_split_and_keeps_the_ledger(self, tmp_path, monkeypatch):
+        config = json.loads(write_config(tmp_path, test_dataset=None,
+                                         folds={"k": 2, "train_per_fold": 16, "test_per_fold": 8}).read_text())
+
+        def diverge(net, x, y):
+            raise DivergenceError("non-finite logits")
+
+        monkeypatch.setattr(experiment, "eval_metrics", diverge)
+        with pytest.raises(DivergenceError) as err:
+            experiment.run_folds(config)
+        assert str(err.value) == "fold 0: non-finite logits on the test split after training"
+        assert [(r.epoch, r.split) for r in err.value.ledger.records] == [(1, "train"), (2, "train")]
+
 
 def write_scores(path, pairs):
     lines = ["fold\taccuracy"] + [f"{f}\t{a}" for f, a in pairs]
@@ -449,6 +505,11 @@ class Repeats(dict):
 
 
 BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.0]], "sd": 0.5}
+# Blobs at 1e150, one batch per epoch and SGD at lr 1e6: step 1's update
+# makes every later forward overflow its logits.
+BLOW_UP = {"seed": 0, "optimizer": "sgd", "lr": 1e6, "momentum": 0.0, "epochs": 6, "batch_size": 64,
+           "dataset": {"type": "blobs", "n": 64, "seed": 1, "centers": [[1e150, 0], [0, 1e150]]},
+           "test_dataset": {"type": "blobs", "n": 32, "seed": 2, "centers": [[1e150, 0], [0, 1e150]]}}
 
 
 @pytest.mark.parametrize("overrides, named", [

@@ -373,7 +373,7 @@ class TestTrainStep:
         # non-finite logits win over bad labels, as when they were scanned first
         with pytest.raises(DivergenceError, match="^non-finite logits$"):
             train_step(net, np.full_like(data.x, 1e308), data.y.astype(float), SgdNesterov(0.0), 0.1)
-        with pytest.raises(InvalidValueError, match="logits contains non-finite values"):
+        with pytest.raises(DivergenceError, match="^non-finite logits$"):
             softmax_cross_entropy(np.array([[0.0, np.inf]]), np.array([0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -381,7 +381,7 @@ class TestTrainStep:
         # logits of +-1e308 are finite, but the true class trails by 2e308
         net = Network([Dense(np.array([[1e308], [-1e308]]), np.zeros(2))])
         before = network_to_text(net)
-        with pytest.raises(DivergenceError, match="^non-finite training loss inf$"):
+        with pytest.raises(DivergenceError, match="^non-finite loss inf$"):
             train_step(net, np.array([[1.0], [1.0]]), np.array([1, 1]), SgdNesterov(0.0), 0.1)
         assert network_to_text(net) == before
 
@@ -726,6 +726,17 @@ class TestEvalHelpers:
         loss_b, acc_b = eval_metrics(net, data.x, data.y)
         assert acc_a == acc_b
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eval_metrics_reports_non_finite_outputs_as_divergence(self):
+        # the loss's verdict, without numpy's overflow warning
+        data = blob_data(35, n=8)
+        with pytest.raises(DivergenceError, match="^non-finite logits$"):
+            eval_metrics(small_mlp(35), np.full_like(data.x, 1e308), data.y)
+        # logits of +-1e308 are finite, but the true class trails by 2e308
+        net = Network([Dense(np.array([[1e308], [-1e308]]), np.zeros(2))])
+        with pytest.raises(DivergenceError, match="^non-finite loss inf$"):
+            eval_metrics(net, np.array([[1.0], [1.0]]), np.array([1, 1]))
 
     def test_eval_metrics_rejects_empty_split(self):
         with pytest.raises(EmptySampleError):
