@@ -76,7 +76,6 @@ from .layers import (
     Dense,
     Dropout,
     Flatten,
-    Gradients,
     MaxPool2d,
     Network,
     ReLU,

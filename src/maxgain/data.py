@@ -308,13 +308,12 @@ _FOLDS_FILE = {"format": (one_of("maxgain-folds"), REQUIRED), "version": (one_of
 _FOLD = {"train": (of_type(list), REQUIRED), "test": (of_type(list), REQUIRED)}
 
 
-def make_folds(data, k, train_per_fold, test_per_fold, rng):
-    """Split a dataset (or an instance count) into a k-fold protocol.
+def make_folds(n, k, train_per_fold, test_per_fold, rng):
+    """Split n instances into a k-fold protocol.
 
     Needs k * (train_per_fold + test_per_fold) <= n; leftover instances are
     simply unused.
     """
-    n = data if isinstance(data, int) else data.x.shape[0]
     k, tr, te = int(k), int(train_per_fold), int(test_per_fold)
     if k < 1 or tr < 1 or te < 1:
         raise ConfigError(f"fold geometry must be positive, got k={k} train={tr} test={te}")

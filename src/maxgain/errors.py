@@ -46,9 +46,10 @@ class DivergenceError(MaxGainError, RuntimeError):
     """A network produced non-finite logits, loss, measured gain or gradient.
 
     softmax_cross_entropy raises it for non-finite logits or loss, in training
-    and evaluation alike; a training step also for a gain or gradient. The
-    callers above it prefix or suffix where it happened: the step and epoch,
-    the split of an eval pass, the sweep gamma or the fold.
+    and evaluation alike; a training step also for a gain or gradient, and
+    per_layer_gains for an eval-mode gain. The callers above it prefix or
+    suffix where it happened: the step and epoch, the split of an eval pass,
+    the sweep gamma or the fold.
 
     Attributes:
         step: global step index at which the failure was detected (None

@@ -14,6 +14,7 @@ import numpy as np
 from .data import tsv
 from .errors import (
     DegenerateSampleError,
+    DivergenceError,
     EmptySampleError,
     InvalidValueError,
     ShapeError,
@@ -145,11 +146,14 @@ def eval_metrics(net, x, y):
     return loss_sum / x.shape[0], correct / x.shape[0]
 
 
+# Overflow warnings stay silent: a non-finite gain raises DivergenceError.
+@np.errstate(all="ignore")
 def per_layer_gains(net, x, p):
     """Per-instance gains of every learned layer on a split, eval mode.
 
     Returns one array of len(x) gains per learned layer, in
-    Network.learned_layers() order.
+    Network.learned_layers() order. A non-finite gain (an input whose norm
+    overflows, say) raises DivergenceError naming the first such layer.
     """
     n_layers = len(net.learned_layers())
     if n_layers == 0:
@@ -158,7 +162,11 @@ def per_layer_gains(net, x, p):
     for _, _, caches in _eval_batches(net, x, "per_layer_gains"):
         for chunk, xs, zs in zip(chunks, caches.xs, caches.zs):
             chunk.append(instance_gains(xs, zs, p))
-    return [np.concatenate(c) for c in chunks]
+    gains = [np.concatenate(c) for c in chunks]
+    for j, g in enumerate(gains):
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite gain of layer {j}")
+    return gains
 
 
 @dataclass(frozen=True)
@@ -179,12 +187,16 @@ class GainReport:
 
 
 def gain_report(net, train, test, p):
-    """Five-number gain summaries per learned layer for both splits."""
+    """Five-number gain summaries per learned layer for both splits. A
+    non-finite gain raises DivergenceError naming its layer and split."""
     rows = []
     for split_name, ds in (("train", train), ("test", test)):
         if ds is None:
             continue
-        gains = per_layer_gains(net, ds.x, p)
+        try:
+            gains = per_layer_gains(net, ds.x, p)
+        except DivergenceError as err:
+            raise DivergenceError(f"{err} on the {split_name} split") from None
         for j, g in enumerate(gains):
             rows.append(GainReportRow(layer_index=j, split=split_name, stats=gain_stats(g)))
     if not rows:

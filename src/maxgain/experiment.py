@@ -20,7 +20,7 @@ from .evaluate import eval_metrics, per_layer_gains
 from .layers import (
     REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, integer, of_type, one_of, parse_fields, real)
 from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, fit
-from .tensor import make_rng
+from .tensor import INIT_SCHEMES, make_rng
 
 
 def parse_norm_order(value):
@@ -100,7 +100,7 @@ AUGMENT_FIELDS = {"flip": (of_type(bool), False), "pad": (at_least(0, integer), 
                   "crop": (at_least(1, integer), None)}
 FOLD_FIELDS = {"k": SIZE, "train_per_fold": SIZE, "test_per_fold": SIZE, "seed": (integer, 0)}
 CONFIG_FIELDS = {
-    "seed": (integer, 0), "model": (of_type(list), REQUIRED), "init": (of_type(str), "he-normal"),
+    "seed": (integer, 0), "model": (of_type(list), REQUIRED), "init": (one_of(*INIT_SCHEMES), "he-normal"),
     "optimizer": (one_of("adam", "sgd"), REQUIRED), "lr": (real, REQUIRED),
     "momentum": (real, None), "schedule": (_drops, []), "epochs": (integer, REQUIRED),
     "batch_size": (integer, 64), "maxgain": (_section("maxgain", MAXGAIN_FIELDS), None),
@@ -230,8 +230,8 @@ class RunResult:
 def run_config(config):
     """Build everything from a config dict, train, and score. The test loss
     and accuracy are fit's last test row, taken on the final weights. A
-    divergence in the final train pass names that split and carries the
-    finished ledger."""
+    divergence in the final train pass, or in the test split's gains, names
+    that split and carries the finished ledger."""
     cfg = check_config(config)
     return _run(cfg, *build_splits(cfg), build_maxgain(cfg))
 
@@ -246,7 +246,8 @@ def _run(cfg, train, test, maxgain):
         last = ledger.records[-1]
         result.test_loss, result.test_accuracy = last.loss, last.accuracy
         p = maxgain.p if maxgain is not None else 2
-        result.test_max_gains = [float(g.max()) for g in per_layer_gains(net, test.x, p)]
+        with _where(suffix=" on the test split after training", ledger=ledger):
+            result.test_max_gains = [float(g.max()) for g in per_layer_gains(net, test.x, p)]
     return result
 
 
@@ -293,7 +294,7 @@ def build_fold_protocol(config, dataset):
     if f is None:
         raise ConfigError("config needs a \"folds\" section with k/train_per_fold/test_per_fold")
     with _building("folds"):
-        return make_folds(dataset, f["k"], f["train_per_fold"], f["test_per_fold"], make_rng(f["seed"]))
+        return make_folds(len(dataset), f["k"], f["train_per_fold"], f["test_per_fold"], make_rng(f["seed"]))
 
 
 def run_fold_point(args):

@@ -1,10 +1,11 @@
 """Empirical gain measurement and operator-norm machinery.
 
 The gain of a learned layer on an instance x is ||Wx||_p / ||x||_p where Wx is
-the layer's bias-free linear action (its apply_linear), measured here from the
-(x, Wx) caches a forward pass records. The operator norms it is compared with
-are declared by the stage classes in closed form; power iteration stays here
-as a tool to cross-check them.
+the layer's bias-free linear action, measured here from the (x, Wx) caches a
+forward pass records. The operator norms it is compared with are declared by
+the stage classes in closed form, and the Lipschitz bound, their product,
+takes the instance shape its caller gives; power iteration stays here as a
+tool to cross-check them.
 """
 
 import math
@@ -13,13 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AdjointMismatchError,
-    CacheError,
-    EmptySampleError,
-    InvalidValueError,
-    ShapeError,
-)
+from .errors import AdjointMismatchError, CacheError, EmptySampleError, ShapeError
 from .layers import stages_operator_norm
 from .tensor import DTYPE, check_norm_order, make_rng
 
@@ -132,31 +127,21 @@ def spectral_norm_power_iteration(linear_map, adjoint_map, input_dim,
     return PowerIterationResult(sigma, iters)
 
 
-def _instance_shape(shape):
-    return (shape,) if isinstance(shape, int) else tuple(int(s) for s in shape)
-
-
 def layer_operator_norm(layer, p, input_shape):
     """l_p operator norm, p in {1, 2, inf}, of a stage's eval-mode map on
     instances of shape input_shape, which the stage must take: the closed
     form the stage declares."""
     check_norm_order(p)
-    return stages_operator_norm([layer], p, _instance_shape(input_shape))
+    return stages_operator_norm([layer], p, input_shape)
 
 
-def lipschitz_upper_bound(net, p, input_shape=None):
+def lipschitz_upper_bound(net, p, input_shape):
     """Upper bound on the Lipschitz constant of the network's eval-mode
-    function: the product of its stages' operator norms.
-
-    input_shape (instance shape, no batch axis) can be omitted only when the
-    first stage is dense.
+    function on instances of shape input_shape (no batch axis): the product
+    of its stages' operator norms.
     """
     check_norm_order(p)
-    if input_shape is None:
-        input_shape = getattr(net.stages[0], "in_features", None)
-        if input_shape is None:
-            raise InvalidValueError("input_shape is required unless the first stage is dense")
-    return stages_operator_norm(net.stages, p, _instance_shape(input_shape))
+    return stages_operator_norm(net.stages, p, input_shape)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ Stages are plain objects holding float64 parameter arrays. Every stage,
 residual blocks included, has forward(x, mode, rng=None) -> (y, cache) and
 backward(grad_y, cache, input_grad=True) -> (grad_x, param_grads). With
 input_grad False no caller reads grad_x, and a learned stage skips it and
-returns None: the network backward asks only its first stage, and only when
-its own caller wants the input gradient, so a training step never computes
-the gradient with respect to its input batch. In train mode a stage's cache
-holds only what its own backward reads; in eval mode it holds no array.
+returns None: the network backward tells its first stage so, and returns
+parameter gradients only, so it never computes the gradient with respect to
+its input batch. In train mode a stage's cache holds only what its own
+backward reads; in eval mode it holds no array.
 A learned stage's cache also carries its gain pair ("gain"): the input batch X
 and the bias-free linear outputs Z that the gain machinery consumes. The
 network forward moves every pair into StepCaches, so a stage cache that
@@ -215,10 +215,6 @@ class Dense(Stage):
     def backward(self, grad_y, cache, input_grad=True):
         grads = {"w": grad_y.T @ cache["x"], "b": grad_y.sum(axis=0)}
         return (grad_y @ self.w if input_grad else None), grads
-
-    def apply_linear(self, x):
-        self.out_shape(x.shape)
-        return self.w @ x
 
 
 # Output positions per Conv2d block of images: one 32x32 image, or four
@@ -502,10 +498,6 @@ class BatchNorm(Stage):
         gxhat *= inv_std.reshape(bshape) / m
         return gxhat, grads
 
-    def apply_linear(self, x):
-        self.out_shape(x.shape)
-        return x * self.scale.reshape((-1,) + (1,) * (x.ndim - 1))
-
 
 class Dropout(Stage):
     """Zeroes activations with the given probability while training.
@@ -738,17 +730,6 @@ class StepCaches:
     zs: list = field(default_factory=list)
 
 
-@dataclass
-class Gradients:
-    """What backward returns: by_layer[j] maps the j-th learned layer's
-    param_names to their gradients, in Network.learned_layers() order, and
-    input_grad is the gradient with respect to the network input, None
-    unless backward was asked for it."""
-
-    by_layer: list
-    input_grad: np.ndarray
-
-
 def _forward_stages(stages, x, mode, rng):
     caches = []
     for st in stages:
@@ -786,22 +767,22 @@ def forward(net, x, mode, rng=None):
                          [gx for gx, _ in pairs], [gz for _, gz in pairs])
 
 
-def backward(net, caches, loss_grad, input_grad=False):
+def backward(net, caches, loss_grad):
     """Backpropagate loss_grad through the network using one step's caches.
 
-    The caches must come from a train-mode forward pass on this very network;
-    anything else raises CacheError. The gradient with respect to the network
-    input is computed only if input_grad is set (Gradients.input_grad is None
-    otherwise); training never asks for it.
+    Returns one dict per learned layer, in Network.learned_layers() order,
+    mapping its param_names to their gradients; the gradient with respect
+    to the network input is never computed. The caches must come from a
+    train-mode forward pass on this very network; anything else raises
+    CacheError.
     """
     if not isinstance(caches, StepCaches) or caches.net_id != id(net):
         raise CacheError("caches were not produced by this network")
     if caches.mode != "train":
         raise CacheError("backward needs caches from a train-mode forward pass")
     loss_grad = np.asarray(loss_grad, dtype=DTYPE)
-    grad_x, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches, input_grad)
-    return Gradients(by_layer=[g for _, g in _learned(net.stages, grads)],
-                     input_grad=grad_x if input_grad else None)
+    _, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches, False)
+    return [g for _, g in _learned(net.stages, grads)]
 
 
 def softmax_cross_entropy(logits, labels):

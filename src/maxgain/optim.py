@@ -175,9 +175,9 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     grads = backward(net, caches, loss_grad)
     layers = net.learned_layers()
     names = [(j, name) for j, layer in enumerate(layers) for name in layer.param_names]
-    flat = np.concatenate([grads.by_layer[j][name].ravel() for j, name in names] or [np.empty(0)])
+    flat = np.concatenate([grads[j][name].ravel() for j, name in names] or [np.empty(0)])
     if not np.isfinite(flat).all():
-        j, name = next((j, name) for j, name in names if not np.isfinite(grads.by_layer[j][name]).all())
+        j, name = next((j, name) for j, name in names if not np.isfinite(grads[j][name]).all())
         raise DivergenceError(f"non-finite gradient of layer {j} {name!r}")
     optimizer.update([getattr(layers[j], name) for j, name in names], flat, lr)
     scales = None

@@ -67,24 +67,29 @@ def _fan_in_out(shape):
     raise ShapeError(f"cannot infer fans for weight shape {shape}")
 
 
-def init_weights(shape, scheme, rng):
-    """Draw an initial weight array of the given shape.
+def _he_normal(rng, shape, fan_in, fan_out):
+    """N(0, 2 / fan_in)"""
+    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
 
-    Schemes:
-        he-normal:      N(0, 2 / fan_in)
-        glorot-uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out))
-    """
+
+def _glorot_uniform(rng, shape, fan_in, fan_out):
+    """U(-a, a) with a = sqrt(6 / (fan_in + fan_out))"""
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape)
+
+
+# Weight init schemes: name -> draw(rng, shape, fan_in, fan_out).
+INIT_SCHEMES = {"he-normal": _he_normal, "glorot-uniform": _glorot_uniform}
+
+
+def init_weights(shape, scheme, rng):
+    """Draw an initial weight array of the given shape by the INIT_SCHEMES entry scheme."""
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
         raise ShapeError(f"weight shape must be positive, got {shape}")
-    fan_in, fan_out = _fan_in_out(shape)
-    if scheme == "he-normal":
-        std = math.sqrt(2.0 / fan_in)
-        return rng.normal(0.0, std, size=shape).astype(DTYPE)
-    if scheme == "glorot-uniform":
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape).astype(DTYPE)
-    raise InvalidValueError(f"unknown init scheme {scheme!r}")
+    if scheme not in INIT_SCHEMES:
+        raise InvalidValueError(f"unknown init scheme {scheme!r}")
+    return INIT_SCHEMES[scheme](rng, shape, *_fan_in_out(shape)).astype(DTYPE)
 
 
 def make_rng(seed):

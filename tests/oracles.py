@@ -2,10 +2,11 @@
 
 Everything here is written the dumb, obviously-correct way (explicit loops,
 brute-force enumeration) so it cannot share a bug with the package code. The
-exceptions are the one-instance probes of a learned layer (apply_linear,
-gain, materialize_linear): they call the stage's own apply_linear, one
-instance or basis vector at a time, so tests can compare the package's
-batched measurements with them.
+exceptions: the one-instance probes of a learned layer (apply_linear, gain,
+materialize_linear) call a conv's own apply_linear, one instance or basis
+vector at a time, so tests can compare the package's batched measurements
+with them; and backward_with_input_grad runs the stages' own backward
+passes, asking each for its input gradient.
 """
 
 import itertools
@@ -13,7 +14,16 @@ import itertools
 import mpmath
 import numpy as np
 
-from maxgain import StepReport, backward, batch_max_gain, forward, instance_gains, softmax_cross_entropy
+from maxgain import (
+    BatchNorm,
+    Dense,
+    StepReport,
+    backward,
+    batch_max_gain,
+    forward,
+    instance_gains,
+    softmax_cross_entropy,
+)
 
 
 def brute_force_operator_norm_p1(w):
@@ -44,8 +54,16 @@ def brute_force_operator_norm_pinf(w):
 
 
 def apply_linear(layer, x):
-    """Bias-free linear action of a learned layer on one instance."""
-    return layer.apply_linear(np.asarray(x, dtype=np.float64))
+    """Bias-free linear action of a learned layer on one instance: W x for a
+    dense layer, x times alpha / sqrt(running_var + eps) per channel for
+    batchnorm, and a conv's own apply_linear."""
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(layer, Dense):
+        return layer.w @ x
+    if isinstance(layer, BatchNorm):
+        scale = layer.alpha / np.sqrt(layer.running_var + layer.eps)
+        return x * scale.reshape((-1,) + (1,) * (x.ndim - 1))
+    return layer.apply_linear(x)
 
 
 def gain(layer, x, p):
@@ -66,6 +84,27 @@ def materialize_linear(layer, input_shape):
         e[k] = 1.0
         columns.append(apply_linear(layer, e.reshape(shape)).reshape(-1))
     return np.stack(columns, axis=1)
+
+
+def _learned_grads(stages, grads):
+    """The param_grads of the learned stages under stages, in
+    learned_layers() order (a residual block's parts first)."""
+    for stage, g in zip(stages, grads):
+        for part in stage.parts:
+            yield from _learned_grads(getattr(stage, part) or (), g[part])
+        if stage.weight_param is not None:
+            yield g
+
+
+def backward_with_input_grad(net, caches, loss_grad):
+    """The network backward with every stage asked for its input gradient:
+    (gradient with respect to the network input, one param_grads dict per
+    learned layer in learned_layers() order)."""
+    grad, grads = np.asarray(loss_grad, dtype=np.float64), []
+    for stage, cache in zip(reversed(net.stages), reversed(caches.stage_caches)):
+        grad, g = stage.backward(grad, cache, input_grad=True)
+        grads.insert(0, g)
+    return grad, list(_learned_grads(net.stages, grads))
 
 
 def numeric_gradient(f, x, h=1e-5):
@@ -275,7 +314,7 @@ def train_step_oracle(net, x, y, optimizer, lr, maxgain=None, rng=None):
     grads = backward(net, caches, loss_grad)
     layers = net.learned_layers()
     optimizer.begin_step()
-    for j, (layer, pgrads) in enumerate(zip(layers, grads.by_layer)):
+    for j, (layer, pgrads) in enumerate(zip(layers, grads)):
         for name in layer.param_names:
             setattr(layer, name, optimizer.update((j, name), getattr(layer, name), pgrads[name], lr))
     gamma_hats = scales = None

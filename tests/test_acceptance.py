@@ -47,6 +47,7 @@ from maxgain import (
 )
 from maxgain.cli import main as cli_main
 from oracles import (
+    backward_with_input_grad,
     brute_force_operator_norm_p1,
     brute_force_operator_norm_pinf,
     gain,
@@ -211,12 +212,12 @@ def test_03_gradient_checks():
         mask_seed = int(rng.integers(0, 1000))
         y, caches = forward(net, x, "train", rng=make_rng(mask_seed))
         r = rng.normal(size=y.shape)
-        grads = backward(net, caches, r, input_grad=True)
+        grad_x, _ = backward_with_input_grad(net, caches, r)
 
         def dropped(v):
             return float((forward(net, v, "train", rng=make_rng(mask_seed))[0] * r).sum())
 
-        note("dropout", grads.input_grad, numeric_gradient(dropped, x))
+        note("dropout", grad_x, numeric_gradient(dropped, x))
 
     for _ in range(10):
         layer = ReLU()
@@ -258,18 +259,18 @@ def test_03_gradient_checks():
         x = rng.normal(size=(batch, width)) + 0.5
         y, caches = forward(net, x, "train")
         r = rng.normal(size=y.shape)
-        grads = backward(net, caches, r, input_grad=True)
+        grad_x, _ = backward_with_input_grad(net, caches, r)
 
         def through_block(v):
             return float((forward(net, v, "train")[0] * r).sum())
 
-        note("residual", grads.input_grad, numeric_gradient(through_block, x))
+        note("residual", grad_x, numeric_gradient(through_block, x))
 
         def through_main_w(w):
             rebuilt = Network([ResidualBlock([Dense(w, main[0].b), ReLU()], shortcut)])
             return float((forward(rebuilt, x, "train")[0] * r).sum())
 
-        note("residual", grads.by_layer[0]["w"],
+        note("residual", backward(net, caches, r)[0]["w"],
              numeric_gradient(through_main_w, main[0].w))
 
     for _ in range(10):

@@ -90,6 +90,14 @@ class TestTrain:
         config = write_config(tmp_path, model=[{"type": "dropout", "rate": 2.0}])
         assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("model", [[{"type": "relu"}], [{"type": "dense", "in": 2, "out": 2}]],
+                             ids=["relu-only", "dense"])
+    def test_unknown_init_exits_2_naming_init(self, tmp_path, capsys, model):
+        config = write_config(tmp_path, model=model, init="bogus")
+        assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad 'init' in config: expected one of 'he-normal', 'glorot-uniform', got 'bogus'\n")
+
     def test_crop_the_model_cannot_evaluate_at_full_size_exits_2(self, tmp_path, capsys):
         # 8x8 images whose dense layer takes the full image, cropped to 6x6
         config = write_config(
@@ -162,6 +170,16 @@ class TestTrain:
         assert main(["train", str(config), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "numerical failure: non-finite logits on the train split after training\n"
         assert [row.split("\t")[:2] for row in (out / "ledger.tsv").read_text().splitlines()] == [["1", "train"]]
+        assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_test_gain_exits_3_with_the_ledger(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", str(write_config(tmp_path, **GAIN_OVERFLOW)), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite gain of layer 0 on the test split after training\n")
+        assert [row.split("\t")[:2] for row in (out / "ledger.tsv").read_text().splitlines()] == [
+            ["1", "train"], ["1", "test"], ["2", "train"], ["2", "test"]]
         assert not (out / "checkpoint.txt").exists()
 
     def test_one_instance_batchnorm_batch_is_refused_before_training(self, tmp_path, capsys):
@@ -250,6 +268,18 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "numerical failure: gamma 1.0: non-finite logits on the test split after step 1 (epoch 1)\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_test_gain_names_the_gamma_and_the_split(self, tmp_path, capsys):
+        out = tmp_path / "sweep.tsv"
+        config = write_config(tmp_path, **GAIN_OVERFLOW)
+        for argv in (["--out", str(out)], []):
+            assert main(["sweep", str(config), "--gammas", "2"] + argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "numerical failure: gamma 2.0: non-finite gain of layer 0 on the test split after training\n")
+            assert captured.out == ""
+        assert not out.exists()
+
 
 # A two-channel batchnorm checkpoint stage with the given running statistics.
 BATCHNORM = ("stage batchnorm momentum=0.9 eps=1e-05\narray alpha 1 2\n1 1\narray beta 1 2\n0 0\n"
@@ -291,6 +321,18 @@ class TestGainReport:
         monkeypatch.setattr(experiment, "build_dataset", built)
         assert main(["gain-report", str(checkpoint), str(given), "--out", str(tmp_path / "r.tsv")]) == 0
         assert [c.args for c in built.call_args_list] == [(specs[k],) for k in splits]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_gain_exits_3_naming_the_layer_and_the_split(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        trained = write_config(tmp_path, "trained.json", **dict(GAIN_OVERFLOW, test_dataset=None))
+        assert main(["train", str(trained), "--out", str(out)]) == 0
+        capsys.readouterr()
+        config = write_config(tmp_path, **GAIN_OVERFLOW)
+        assert main(["gain-report", str(out / "checkpoint.txt"), str(config)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: non-finite gain of layer 0 on the test split\n"
+        assert captured.out == ""
 
     def test_missing_checkpoint(self, tmp_path):
         config = write_config(tmp_path)
@@ -510,6 +552,13 @@ BLOBS = {"type": "blobs", "n": 48, "seed": 4, "centers": [[-2.0, -2.0], [2.0, 2.
 BLOW_UP = {"seed": 0, "optimizer": "sgd", "lr": 1e6, "momentum": 0.0, "epochs": 6, "batch_size": 64,
            "dataset": {"type": "blobs", "n": 64, "seed": 1, "centers": [[1e150, 0], [0, 1e150]]},
            "test_dataset": {"type": "blobs", "n": 32, "seed": 2, "centers": [[1e150, 0], [0, 1e150]]}}
+# A model that trains on ordinary blobs and is tested on blobs at 1e160,
+# whose squared norms overflow: its logits and loss stay finite, its gains do not.
+GAIN_OVERFLOW = {"seed": 0, "model": [{"type": "dense", "in": 2, "out": 8}, {"type": "relu"},
+                                      {"type": "dense", "in": 8, "out": 2}],
+                 "optimizer": "adam", "lr": 0.01, "epochs": 2, "batch_size": 32, "maxgain": {"gamma": 2.0},
+                 "dataset": {"type": "blobs", "n": 64, "seed": 1, "centers": [[1, 0], [0, 1]]},
+                 "test_dataset": {"type": "blobs", "n": 32, "seed": 2, "centers": [[1e160, 0], [0, 1e160]]}}
 
 
 @pytest.mark.parametrize("overrides, named", [

@@ -359,14 +359,6 @@ class TestFolds:
         assert len(seen) == len(set(seen)) == 45  # pairwise disjoint, 5 unused
         assert all(0 <= i < 50 for i in seen)
 
-    def test_dataset_argument_equals_count_argument(self):
-        data = synth_blobs(40, make_rng(1), centers=[(0.0, 0.0), (1.0, 1.0)])
-        a = make_folds(data, 2, 12, 8, make_rng(5))
-        b = make_folds(40, 2, 12, 8, make_rng(5))
-        for fa, fb in zip(a.folds, b.folds):
-            np.testing.assert_array_equal(fa.train, fb.train)
-            np.testing.assert_array_equal(fa.test, fb.test)
-
     def test_deterministic(self):
         a = make_folds(30, 2, 8, 4, make_rng(2))
         b = make_folds(30, 2, 8, 4, make_rng(2))

@@ -303,19 +303,19 @@ class TestLipschitzUpperBound:
     def test_single_dense_layer(self):
         w = make_rng(17).normal(size=(4, 4))
         net = Network([Dense(w, np.ones(4))])
-        assert lipschitz_upper_bound(net, 1) == operator_norm_exact(w, 1)
-        assert lipschitz_upper_bound(net, math.inf) == operator_norm_exact(w, math.inf)
+        assert lipschitz_upper_bound(net, 1, (4,)) == operator_norm_exact(w, 1)
+        assert lipschitz_upper_bound(net, math.inf, (4,)) == operator_norm_exact(w, math.inf)
 
     def test_composition_multiplies(self):
         rng = make_rng(18)
         w1, w2 = rng.normal(size=(5, 3)), rng.normal(size=(2, 5))
         net = Network([Dense(w1, np.zeros(5)), ReLU(), Dense(w2, np.zeros(2))])
         want = operator_norm_exact(w1, 1) * operator_norm_exact(w2, 1)
-        assert lipschitz_upper_bound(net, 1) == pytest.approx(want, rel=1e-14)
+        assert lipschitz_upper_bound(net, 1, (3,)) == pytest.approx(want, rel=1e-14)
 
     def test_dropout_contributes_keep_probability(self):
         net = Network([Dense(np.eye(3), np.zeros(3)), Dropout(0.4)])
-        assert lipschitz_upper_bound(net, 1) == pytest.approx(0.6, rel=1e-15)
+        assert lipschitz_upper_bound(net, 1, (3,)) == pytest.approx(0.6, rel=1e-15)
 
     def test_identity_shortcut_adds_one(self):
         w = make_rng(19).normal(size=(4, 4))
@@ -338,7 +338,7 @@ class TestLipschitzUpperBound:
             Dense(rng.normal(size=(3, 16)), rng.normal(size=3)),
         ])
         for p in ALL_P:
-            bound = lipschitz_upper_bound(net, p)
+            bound = lipschitz_upper_bound(net, p, (4,))
             for _ in range(30):
                 a = rng.normal(size=(1, 4))
                 b = a + 0.1 * rng.normal(size=(1, 4))
@@ -388,11 +388,6 @@ class TestLipschitzUpperBound:
             for i in range(2):
                 assert np.linalg.norm(fa[i] - fb[i], p) <= bound * np.linalg.norm((a - b)[i].reshape(-1), p)
 
-    def test_input_shape_required_for_conv_first(self):
-        net = Network([Conv2d(np.ones((1, 1, 3, 3)), np.zeros(1))])
-        with pytest.raises(InvalidValueError):
-            lipschitz_upper_bound(net, 2)
-
     def test_stages_that_do_not_chain_are_rejected(self):
         # forward refuses this network, so there is no function to bound
         net = Network([Dense(np.ones((3, 2)), np.zeros(3)), BatchNorm(np.ones(4), np.zeros(4))])
@@ -400,13 +395,13 @@ class TestLipschitzUpperBound:
             forward(net, np.ones((2, 2)), "eval")
         for p in ALL_P:
             with pytest.raises(ShapeError):
-                lipschitz_upper_bound(net, p)
+                lipschitz_upper_bound(net, p, (2,))
 
     def test_trained_batchnorm_state_enters_the_bound(self):
         layer = BatchNorm(np.ones(2), np.zeros(2))
         layer.running_var = np.array([0.25 - layer.eps, 1.0])
         net = Network([Dense(np.eye(2), np.zeros(2)), layer])
-        assert lipschitz_upper_bound(net, 1) == pytest.approx(2.0, rel=1e-12)
+        assert lipschitz_upper_bound(net, 1, (2,)) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestGainStats:

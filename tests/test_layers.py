@@ -25,6 +25,7 @@ from maxgain import (
 )
 from oracles import (
     apply_linear,
+    backward_with_input_grad,
     batchnorm_backward_oracle,
     batchnorm_train_oracle,
     gradient_rel_error,
@@ -57,7 +58,8 @@ class TestDense:
         rng = make_rng(1)
         layer = Dense(rng.normal(size=(6, 3)), rng.normal(size=6))
         x = rng.normal(size=3)
-        np.testing.assert_allclose(apply_linear(layer, x), layer.w @ x, rtol=1e-15)
+        _, cache = layer.forward(x[None], "eval")
+        np.testing.assert_allclose(apply_linear(layer, x), cache["gain"][1][0], rtol=1e-15)
 
     def test_gradients(self):
         rng = make_rng(2)
@@ -438,13 +440,13 @@ class TestResidualBlock:
         x = rng.normal(size=(3, 4)) + 0.5  # keep relu inputs off the kink
         r = rng.normal(size=(3, 4))
         y, caches = forward(net, x, "train")
-        grads = backward(net, caches, r, input_grad=True)
+        grad_x, _ = backward_with_input_grad(net, caches, r)
 
         def loss_of_x(v):
             out, _ = forward(net, v, "train")
             return scalar_loss(out, r)
 
-        assert gradient_rel_error(grads.input_grad, numeric_gradient(loss_of_x, x)) < 1e-5
+        assert gradient_rel_error(grad_x, numeric_gradient(loss_of_x, x)) < 1e-5
 
 
 class TestNetworkPlumbing:

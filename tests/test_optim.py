@@ -298,7 +298,7 @@ class TestTrainStep:
         logits, caches = forward(twin, data.x, "train")
         _, loss_grad = softmax_cross_entropy(logits, data.y)
         grads = backward(twin, caches, loss_grad)
-        for j, (layer, pg) in enumerate(zip(twin.learned_layers(), grads.by_layer)):
+        for j, (layer, pg) in enumerate(zip(twin.learned_layers(), grads)):
             layer.w = layer.w - 0.5 * pg["w"]
             layer.b = layer.b - 0.5 * pg["b"]
             layer.w = project(layer.w, report.gamma_hats[j], gamma)
@@ -404,7 +404,7 @@ class TestTrainStep:
             grads = backward(net, caches, loss_grad)
             calls[0] += 1
             if calls[0] == 3:
-                grads.by_layer[1]["b"][1] = math.inf
+                grads[1]["b"][1] = math.inf
             return grads
 
         data = blob_data(36, n=16)  # 2 steps per epoch at batch 8

@@ -45,7 +45,7 @@ from maxgain import (
 )
 from maxgain import optim
 from maxgain.layers import STAGE_TYPES, chain_shape
-from oracles import apply_linear, conv2d_oracle, materialize_linear
+from oracles import apply_linear, backward_with_input_grad, conv2d_oracle, materialize_linear
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 CLASSES = 3
@@ -228,14 +228,15 @@ def test_gradients_come_back_per_learned_layer(case):
     net, x, _ = case
     y, caches = forward(net, x, "train", rng=make_rng(1))
     r = make_rng(2).normal(size=y.shape)
-    grads = backward(net, caches, r, input_grad=True)
+    grads = backward(net, caches, r)
+    grad_x, _ = backward_with_input_grad(net, caches, r)
     layers = net.learned_layers()
-    assert len(grads.by_layer) == len(layers)
-    for layer, pgrads in zip(layers, grads.by_layer):
+    assert len(grads) == len(layers)
+    for layer, pgrads in zip(layers, grads):
         assert tuple(pgrads) == layer.param_names
         for name in layer.param_names:
             assert pgrads[name].shape == getattr(layer, name).shape
-    assert grads.input_grad.shape == x.shape
+    assert grad_x.shape == x.shape
 
     # one central difference of sum(y * r) along a random direction in the
     # input and every parameter at once, with the same dropout masks
@@ -251,8 +252,8 @@ def test_gradients_come_back_per_learned_layer(case):
                 setattr(layer, name, getattr(layer, name) + sign * h * dp)
         return float((forward(moved, x + sign * h * dx, "train", rng=make_rng(1))[0] * r).sum())
 
-    terms = [(grads.input_grad * dx).sum()]
-    terms += [(g[name] * d[name]).sum() for g, d in zip(grads.by_layer, dirs) for name in d]
+    terms = [(grad_x * dx).sum()]
+    terms += [(g[name] * d[name]).sum() for g, d in zip(grads, dirs) for name in d]
     numeric = (loss(1) - loss(-1)) / (2 * h)
     assert abs(numeric - sum(terms)) <= 1e-5 * max(1.0, sum(abs(t) for t in terms))
 
@@ -260,15 +261,17 @@ def test_gradients_come_back_per_learned_layer(case):
 @PROPERTY_SETTINGS
 @given(trees())
 def test_the_input_gradient_is_computed_only_on_request(case):
-    # asked for or not, the parameter gradients are the same bits, and
-    # neither backward writes into the loss gradient it was given
+    # backward's parameter gradients are the same bits as those of a walk
+    # that asks every stage for its input gradient, and neither writes into
+    # the loss gradient it was given
     net, x, _ = case
     y, caches = forward(net, x, "train", rng=make_rng(1))
     r = make_rng(2).normal(size=y.shape)
-    asked = backward(net, caches, r, input_grad=True)
+    grad_x, asked = backward_with_input_grad(net, caches, r)
     skipped = backward(net, caches, r)
-    assert asked.input_grad.shape == x.shape and skipped.input_grad is None
-    for got, want in zip(skipped.by_layer, asked.by_layer):
+    assert grad_x.shape == x.shape and len(skipped) == len(asked) == len(net.learned_layers())
+    for got, want in zip(skipped, asked):
+        assert tuple(got) == tuple(want)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
     np.testing.assert_array_equal(r, make_rng(2).normal(size=y.shape))
