@@ -41,7 +41,6 @@ from .evaluate import (
     gain_report,
     paired_t_test,
     per_layer_gains,
-    regularized_incomplete_beta,
 )
 from .experiment import (
     FoldScores,
@@ -98,6 +97,6 @@ from .optim import (
     projection_scale,
     train_step,
 )
-from .tensor import init_weights, make_rng, operator_norm_exact, spawn_rngs
+from .tensor import init_weights, make_rng
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ must be finite.
 
 import math
 
-from .errors import FormatError, InvalidValueError, ShapeError
+from .errors import FormatError, InvalidValueError, naming
 from .data import cell, write_text
 from .layers import STAGE_TYPES, Network, at_least, integer, parse_fields, parse_value, reals
 
@@ -45,7 +45,7 @@ def _emit_stage(lines, st):
     for name in cls.param_names + cls.state:
         _emit_array(lines, name, getattr(st, name))
     for part in cls.parts:
-        subs = getattr(st, part) or []
+        subs = getattr(st, part)
         lines.append(f"{part} {len(subs)}")
         for sub in subs:
             _emit_stage(lines, sub)
@@ -63,20 +63,12 @@ def save_network(net, path):
     write_text(path, network_to_text(net))
 
 
-class _Reader:
-    def __init__(self, text):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next(self, what="line"):
-        if self.pos >= len(self.lines):
-            raise FormatError(f"unexpected end of checkpoint, wanted {what}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def at_end(self):
-        return self.pos >= len(self.lines)
+def _next(lines, what):
+    """The next line of the iterator lines; a FormatError naming what was wanted at the end."""
+    line = next(lines, None)
+    if line is None:
+        raise FormatError(f"unexpected end of checkpoint, wanted {what}")
+    return line
 
 
 def _parse_attrs(tokens, what):
@@ -91,8 +83,8 @@ def _parse_attrs(tokens, what):
     return attrs
 
 
-def _read_array(reader, expect_name, stage):
-    head = reader.next(f"array {expect_name}").split()
+def _read_array(lines, expect_name, stage):
+    head = _next(lines, f"array {expect_name}").split()
     if len(head) < 3 or head[0] != "array" or head[1] != expect_name:
         raise FormatError(f"expected array {expect_name!r}, got {' '.join(head)!r}")
     what = f"array {expect_name} of {stage}"
@@ -101,28 +93,28 @@ def _read_array(reader, expect_name, stage):
     if len(dims) != ndim:
         raise FormatError(f"{what}: {ndim} dims declared, {len(dims)} given")
     count = math.prod(dims)
-    values = reader.next(f"values of {expect_name}").split()
+    values = _next(lines, f"values of {expect_name}").split()
     if len(values) != count:
         raise FormatError(f"{what}: expected {count} values, got {len(values)}")
     return parse_value(what, "values", reals, values, FormatError).reshape(dims)
 
 
-def _expect_end(reader, what):
-    line = reader.next(f"end of {what}")
+def _expect_end(lines, what):
+    line = _next(lines, f"end of {what}")
     if line != "end":
         raise FormatError(f"expected 'end' closing {what}, got {line!r}")
 
 
-def _parse_stages(reader, part):
-    head = reader.next(f"{part} count").split()
+def _parse_stages(lines, part):
+    head = _next(lines, f"{part} count").split()
     if len(head) != 2 or head[0] != part:
         raise FormatError(f"expected '{part} <count>', got {' '.join(head)!r}")
     count = parse_value(f"{part} line", "count", _COUNT, head[1], FormatError)
-    return [_parse_stage(reader) for _ in range(count)]
+    return [_parse_stage(lines) for _ in range(count)]
 
 
-def _parse_stage(reader):
-    head = reader.next("stage header").split()
+def _parse_stage(lines):
+    head = _next(lines, "stage header").split()
     if not head or head[0] != "stage":
         raise FormatError(f"expected a stage header, got {' '.join(head)!r}")
     if len(head) < 2:
@@ -132,22 +124,21 @@ def _parse_stage(reader):
     if cls is None:
         raise FormatError(f"unknown stage type {kind!r}")
     hyper = parse_fields(what, cls.hyper, _parse_attrs(head[2:], what), FormatError)
-    args = [_read_array(reader, name, what) for name in cls.param_names + cls.state]
-    args += [_parse_stages(reader, part) for part in cls.parts]
-    _expect_end(reader, what)
-    try:
+    args = [_read_array(lines, name, what) for name in cls.param_names + cls.state]
+    args += [_parse_stages(lines, part) for part in cls.parts]
+    _expect_end(lines, what)
+    with naming(FormatError, what):
         return cls(*args, **hyper)
-    except (InvalidValueError, ShapeError) as err:
-        raise FormatError(f"bad {what}: {err}") from None
 
 
 def network_from_text(text):
-    reader = _Reader(text)
-    if reader.next("header") != _HEADER:
+    lines = iter(text.splitlines())
+    if _next(lines, "header") != _HEADER:
         raise FormatError(f"not a checkpoint file (expected {_HEADER!r} header)")
-    stages = _parse_stages(reader, "stages")
-    if not reader.at_end():
-        raise FormatError(f"trailing content after the last stage: {reader.next()!r}")
+    stages = _parse_stages(lines, "stages")
+    trailing = next(lines, None)
+    if trailing is not None:
+        raise FormatError(f"trailing content after the last stage: {trailing!r}")
     return Network(stages)
 
 

@@ -60,9 +60,9 @@ def cmd_train(args):
     try:
         result = run_config(config)
     except DivergenceError as err:
-        err.ledger.write(ledger_path)
+        write_text(ledger_path, err.ledger.to_text())
         raise
-    result.ledger.write(ledger_path)
+    write_text(ledger_path, result.ledger.to_text())
     save_network(result.net, checkpoint_path)
     print(f"train loss {result.train_loss:.6g} accuracy {result.train_accuracy:.6g}")
     if result.test_accuracy is not None:

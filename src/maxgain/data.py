@@ -175,9 +175,13 @@ def load_csv(path, label_col=-1, feature_cols=None):
     return Dataset(x, y, class_count=len(index))
 
 
-def _balanced_counts(n, classes):
+def _by_class(n, classes, draw):
+    """n instances, class sizes balanced to within one; draw(c, count) gives
+    class c's count instances and is called in class order."""
     base, extra = divmod(n, classes)
-    return [base + (1 if c < extra else 0) for c in range(classes)]
+    counts = [base + (c < extra) for c in range(classes)]
+    x = np.concatenate([draw(c, count) for c, count in enumerate(counts)]).astype(DTYPE)
+    return Dataset(x, np.repeat(np.arange(classes, dtype=np.int64), counts), class_count=classes)
 
 
 def synth_spirals(n, rng, classes=2, turns=1.75, noise_sd=0.15):
@@ -189,16 +193,14 @@ def synth_spirals(n, rng, classes=2, turns=1.75, noise_sd=0.15):
         raise EmptySampleError("need at least one instance")
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
-    xs, ys = [], []
-    for c, count in enumerate(_balanced_counts(n, classes)):
+
+    def arm(c, count):
         t = rng.random(count)
         r = 0.2 + 0.8 * t
         theta = 2.0 * np.pi * turns * t + 2.0 * np.pi * c / classes
         pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        pts += rng.normal(0.0, noise_sd, size=pts.shape)
-        xs.append(pts)
-        ys.append(np.full(count, c, dtype=np.int64))
-    return Dataset(np.concatenate(xs).astype(DTYPE), np.concatenate(ys), class_count=classes)
+        return pts + rng.normal(0.0, noise_sd, size=pts.shape)
+    return _by_class(n, classes, arm)
 
 
 def synth_blobs(n, rng, centers, sd=1.0):
@@ -211,12 +213,8 @@ def synth_blobs(n, rng, centers, sd=1.0):
         raise ConfigError(f"centers must be a (K>=2, d) array, got shape {centers.shape}")
     if n < 1:
         raise EmptySampleError("need at least one instance")
-    k = centers.shape[0]
-    xs, ys = [], []
-    for c, count in enumerate(_balanced_counts(n, k)):
-        xs.append(centers[c] + rng.normal(0.0, sd, size=(count, centers.shape[1])))
-        ys.append(np.full(count, c, dtype=np.int64))
-    return Dataset(np.concatenate(xs).astype(DTYPE), np.concatenate(ys), class_count=k)
+    return _by_class(n, centers.shape[0],
+                     lambda c, count: centers[c] + rng.normal(0.0, sd, size=(count, centers.shape[1])))
 
 
 def augment(x, rng, flip=False, pad=0, crop=None):

@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two helpers that add
+context to them.
 
 Everything raised on purpose derives from MaxGainError so callers can catch
 library failures with one except clause. The ValueError/RuntimeError mixins
-keep ordinary python idioms working.
+keep ordinary python idioms working. `where` says where a divergence
+happened; `naming` turns a domain error met while building something into
+an error that names it.
 """
+
+from contextlib import contextmanager
 
 
 class MaxGainError(Exception):
@@ -47,9 +52,9 @@ class DivergenceError(MaxGainError, RuntimeError):
 
     softmax_cross_entropy raises it for non-finite logits or loss, in training
     and evaluation alike; a training step also for a gain or gradient, and
-    per_layer_gains for an eval-mode gain. The callers above it prefix or
-    suffix where it happened: the step and epoch, the split of an eval pass,
-    the sweep gamma or the fold.
+    per_layer_gains for an eval-mode gain. The callers above it add where it
+    happened through `where` (fit's step loop inline): the step and epoch,
+    the split of an eval pass, the sweep gamma or the fold.
 
     Attributes:
         step: global step index at which the failure was detected (None
@@ -61,3 +66,24 @@ class DivergenceError(MaxGainError, RuntimeError):
         super().__init__(message)
         self.step = step
         self.ledger = ledger
+
+
+@contextmanager
+def where(prefix="", suffix="", step=None, ledger=None):
+    """A divergence raised inside says where: its message gets prefix and
+    suffix, and it carries step and ledger, each if given, in place of its own."""
+    try:
+        yield
+    except DivergenceError as err:
+        raise DivergenceError(f"{prefix}{err}{suffix}", err.step if step is None else step,
+                              err.ledger if ledger is None else ledger) from None
+
+
+@contextmanager
+def naming(error, what):
+    """A domain error (InvalidValueError, ShapeError) raised inside becomes an
+    `error` (ConfigError, FormatError) saying "bad <what>: <message>"."""
+    try:
+        yield
+    except (InvalidValueError, ShapeError) as err:
+        raise error(f"bad {what}: {err}") from None

@@ -12,13 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import tsv
-from .errors import (
-    DegenerateSampleError,
-    DivergenceError,
-    EmptySampleError,
-    InvalidValueError,
-    ShapeError,
-)
+from .errors import DegenerateSampleError, DivergenceError, EmptySampleError, InvalidValueError, ShapeError, where
 from .gain import GainStats, gain_stats, instance_gains
 from .layers import forward, softmax_cross_entropy
 from .tensor import DTYPE, check_finite
@@ -193,10 +187,8 @@ def gain_report(net, train, test, p):
     for split_name, ds in (("train", train), ("test", test)):
         if ds is None:
             continue
-        try:
+        with where(suffix=f" on the {split_name} split"):
             gains = per_layer_gains(net, ds.x, p)
-        except DivergenceError as err:
-            raise DivergenceError(f"{err} on the {split_name} split") from None
         for j, g in enumerate(gains):
             rows.append(GainReportRow(layer_index=j, split=split_name, stats=gain_stats(g)))
     if not rows:

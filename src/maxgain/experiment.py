@@ -11,11 +11,10 @@ spawned from the same seed inside fit().
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .data import augment, cell, load_csv, load_idx, make_folds, synth_blobs, synth_spirals, tsv
-from .errors import ConfigError, DivergenceError, EmptySampleError, FormatError, InvalidValueError, ShapeError
+from .errors import ConfigError, EmptySampleError, FormatError, InvalidValueError, ShapeError, naming, where
 from .evaluate import eval_metrics, per_layer_gains
 from .layers import (
     REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, integer, of_type, one_of, parse_fields, real)
@@ -29,27 +28,6 @@ def parse_norm_order(value):
     if value == "inf" or value == math.inf:
         return math.inf
     raise ConfigError(f"norm order must be 1, 2 or \"inf\", got {value!r}")
-
-
-@contextmanager
-def _building(what):
-    """Domain errors raised while building from config section `what`
-    become config errors naming it."""
-    try:
-        yield
-    except (InvalidValueError, ShapeError) as err:
-        raise ConfigError(f"bad {what}: {err}") from None
-
-
-@contextmanager
-def _where(prefix="", suffix="", ledger=None):
-    """A divergence raised inside says where: its message gets prefix and
-    suffix, and it carries ledger, if given, in place of its own."""
-    try:
-        yield
-    except DivergenceError as err:
-        raise DivergenceError(f"{prefix}{err}{suffix}", err.step,
-                              err.ledger if ledger is None else ledger) from None
 
 
 def _kind(what, kinds, spec):
@@ -128,7 +106,7 @@ def build_stage(spec, scheme, rng):
     for part in cls.parts:
         hyper[part] = [build_stage(s, scheme, rng) for s in hyper[part] or ()]
     sizes = [hyper.pop(k) for k in cls.config_keys]
-    with _building(what):
+    with naming(ConfigError, what):
         return cls(*cls.initial(scheme, rng, *sizes), **hyper)
 
 
@@ -139,7 +117,7 @@ def build_network(config, rng):
 
 def build_dataset(spec):
     a = _dataset(spec)
-    with _building(f"{a['type']} dataset"):
+    with naming(ConfigError, f"{a['type']} dataset"):
         if a["type"] == "spirals":
             return synth_spirals(a["n"], make_rng(a["seed"]), a["classes"], a["turns"], a["noise_sd"])
         if a["type"] == "blobs":
@@ -164,7 +142,7 @@ def build_optimizer(config):
     """Adam, or SGD at momentum 0.9 unless the config sets one; only sgd takes a momentum."""
     cfg = _fields(config, "optimizer", "momentum")
     momentum = cfg["momentum"]
-    with _building("momentum"):
+    with naming(ConfigError, "momentum"):
         if cfg["optimizer"] == "sgd":
             return SgdNesterov(0.9 if momentum is None else momentum)
         if momentum is not None:
@@ -176,7 +154,7 @@ def build_maxgain(config):
     spec = _fields(config, "maxgain")["maxgain"]
     if spec is None:
         return None
-    with _building("maxgain"):
+    with naming(ConfigError, "maxgain"):
         return MaxGainConfig(**spec)
 
 
@@ -189,27 +167,32 @@ def build_augment_fn(config):
 
 def build_schedule(config):
     cfg = _fields(config, "lr", "schedule")
-    with _building("lr/schedule"):
+    with naming(ConfigError, "lr/schedule"):
         return Schedule(base_lr=cfg["lr"], drops=tuple(map(tuple, cfg["schedule"])))
 
 
 def _train(cfg, train, seed, maxgain, test=None):
     """A network built from the checked config cfg with init seed `seed`,
     then fit on train under its optimizer settings; returns (net, ledger)."""
-    with _building("seed"):
+    with naming(ConfigError, "seed"):
         rng = make_rng(seed)
     net = build_network(cfg, rng)
     crop, full = (cfg["augment"] or {}).get("crop"), train.x.shape[1:]
     if crop is not None:  # training sees crops, evaluation full-size instances
-        with _building("'crop' in augment"):
+        with naming(ConfigError, "'crop' in augment"):
             if chain_shape(net.stages, full[:-2] + (crop, crop)) != chain_shape(net.stages, full):
                 raise ShapeError(f"{crop}x{crop} crops and {full} instances give different output shapes")
     classes = max(d.class_count for d in (train, test) if d is not None)
-    with _building("model"):
+    with naming(ConfigError, "model"):
         out = chain_shape(net.stages, full)
         if len(out) != 1 or out[0] < classes:
             raise ShapeError(f"its output shape is {out} on {full} instances, "
                              f"not (k,) with k >= the {classes} classes in the data")
+    if test is not None:
+        with naming(ConfigError, "test_dataset"):
+            if chain_shape(net.stages, test.x.shape[1:]) != out:
+                raise ShapeError(f"its {test.x.shape[1:]} instances give another output shape than "
+                                 f"the train split's {full} instances")
     ledger = fit(net, train, optimizer=build_optimizer(cfg), schedule=build_schedule(cfg),
                  epochs=cfg["epochs"], batch_size=cfg["batch_size"], maxgain=maxgain, seed=seed,
                  test=test, augment_fn=build_augment_fn(cfg))
@@ -239,14 +222,14 @@ def run_config(config):
 def _run(cfg, train, test, maxgain):
     """run_config on the checked config cfg, its built splits and constraint."""
     net, ledger = _train(cfg, train, cfg["seed"], maxgain, test)
-    with _where(suffix=" on the train split after training", ledger=ledger):
+    with where(suffix=" on the train split after training", ledger=ledger):
         train_loss, train_acc = eval_metrics(net, train.x, train.y)
     result = RunResult(net=net, ledger=ledger, train_loss=train_loss, train_accuracy=train_acc)
     if test is not None:
         last = ledger.records[-1]
         result.test_loss, result.test_accuracy = last.loss, last.accuracy
         p = maxgain.p if maxgain is not None else 2
-        with _where(suffix=" on the test split after training", ledger=ledger):
+        with where(suffix=" on the test split after training", ledger=ledger):
             result.test_max_gains = [float(g.max()) for g in per_layer_gains(net, test.x, p)]
     return result
 
@@ -293,7 +276,7 @@ def build_fold_protocol(config, dataset):
     f = _fields(config, "folds")["folds"]
     if f is None:
         raise ConfigError("config needs a \"folds\" section with k/train_per_fold/test_per_fold")
-    with _building("folds"):
+    with naming(ConfigError, "folds"):
         return make_folds(len(dataset), f["k"], f["train_per_fold"], f["test_per_fold"], make_rng(f["seed"]))
 
 
@@ -301,9 +284,9 @@ def run_fold_point(args):
     """Train on one fold; takes (checked config, fold_index, train, test).
     A divergence is prefixed "fold <fold_index>: "."""
     cfg, fold_index, train, test = args
-    with _where(prefix=f"fold {fold_index}: "):
+    with where(prefix=f"fold {fold_index}: "):
         net, ledger = _train(cfg, train, cfg["seed"] + fold_index, build_maxgain(cfg))
-        with _where(suffix=" on the test split after training", ledger=ledger):
+        with where(suffix=" on the test split after training", ledger=ledger):
             _, acc = eval_metrics(net, test.x, test.y)
     return fold_index, acc
 
@@ -363,7 +346,7 @@ def run_sweep_point(args):
     """One gamma sweep point's SweepRow; takes (checked config, its MaxGainConfig, train, test).
     A divergence is prefixed "gamma <gamma>: "."""
     cfg, maxgain, train, test = args
-    with _where(prefix=f"gamma {maxgain.gamma}: "):
+    with where(prefix=f"gamma {maxgain.gamma}: "):
         r = _run(cfg, train, test, maxgain)
     return SweepRow(maxgain.gamma, r.train_accuracy, r.train_loss,
                     r.test_accuracy, r.test_loss, tuple(r.test_max_gains))
@@ -378,7 +361,7 @@ def gamma_sweep(config, gammas, jobs=1):
         raise ConfigError("sweep needs a \"maxgain\" section to carry the norm order")
     if not cfg["test_dataset"]:
         raise ConfigError("sweep needs a \"test_dataset\" to report test metrics")
-    with _building("maxgain"):
+    with naming(ConfigError, "maxgain"):
         points = [MaxGainConfig(**dict(cfg["maxgain"], gamma=g)) for g in sorted(float(g) for g in gammas)]
     if not points:
         raise EmptySampleError("gamma sweep needs at least one gamma")

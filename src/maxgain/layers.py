@@ -24,8 +24,8 @@ every walk over a network (STAGE_TYPES lists the classes):
   updates them in place);
 - weight_param: the array a gain constraint rescales; only learned layers declare one;
 - min_batch: the fewest instances a train-mode batch may hold;
-- parts: attributes holding nested stage lists (None is empty), run as
-  branches whose outputs add; cache and param_grads map each part to a list;
+- parts: attributes holding nested stage lists, run as branches whose
+  outputs add; cache and param_grads map each part to a list;
 - operator_norm(p, in_shape): the l_p operator norm of its eval-mode map on
   in_shape instances, in closed form (for a conv at p=2, an upper bound);
 - config_keys and initial(scheme, rng, *sizes): the config fields that size
@@ -189,18 +189,11 @@ class Dense(Stage):
         self.w = w
         self.b = b
 
-    @property
-    def in_features(self):
-        return self.w.shape[1]
-
-    @property
-    def out_features(self):
-        return self.w.shape[0]
-
     def out_shape(self, in_shape):
-        if tuple(in_shape) != (self.in_features,):
-            raise ShapeError(f"dense expects shape ({self.in_features},), got {tuple(in_shape)}")
-        return (self.out_features,)
+        out, n_in = self.w.shape
+        if tuple(in_shape) != (n_in,):
+            raise ShapeError(f"dense expects shape ({n_in},), got {tuple(in_shape)}")
+        return (out,)
 
     def operator_norm(self, p, in_shape):
         return float(np.linalg.norm(self.w, 2)) if p == 2 else operator_norm_exact(self.w, p)
@@ -625,7 +618,7 @@ class Flatten(Stage):
 
 
 class ResidualBlock(Stage):
-    """Sum of a main stage sequence and a shortcut (identity when None).
+    """Sum of a main stage sequence and a shortcut (identity when empty).
 
     The block itself is not a learned layer; gain constraints see only the
     learned stages inside it, main path first, then the shortcut. Config JSON
@@ -640,27 +633,27 @@ class ResidualBlock(Stage):
         if not main:
             raise ShapeError("residual block needs a non-empty main path")
         self.main = list(main)
-        self.shortcut = list(shortcut) if shortcut else None
+        self.shortcut = list(shortcut or ())
 
     def out_shape(self, in_shape):
-        out, short = (chain_shape(getattr(self, part) or (), in_shape) for part in self.parts)
+        out, short = (chain_shape(getattr(self, part), in_shape) for part in self.parts)
         if out != short:
             raise ShapeError(f"residual branches disagree: main {out} vs shortcut {short}")
         return out
 
     def operator_norm(self, p, in_shape):
-        return sum(stages_operator_norm(getattr(self, part) or (), p, in_shape)
+        return sum(stages_operator_norm(getattr(self, part), p, in_shape)
                    for part in self.parts)
 
     def forward(self, x, mode, rng=None):
         self.out_shape(x.shape[1:])
         y_main, caches_main = _forward_stages(self.main, x, mode, rng)
-        y_short, caches_short = _forward_stages(self.shortcut or (), x, mode, rng)
+        y_short, caches_short = _forward_stages(self.shortcut, x, mode, rng)
         return y_main + y_short, {"main": caches_main, "shortcut": caches_short}
 
     def backward(self, grad_y, cache, input_grad=True):
         grad_main, grads_main = _backward_stages(self.main, grad_y, cache["main"], input_grad)
-        grad_short, grads_short = _backward_stages(self.shortcut or (), grad_y, cache["shortcut"], input_grad)
+        grad_short, grads_short = _backward_stages(self.shortcut, grad_y, cache["shortcut"], input_grad)
         grad_x = grad_main + grad_short if input_grad else None
         return grad_x, {"main": grads_main, "shortcut": grads_short}
 
@@ -705,7 +698,7 @@ def _learned(stages, tree=None):
     for i, st in enumerate(stages):
         entry = None if tree is None else tree[i]
         for part in st.parts:
-            yield from _learned(getattr(st, part) or (), None if entry is None else entry[part])
+            yield from _learned(getattr(st, part), None if entry is None else entry[part])
         if st.weight_param is not None:
             yield st, entry
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import tsv, write_text
-from .errors import ConfigError, DivergenceError, InvalidValueError
+from .data import tsv
+from .errors import ConfigError, DivergenceError, InvalidValueError, where
 from .evaluate import eval_metrics
 from .gain import batch_max_gain
 from .layers import backward, forward, softmax_cross_entropy
@@ -221,9 +221,6 @@ class TrainingLedger:
                    + [v for pair in zip(r.gamma_hat_max or (), r.scale_min or ()) for v in pair]
                    for r in self.records)
 
-    def write(self, path):
-        write_text(path, self.to_text())
-
 
 # Overflow warnings stay silent: the finiteness checks of train_step and the
 # loss report a divergence with its step and epoch.
@@ -285,11 +282,9 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
             record.scale_min = [projection_scale(gh, maxgain.gamma) for gh in gh_max]
         ledger.records.append(record)
         if test is not None:
-            try:
+            with where(suffix=f" on the test split after step {global_step} (epoch {epoch})",
+                       step=global_step, ledger=ledger):
                 test_loss, test_acc = eval_metrics(net, test.x, test.y)
-            except DivergenceError as err:
-                raise DivergenceError(f"{err} on the test split after step {global_step} (epoch {epoch})",
-                                      step=global_step, ledger=ledger) from None
             ledger.records.append(EpochRecord(
                 epoch=epoch, split="test", loss=test_loss, accuracy=test_acc))
     return ledger

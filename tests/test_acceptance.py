@@ -36,7 +36,6 @@ from maxgain import (
     gain_stats,
     make_folds,
     make_rng,
-    operator_norm_exact,
     paired_t_test,
     per_layer_gains,
     run_config,
@@ -46,6 +45,7 @@ from maxgain import (
     train_step,
 )
 from maxgain.cli import main as cli_main
+from maxgain.tensor import operator_norm_exact
 from oracles import (
     backward_with_input_grad,
     brute_force_operator_norm_p1,

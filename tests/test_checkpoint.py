@@ -41,14 +41,18 @@ def make_mixed_network(rng):
 
 
 def assert_networks_identical(a, b):
-    assert len(a.stages) == len(b.stages)
-    for sa, sb in zip(a.stages, b.stages):
+    assert_stages_identical(a.stages, b.stages)
+
+
+def assert_stages_identical(a, b):
+    """Stage lists of the same types, hyperparameters and arrays, bitwise;
+    a residual block's main path and shortcut (empty for the identity) alike."""
+    assert len(a) == len(b)
+    for sa, sb in zip(a, b):
         assert type(sa) is type(sb)
         if isinstance(sa, ResidualBlock):
-            assert_networks_identical(Network(sa.main), Network(sb.main))
-            assert (sa.shortcut is None) == (sb.shortcut is None)
-            if sa.shortcut is not None:
-                assert_networks_identical(Network(sa.shortcut), Network(sb.shortcut))
+            assert_stages_identical(sa.main, sb.main)
+            assert_stages_identical(sa.shortcut, sb.shortcut)
         elif isinstance(sa, Dense):
             assert np.array_equal(sa.w, sb.w) and np.array_equal(sa.b, sb.b)
         elif isinstance(sa, Conv2d):
@@ -162,7 +166,34 @@ class TestRoundTrip:
         assert b[0] == 5e-324 and np.signbit(b[1])
 
 
+    def test_identity_shortcut_loads_as_the_empty_list(self):
+        text = network_to_text(Network([ResidualBlock([ReLU()])]))
+        assert "\nshortcut 0\n" in text
+        assert network_from_text(text).stages[0].shortcut == []
+
+
 class TestMalformedInput:
+    def test_every_truncation_is_a_format_error(self):
+        # every stage kind, and residual blocks with an identity and a conv
+        # shortcut; only the prefix that drops the final newline still parses
+        rng = make_rng(6)
+        net = Network([
+            Conv2d(rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2), pad=1),
+            BatchNorm(rng.normal(size=2), rng.normal(size=2)),
+            ResidualBlock([ReLU(), Conv2d(rng.normal(size=(2, 2, 1, 1)), rng.normal(size=2))]),
+            ResidualBlock([Conv2d(rng.normal(size=(3, 2, 1, 1)), rng.normal(size=3))],
+                          [Conv2d(rng.normal(size=(3, 2, 1, 1)), np.zeros(3))]),
+            MaxPool2d(2),
+            Dropout(0.5),
+            Flatten(),
+            Dense(rng.normal(size=(2, 12)), rng.normal(size=2)),
+        ])
+        text = network_to_text(net)
+        assert_networks_identical(network_from_text(text[:-1]), net)
+        for end in range(len(text) - 1):
+            with pytest.raises(FormatError):
+                network_from_text(text[:end])
+
     def test_wrong_header(self):
         with pytest.raises(FormatError):
             network_from_text("other-format v1\nstages 0\n")

@@ -11,6 +11,7 @@ import pytest
 
 from maxgain import DivergenceError, experiment, load_network, make_folds, make_rng, run_config, save_network
 from maxgain.cli import main
+from maxgain.data import write_text
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -117,6 +118,19 @@ class TestTrain:
         assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == ("error: bad 'crop' in augment: 6x6 crops and (1, 8, 8) instances "
                                            "give different output shapes\n")
+
+    def test_test_split_the_model_cannot_take_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 0, "model": [{"type": "dense", "in": 2, "out": 8}, {"type": "relu"},
+                                 {"type": "dense", "in": 8, "out": 2}],
+            "optimizer": "adam", "lr": 0.01, "epochs": 3, "batch_size": 32,
+            "dataset": {"type": "blobs", "n": 64, "seed": 1, "centers": [[1, 0], [0, 1]]},
+            "test_dataset": {"type": "blobs", "n": 32, "seed": 2, "centers": [[1, 0, 0], [0, 1, 0]]}}))
+        out = tmp_path / "o"
+        assert main(["train", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad test_dataset: dense expects shape (2,), got (3,)\n"
+        assert not list(out.glob("*"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exits_3(self, tmp_path, capsys):
@@ -730,7 +744,7 @@ class TestAtomicOutputs:
         result = run_config(json.loads(write_config(tmp_path).read_text()))
         self.fail_replace(monkeypatch)
         with pytest.raises(OSError):
-            result.ledger.write(out / "ledger.tsv")
+            write_text(out / "ledger.tsv", result.ledger.to_text())
         with pytest.raises(OSError):
             save_network(result.net, out / "checkpoint.txt")
         assert (out / "ledger.tsv").read_text() == "old ledger\n"

@@ -21,10 +21,10 @@ from maxgain import (
     make_rng,
     paired_t_test,
     per_layer_gains,
-    regularized_incomplete_beta,
     synth_blobs,
 )
 from maxgain import evaluate
+from maxgain.evaluate import regularized_incomplete_beta
 from oracles import paired_t_oracle
 
 mpmath.mp.dps = 50

@@ -40,7 +40,7 @@ from maxgain import (
     run_config,
     run_folds,
 )
-from maxgain import experiment
+from maxgain import experiment, optim
 from maxgain.experiment import (
     AUGMENT_FIELDS,
     CONFIG_FIELDS,
@@ -160,6 +160,11 @@ class TestBuilders:
         assert len(block.main) == 2
         assert len(block.shortcut) == 1
         assert len(net.learned_layers()) == 2
+
+    @pytest.mark.parametrize("shortcut", [{}, {"shortcut": None}], ids=["absent", "null"])
+    def test_identity_shortcut_is_the_empty_list(self, shortcut):
+        spec = {"type": "residual", "main": [{"type": "relu"}], **shortcut}
+        assert build_network({"model": [spec]}, make_rng(0)).stages[0].shortcut == []
 
     def test_bad_stage_values_become_config_errors(self):
         with pytest.raises(ConfigError, match="dropout"):
@@ -350,6 +355,15 @@ class TestRunConfig:
         for run in (run_config, run_folds):
             with pytest.raises(ConfigError, match="'crop' in augment"):
                 run(config)
+
+    def test_test_split_the_model_cannot_take_is_refused_before_training(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(optim, "train_step", lambda *args, **kwargs: steps.append(args))
+        config = base_config(test_dataset={"type": "blobs", "n": 32, "seed": 2,
+                                           "centers": [[1, 0, 0], [0, 1, 0]]})
+        with pytest.raises(ConfigError, match=re.escape("bad test_dataset: dense expects shape (2,), got (3,)")):
+            run_config(config)
+        assert steps == []
 
     def test_crop_that_pools_to_the_full_size_output_trains(self, tmp_path):
         rng = make_rng(11)

@@ -31,11 +31,11 @@ from maxgain import (
     layer_operator_norm,
     lipschitz_upper_bound,
     make_rng,
-    operator_norm_exact,
     spectral_norm_power_iteration,
 )
 from maxgain import gain as gain_module
 from maxgain.gain import batch_norms
+from maxgain.tensor import operator_norm_exact
 from oracles import (
     brute_force_operator_norm_p1,
     brute_force_operator_norm_pinf,

@@ -401,6 +401,10 @@ class TestReLUMaxPoolFlatten:
 
 
 class TestResidualBlock:
+    def test_identity_shortcut_is_the_empty_list(self):
+        for shortcut in ((), (None,), ([],)):
+            assert ResidualBlock([ReLU()], *shortcut).shortcut == []
+
     def test_identity_shortcut_adds_input(self):
         rng = make_rng(18)
         inner = Dense(rng.normal(size=(4, 4)), rng.normal(size=4))

@@ -39,12 +39,12 @@ from maxgain import (
     make_rng,
     network_from_text,
     network_to_text,
-    operator_norm_exact,
     projection_scale,
     train_step,
 )
 from maxgain import optim
 from maxgain.layers import STAGE_TYPES, chain_shape
+from maxgain.tensor import operator_norm_exact
 from oracles import apply_linear, backward_with_input_grad, conv2d_oracle, materialize_linear
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
