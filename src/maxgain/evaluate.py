@@ -12,9 +12,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import tsv
-from .errors import DegenerateSampleError, DivergenceError, EmptySampleError, InvalidValueError, ShapeError, where
+from .errors import (ConfigError, DegenerateSampleError, DivergenceError, EmptySampleError, InvalidValueError,
+                     ShapeError, naming, where)
 from .gain import GainStats, gain_stats, instance_gains
-from .layers import forward, softmax_cross_entropy
+from .layers import chain_shape, forward, softmax_cross_entropy
 from .tensor import DTYPE, check_finite
 
 # Instances per eval-mode forward pass.
@@ -181,12 +182,16 @@ class GainReport:
 
 
 def gain_report(net, train, test, p):
-    """Five-number gain summaries per learned layer for both splits. A
-    non-finite gain raises DivergenceError naming its layer and split."""
+    """Five-number gain summaries per learned layer for both splits. A split
+    whose instances the network cannot take is a ConfigError naming it,
+    raised before any pass; a non-finite gain raises DivergenceError naming
+    its layer and split."""
+    splits = [(name, ds) for name, ds in (("train", train), ("test", test)) if ds is not None]
+    for split_name, ds in splits:
+        with naming(ConfigError, f"{split_name} split"):
+            chain_shape(net.stages, ds.x.shape[1:])
     rows = []
-    for split_name, ds in (("train", train), ("test", test)):
-        if ds is None:
-            continue
+    for split_name, ds in splits:
         with where(suffix=f" on the {split_name} split"):
             gains = per_layer_gains(net, ds.x, p)
         for j, g in enumerate(gains):

@@ -228,11 +228,11 @@ class Conv2d(Stage):
     """2-d convolution (cross-correlation) with stride and zero padding.
 
     kernel has shape (out_ch, in_ch, kh, kw); bias is per output channel.
-    The linear map is computed as one GEMM per kernel tap (i, j) on a
-    zero-padded channels-last copy of the input, in cache-sized blocks of
-    images, so no unfolded im2col buffer is ever built and each block's tap
-    rows and products stay in cache; backward and the adjoint reuse the
-    same taps and blocks.
+    The linear map is computed as one GEMM per kernel tap (i, j), in
+    cache-sized blocks of images, each block zero-padded channels-last into
+    one reused buffer: no padded or unfolded (im2col) copy of the batch is
+    ever built, and each block's tap rows and products stay in cache;
+    backward and the adjoint reuse the same taps and blocks.
     """
 
     kind = "conv"
@@ -298,87 +298,95 @@ class Conv2d(Stage):
             for j in range(kw):
                 yield i, j, buf[:, i:i + s * oh:s, j:j + s * ow:s, :]
 
-    def _tap_rows(self, xt, rows):
+    def _padded(self, m, h, w, c):
+        """A zeroed buffer of m channels-last (H, W, C) images and their padding."""
+        return np.zeros((m, h + 2 * self.pad, w + 2 * self.pad, c), dtype=DTYPE)
+
+    def _tap_rows(self, xb, xt, rows):
         """(i, j, rows) per kernel tap: the (m*oh*ow, C) input rows tap (i, j)
-        reads from the m-image padded block xt, copied into rows[:m]."""
-        rows = rows[:xt.shape[0]]
+        reads from the m-image channels-last block xb, zero-padded into
+        xt[:m] (whose border is never written) and copied into rows[:m]."""
+        m, h, w, _ = xb.shape
+        xt, rows, p = xt[:m], rows[:m], self.pad
+        xt[:, p:p + h, p:p + w, :] = xb
         for i, j, tap in self._taps(xt, *rows.shape[1:3]):
             np.copyto(rows, tap)
             yield i, j, rows.reshape(-1, rows.shape[3])
 
     def _linear(self, x):
-        """Bias-free output (N, out_ch, oh, ow) and the padded channels-last input."""
+        """Bias-free output (N, out_ch, oh, ow), padding one block of images
+        at a time; x is read through its channels-last view."""
         oc, oh, ow = self.out_shape(x.shape[1:])
         n, c, h, w = x.shape
-        p = self.pad
-        xt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=DTYPE)
-        xt[:, p:p + h, p:p + w, :] = x.transpose(0, 2, 3, 1)
+        xc = x.transpose(0, 2, 3, 1)
         z = np.zeros((n, oh, ow, oc), dtype=DTYPE)
         nb, blocks = _blocks(n, oh, ow)
-        rows = np.empty((nb, oh, ow, c), dtype=DTYPE)
+        xt, rows = self._padded(nb, h, w, c), np.empty((nb, oh, ow, c), dtype=DTYPE)
         prod = np.empty((nb * oh * ow, oc), dtype=DTYPE)
         for blk in blocks:
             zb = z[blk].reshape(-1, oc)
             pb = prod[:len(zb)]
-            for i, j, r in self._tap_rows(xt[blk], rows):
+            for i, j, r in self._tap_rows(xc[blk], xt, rows):
                 zb += np.matmul(r, self.kernel[:, :, i, j].T, out=pb)
-        return z.transpose(0, 3, 1, 2), xt
-
-    def _interior(self, buf):
-        """The (N, C, H, W) view of a padded channels-last buffer without its padding."""
-        p = self.pad
-        return buf[:, p:buf.shape[1] - p, p:buf.shape[2] - p, :].transpose(0, 3, 1, 2)
+        return z.transpose(0, 3, 1, 2)
 
     def _grad_input(self, g, x_shape):
         """Adjoint of the linear map: scatter-add g, the (N, oh, ow, out_ch)
-        output gradient, back onto the input grid tap by tap, block by block,
-        and crop the padding."""
-        n, c, h, w = x_shape
+        output gradient, tap by tap into one zeroed padded buffer a block of
+        images at a time, and copy each block's interior into a channels-last
+        result; returns its (N, C, H, W) view for x_shape (N, H, W, C)."""
+        n, h, w, c = x_shape
         oh, ow, oc = g.shape[1:]
         p = self.pad
-        gxt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=DTYPE)
         nb, blocks = _blocks(n, oh, ow)
+        gxt, grad_x = self._padded(nb, h, w, c), np.empty(x_shape, dtype=DTYPE)
         prod = np.empty((nb * oh * ow, c), dtype=DTYPE)
         for blk in blocks:
             gb = g[blk].reshape(-1, oc)
-            pb = prod[:len(gb)]
-            for i, j, tap in self._taps(gxt[blk], oh, ow):
+            gt, pb = gxt[:len(gb) // (oh * ow)], prod[:len(gb)]
+            gt.fill(0.0)
+            for i, j, tap in self._taps(gt, oh, ow):
                 tap += np.matmul(gb, self.kernel[:, :, i, j], out=pb).reshape(tap.shape)
-        return self._interior(gxt)
+            grad_x[blk] = gt[:, p:p + h, p:p + w, :]
+        return grad_x.transpose(0, 3, 1, 2)
 
     def forward(self, x, mode, rng=None):
-        """The gain input is a view of the padded copy xt that backward reads,
-        so the stage keeps no second copy of x."""
+        """The stage keeps xc, x stored channels-last: x's own memory when x
+        is stored so already (a conv's output, and what the elementwise
+        stages after one return), else one unpadded copy. The gain input is
+        xc's (N, C, H, W) view, so the stage keeps no second copy of x, and
+        batch_norms sums every conv's gain input in the same storage order."""
         _check_batch(x, 4, "conv")
-        z, xt = self._linear(x)
+        xc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+        x = xc.transpose(0, 3, 1, 2)
+        z = self._linear(x)
         y = z + self.b[None, :, None, None]
-        gain = (self._interior(xt), z)
-        return y, {"gain": gain, "xt": xt} if mode == "train" else {"gain": gain}
+        return y, {"gain": (x, z), "xc": xc} if mode == "train" else {"gain": (x, z)}
 
     def backward(self, grad_y, cache, input_grad=True):
-        xt = cache["xt"]
+        xc = cache["xc"]
         n, oc, oh, ow = grad_y.shape
         g = grad_y.transpose(0, 2, 3, 1)
         nb, blocks = _blocks(n, oh, ow)
-        rows = np.empty((nb, oh, ow, xt.shape[3]), dtype=DTYPE)
+        xt, rows = self._padded(nb, *xc.shape[1:]), np.empty((nb, oh, ow, xc.shape[3]), dtype=DTYPE)
         grad_kernel = np.zeros_like(self.kernel)
         for blk in blocks:
             gb = g[blk].reshape(-1, oc)
-            for i, j, r in self._tap_rows(xt[blk], rows):
+            for i, j, r in self._tap_rows(xc[blk], xt, rows):
                 grad_kernel[:, :, i, j] += gb.T @ r
         grad_b = grad_y.sum(axis=(0, 2, 3))
-        grad_x = self._grad_input(g, self._interior(xt).shape) if input_grad else None
+        grad_x = self._grad_input(g, xc.shape) if input_grad else None
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
-        z, _ = self._linear(x[None])
-        return z[0]
+        return self._linear(x[None])[0]
 
     def apply_linear_adjoint(self, y, input_shape):
         out = self.out_shape(input_shape)
         if y.shape != out:
             raise ShapeError(f"adjoint input must be a single {out} instance, got shape {y.shape}")
-        return self._grad_input(y.transpose(1, 2, 0)[None], (1,) + tuple(input_shape))[0]
+        c, h, w = input_shape
+        return self._grad_input(y.transpose(1, 2, 0)[None], (1, h, w, c))[0]
 
 
 class BatchNorm(Stage):
@@ -390,7 +398,9 @@ class BatchNorm(Stage):
     gain measurements stay stable across minibatches. Running averages are
     updated before Z is recorded. Variance is the biased (1/N) estimate
     throughout. The running statistics start at mean 0 and variance 1 unless
-    given.
+    given. A train-mode cache keeps the input x (the gain pair's own array),
+    the batch mean and the inverse deviations, no normalized copy: backward
+    rebuilds xhat by the forward's own two operations, bitwise.
     """
 
     kind = "batchnorm"
@@ -466,16 +476,18 @@ class BatchNorm(Stage):
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
             z = x * self.scale.reshape(bshape)
-            return y, {"gain": (x, z), "inv_std": inv_std, "xhat": xhat}
+            return y, {"gain": (x, z), "x": x, "mu": mu, "inv_std": inv_std}
         scale = self.scale
         z = x * scale.reshape(bshape)
         y = z + (self.beta - scale * self.running_mean).reshape(bshape)
         return y, {"gain": (x, z)}
 
     def backward(self, grad_y, cache, input_grad=True):
-        xhat, inv_std = cache["xhat"], cache["inv_std"]
-        axes, bshape = (0, *range(2, xhat.ndim)), (1, -1) + (1,) * (xhat.ndim - 2)
-        m = xhat.size // self.channels
+        x, inv_std = cache["x"], cache["inv_std"]
+        axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
+        xhat = x - cache["mu"].reshape(bshape)
+        xhat *= inv_std.reshape(bshape)
+        m = x.size // self.channels
         prod = grad_y * xhat
         grads = {"alpha": prod.sum(axis=axes), "beta": grad_y.sum(axis=axes)}
         if not input_grad:
@@ -708,8 +720,10 @@ class StepCaches:
     """Everything one forward pass recorded.
 
     xs[j] / zs[j] are the input batch and bias-free linear output batch of the
-    j-th learned layer, in Network.learned_layers() order: the gain pairs,
-    which live only here. stage_caches mirrors the stage tree and feeds
+    j-th learned layer, in Network.learned_layers() order: the gain pairs. In
+    train mode each x is also what its stage's backward reads (the input
+    itself, or a view of a conv's cached channels-last input), so only the
+    zs live only here. stage_caches mirrors the stage tree and feeds
     backward(); each holds only what its stage's backward reads, so backward
     needs neither list, and train_step sets both to None once it has measured
     the gains, before backward runs.

@@ -5,8 +5,10 @@ brute-force enumeration) so it cannot share a bug with the package code. The
 exceptions: the one-instance probes of a learned layer (apply_linear, gain,
 materialize_linear) call a conv's own apply_linear, one instance or basis
 vector at a time, so tests can compare the package's batched measurements
-with them; and backward_with_input_grad runs the stages' own backward
-passes, asking each for its input gradient.
+with them; backward_with_input_grad runs the stages' own backward
+passes, asking each for its input gradient; and conv2d_padded_oracle keeps
+the conv's former full-batch padded formulation, GEMM for GEMM, to pin the
+bits of the stage's own.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from maxgain import (
     batch_max_gain,
     forward,
     instance_gains,
+    layers,
     softmax_cross_entropy,
 )
 
@@ -182,6 +185,35 @@ def conv2d_oracle(x, kernel, stride, pad):
     return out
 
 
+def conv2d_padded_oracle(layer, x, grad_y):
+    """(z, grad_kernel, grad_x) of a Conv2d stage computed on a zero-padded
+    channels-last copy of the whole batch: one GEMM per kernel tap over the
+    image blocks of layers._blocks, grad_kernel summed block by block, and
+    grad_x scatter-added tap by tap into a full-batch padded buffer whose
+    padding is then cropped. The stage pads one block at a time instead; its
+    outputs are bitwise these."""
+    n, c, h, w = x.shape
+    oc, _, kh, kw = layer.kernel.shape
+    s, p = layer.stride, layer.pad
+    _, oh, ow = layer.out_shape(x.shape[1:])
+    xt = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    xt[:, p:p + h, p:p + w, :] = x.transpose(0, 2, 3, 1)
+    g = grad_y.transpose(0, 2, 3, 1)
+    z = np.zeros((n, oh, ow, oc))
+    grad_kernel = np.zeros_like(layer.kernel)
+    gxt = np.zeros_like(xt)
+    for blk in layers._blocks(n, oh, ow)[1]:
+        zb, gb = z[blk].reshape(-1, oc), g[blk].reshape(-1, oc)
+        for i in range(kh):
+            for j in range(kw):
+                tap = (blk, slice(i, i + s * oh, s), slice(j, j + s * ow, s))
+                rows = np.ascontiguousarray(xt[tap]).reshape(-1, c)
+                zb += rows @ layer.kernel[:, :, i, j].T
+                grad_kernel[:, :, i, j] += gb.T @ rows
+                gxt[tap] += (gb @ layer.kernel[:, :, i, j]).reshape(-1, oh, ow, c)
+    return z.transpose(0, 3, 1, 2), grad_kernel, gxt[:, p:p + h, p:p + w, :].transpose(0, 3, 1, 2)
+
+
 def maxpool_oracle(x, kernel, stride, grad_y):
     """Max pooling by nested loops: (y, grad_x), where each window's value is
     its first maximum in row-major window order and grad_x adds each window's
@@ -228,9 +260,9 @@ def augment_oracle(x, rng, flip=False, pad=0, crop=None):
 
 def batchnorm_train_oracle(layer, x):
     """One train-mode BatchNorm forward by the textbook formulas, leaving the
-    layer alone: (y, xhat, inv_std, z, running_mean, running_var), with the
-    running statistics the layer holds after the step and z = x times the
-    eval-mode scale they give."""
+    layer alone: (y, mu, xhat, inv_std, z, running_mean, running_var), with
+    the running statistics the layer holds after the step and z = x times
+    the eval-mode scale they give."""
     axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
     mu = x.mean(axis=axes)
     var = x.var(axis=axes)
@@ -241,7 +273,7 @@ def batchnorm_train_oracle(layer, x):
     running_mean = m * layer.running_mean + (1.0 - m) * mu
     running_var = m * layer.running_var + (1.0 - m) * var
     z = x * (layer.alpha / np.sqrt(running_var + layer.eps)).reshape(bshape)
-    return y, xhat, inv_std, z, running_mean, running_var
+    return y, mu, xhat, inv_std, z, running_mean, running_var
 
 
 def batchnorm_backward_oracle(layer, xhat, inv_std, grad_y):

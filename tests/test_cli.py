@@ -348,6 +348,15 @@ class TestGainReport:
         assert captured.err == "numerical failure: non-finite gain of layer 0 on the test split\n"
         assert captured.out == ""
 
+    def test_split_the_model_cannot_take_exits_2_naming_it(self, tmp_path, capsys):
+        checkpoint, _ = self.train_checkpoint(tmp_path)
+        capsys.readouterr()
+        config = write_config(tmp_path, "cfg3.json", test_dataset=dict(BLOBS, centers=[[-2, -2, 0], [2, 2, 0]]))
+        assert main(["gain-report", str(checkpoint), str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad test split: dense expects shape (2,), got (3,)\n"
+        assert captured.out == ""
+
     def test_missing_checkpoint(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["gain-report", str(tmp_path / "none.txt"), str(config)]) == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxgain import Conv2d, ShapeError, layers, make_rng
-from oracles import conv2d_oracle, gradient_rel_error, numeric_gradient
+from oracles import conv2d_oracle, conv2d_padded_oracle, gradient_rel_error, numeric_gradient
 
 GRAD_TOL = 1e-6
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -171,17 +171,82 @@ def test_blocked_backward_matches_per_image_sums(blocked_case):
     assert rel_error(pgrads["kernel"], sum(pg["kernel"] for _, pg in per_image)) <= 1e-12
 
 
-def test_forward_peak_memory_is_its_outputs():
-    # tap rows and products are block-sized, so a forward's peak allocation
-    # is about what it returns: the padded input xt, the output z and y = z + b
-    rng = make_rng(5)
-    layer = Conv2d(rng.normal(size=(16, 16, 3, 3)), np.zeros(16), stride=1, pad=1)
-    x = rng.normal(size=(16, 16, 32, 32))
+def stored_last(arr):
+    """A copy of arr stored channels-last, the layout of a conv's output."""
+    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@st.composite
+def blocked_geometries(draw):
+    """(layer, x, grad_y, budget): kernel 1-3 per axis, stride 1-3, pad 0-2,
+    1-3 channels in and out, a _BLOCK_POSITIONS budget of 2-3 images a block
+    and a batch of one or two full blocks and a short last one; x and grad_y
+    each stored in C order or channels-last."""
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    ic, oc, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    n = nb * draw(st.integers(1, 2)) + draw(st.integers(1, nb - 1))
+    h = max(1, kh - 2 * pad) + draw(st.integers(0, 4))
+    w = max(1, kw - 2 * pad) + draw(st.integers(0, 4))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = Conv2d(rng.normal(size=(oc, ic, kh, kw)), rng.normal(size=oc), stride=stride, pad=pad)
+    out = layer.out_shape((ic, h, w))
+    x, grad_y = rng.normal(size=(n, ic, h, w)), rng.normal(size=(n,) + out)
+    x = stored_last(x) if draw(st.booleans()) else x
+    grad_y = stored_last(grad_y) if draw(st.booleans()) else grad_y
+    return layer, x, grad_y, nb * out[1] * out[2]
+
+
+@PROPERTY_SETTINGS
+@given(blocked_geometries())
+def test_block_padding_is_bitwise_the_full_batch_padded_formulation(case):
+    layer, x, grad_y, budget = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "_BLOCK_POSITIONS", budget)
+        nb, blocks = layers._blocks(len(x), *grad_y.shape[2:])
+        assert len(blocks) > 1 and len(x) % nb, describe(layer, x)
+        z, grad_kernel, grad_x = conv2d_padded_oracle(layer, x, grad_y)
+        y, cache = layer.forward(x, "train")
+        np.testing.assert_array_equal(cache["gain"][1], z)
+        np.testing.assert_array_equal(y, z + layer.b[None, :, None, None])
+        got_x, pgrads = layer.backward(grad_y, cache)
+        np.testing.assert_array_equal(got_x, grad_x)
+        np.testing.assert_array_equal(pgrads["kernel"], grad_kernel)
+        np.testing.assert_array_equal(pgrads["b"], grad_y.sum(axis=(0, 2, 3)))
+        z1, _, grad_x1 = conv2d_padded_oracle(layer, x[:1], grad_y[:1])
+        np.testing.assert_array_equal(layer.apply_linear(x[0]), z1[0])
+        np.testing.assert_array_equal(layer.apply_linear_adjoint(grad_y[0], x.shape[1:]), grad_x1[0])
+
+
+def forward_peak(layer, x):
+    """(y, cache, peak bytes traced) of one train-mode forward of layer on x."""
     tracemalloc.start()
     try:
         y, cache = layer.forward(x, "train")
-        peak = tracemalloc.get_traced_memory()[1]
+        return y, cache, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = root(cache["xt"]).nbytes + root(cache["gain"][1]).nbytes + y.nbytes
+
+
+def test_forward_peak_memory_is_its_outputs():
+    # padded blocks, tap rows and products are block-sized, so a forward's
+    # peak allocation is about what it returns: the channels-last copy xc of
+    # a C-order input, the output z and y = z + b
+    rng = make_rng(5)
+    layer = Conv2d(rng.normal(size=(16, 16, 3, 3)), np.zeros(16), stride=1, pad=1)
+    y, cache, peak = forward_peak(layer, rng.normal(size=(16, 16, 32, 32)))
+    outputs = root(cache["xc"]).nbytes + root(cache["gain"][1]).nbytes + y.nbytes
+    assert peak <= 1.1 * outputs, f"peak {peak} bytes against {outputs} bytes of outputs"
+
+
+def test_forward_on_channels_last_input_copies_nothing_input_sized():
+    # a channels-last input, as every conv after the first receives, is kept
+    # as it is: the forward allocates z, y and block-sized buffers only
+    # (a copy of x would be half of z and y, the block buffers a fortieth)
+    rng = make_rng(6)
+    layer = Conv2d(rng.normal(size=(16, 16, 3, 3)), np.zeros(16), stride=1, pad=1)
+    x = stored_last(rng.normal(size=(64, 16, 32, 32)))
+    y, cache, peak = forward_peak(layer, x)
+    assert np.shares_memory(cache["xc"], x)
+    outputs = root(cache["gain"][1]).nbytes + y.nbytes
     assert peak <= 1.1 * outputs, f"peak {peak} bytes against {outputs} bytes of outputs"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from maxgain import (
+    ConfigError,
     DegenerateSampleError,
     Dense,
     EmptySampleError,
@@ -210,6 +211,16 @@ class TestGainReports:
         for row, g in zip(report.rows, gains):
             assert row.stats == gain_stats(g)
             assert row.split == "train"
+
+    def test_split_the_network_cannot_take_is_named_before_any_pass(self, monkeypatch):
+        net = tiny_net(16)
+        train = synth_blobs(16, make_rng(17), centers=[(0.0, 0.0), (2.0, 2.0)])
+        test = synth_blobs(8, make_rng(18), centers=[(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)])
+        passes = []
+        monkeypatch.setattr(evaluate, "forward", lambda *args: passes.append(args) or forward(*args))
+        with pytest.raises(ConfigError, match=r"^bad test split: dense expects shape \(2,\), got \(3,\)$"):
+            gain_report(net, train, test, 2)
+        assert passes == []
 
     def test_identical_splits_yield_identical_stats(self):
         net = tiny_net(14)

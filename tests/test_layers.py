@@ -258,12 +258,14 @@ def test_batchnorm_train_pass_is_bitwise_the_formulas(seed, rank, n, c, hw, x_la
     shape = (n, c) + (hw if rank == 4 else ())
     layer = BatchNorm(rng.normal(size=c), rng.normal(size=c), rng.normal(size=c), rng.uniform(0.1, 3.0, size=c))
     x = stored(3.0 * rng.normal(size=shape) + rng.normal(size=c).reshape((1, c) + (1,) * (rank - 2)), x_last)
-    y_want, xhat, inv_std, z, mean, var = batchnorm_train_oracle(layer, x)
+    y_want, mu, xhat, inv_std, z, mean, var = batchnorm_train_oracle(layer, x)
     y, cache = layer.forward(x, "train")
-    for got, want in [(y, y_want), (cache["xhat"], xhat), (cache["inv_std"], inv_std),
+    for got, want in [(y, y_want), (cache["mu"], mu), (cache["inv_std"], inv_std),
                       (cache["gain"][1], z), (layer.running_mean, mean), (layer.running_var, var)]:
         np.testing.assert_array_equal(got, want)
-    assert cache["gain"][0] is x
+    # the stage keeps its input itself, no normalized copy; backward rebuilds xhat
+    assert cache["gain"][0] is x and cache["x"] is x
+    assert set(cache) == {"gain", "x", "mu", "inv_std"}
     grad_y = stored(rng.normal(size=shape), g_last)
     held = grad_y.copy()
     grad_x, grads = layer.backward(grad_y, cache)

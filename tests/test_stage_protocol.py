@@ -516,15 +516,28 @@ def test_masks_are_bool_and_pool_indices_one_byte(kind_net):
         assert net.stages[1].kernel == 2 and idx.dtype == np.uint8
 
 
-def test_conv_gain_input_is_a_view_of_its_padded_copy(kind_net):
+def test_conv_gain_input_is_a_view_of_its_padded_copy(kind_net, monkeypatch):
+    """A conv pads one block of images at a time and keeps no padded copy:
+    its gain input is a view of the channels-last input xc its cache keeps,
+    and xc is the stage input's own memory when that is stored channels-last
+    (the second conv of a residual main path) and a copy otherwise."""
     _, net, x = kind_net
+    convs = [(j, layer) for j, layer in enumerate(net.learned_layers()) if isinstance(layer, Conv2d)]
+    inputs = {}
+    for j, conv in convs:
+        def record(x, mode, rng=None, j=j, run=conv.forward):
+            inputs[j] = x
+            return run(x, mode, rng)
+        monkeypatch.setattr(conv, "forward", record)
     _, caches = forward(net, x, "train", rng=make_rng(1))
     # stage caches in tree order meet the convs in learned_layers() order
-    padded = [cache["xt"] for cache in dicts(caches.stage_caches) if "xt" in cache]
-    convs = [j for j, layer in enumerate(net.learned_layers()) if isinstance(layer, Conv2d)]
-    assert len(padded) == len(convs)
-    for j, xt in zip(convs, padded):
-        assert np.shares_memory(caches.xs[j], xt)
+    kept = [cache["xc"] for cache in dicts(caches.stage_caches) if "xc" in cache]
+    assert len(kept) == len(convs) == len(inputs)
+    for (j, _), xc in zip(convs, kept):
+        assert np.shares_memory(caches.xs[j], xc)
+        np.testing.assert_array_equal(caches.xs[j], inputs[j])
+        channels_last = inputs[j].transpose(0, 2, 3, 1).flags.c_contiguous
+        assert np.shares_memory(xc, inputs[j]) == channels_last
 
 
 def test_train_step_releases_the_gain_pairs_before_backward(monkeypatch):
