@@ -114,14 +114,14 @@ def paired_t_test(a, b):
 # --- eval-mode passes and gain reports -------------------------------------
 
 
-def _eval_batches(net, x, what):
-    """(instance slice, logits, caches) of each eval-mode forward over x, one
-    _EVAL_BATCH slice at a time; an empty x is an EmptySampleError naming what."""
+def _eval_batches(net, x, what, gain=None):
+    """(instance slice, logits, caches) of each eval-mode forward over x with
+    gain, one _EVAL_BATCH slice at a time; an empty x is an EmptySampleError naming what."""
     if x.shape[0] == 0:
         raise EmptySampleError(f"{what} needs at least one instance")
     for i in range(0, x.shape[0], _EVAL_BATCH):
         rows = slice(i, i + _EVAL_BATCH)
-        yield (rows, *forward(net, x[rows], "eval"))
+        yield (rows, *forward(net, x[rows], "eval", gain=gain))
 
 
 # Overflow warnings stay silent: the loss reports non-finite logits.
@@ -147,16 +147,17 @@ def per_layer_gains(net, x, p):
     """Per-instance gains of every learned layer on a split, eval mode.
 
     Returns one array of len(x) gains per learned layer, in
-    Network.learned_layers() order. A non-finite gain (an input whose norm
+    Network.learned_layers() order, measured by each eval batch's forward
+    pass as the layer runs. A non-finite gain (an input whose norm
     overflows, say) raises DivergenceError naming the first such layer.
     """
     n_layers = len(net.learned_layers())
     if n_layers == 0:
         raise EmptySampleError("network has no learned layers")
     chunks = [[] for _ in range(n_layers)]
-    for _, _, caches in _eval_batches(net, x, "per_layer_gains"):
-        for chunk, xs, zs in zip(chunks, caches.xs, caches.zs):
-            chunk.append(instance_gains(xs, zs, p))
+    for _, _, caches in _eval_batches(net, x, "per_layer_gains", lambda gx, gz: instance_gains(gx, gz, p)):
+        for chunk, g in zip(chunks, caches.gains):
+            chunk.append(g)
     gains = [np.concatenate(c) for c in chunks]
     for j, g in enumerate(gains):
         if not np.isfinite(g).all():

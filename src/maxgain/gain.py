@@ -1,11 +1,11 @@
 """Empirical gain measurement and operator-norm machinery.
 
 The gain of a learned layer on an instance x is ||Wx||_p / ||x||_p where Wx is
-the layer's bias-free linear action, measured here from the (x, Wx) caches a
-forward pass records. The operator norms it is compared with are declared by
-the stage classes in closed form, and the Lipschitz bound, their product,
-takes the instance shape its caller gives; power iteration stays here as a
-tool to cross-check them.
+the layer's bias-free linear action, measured here from the (x, Wx) pair of
+each learned stage as it runs. The operator norms it is compared with are
+declared by the stage classes in closed form, and the Lipschitz bound, their
+product, takes the instance shape its caller gives; power iteration stays
+here as a tool to cross-check them.
 """
 
 import math

@@ -1,17 +1,18 @@
 """Network stages with explicit forward/backward passes.
 
 Stages are plain objects holding float64 parameter arrays. Every stage,
-residual blocks included, has forward(x, mode, rng=None) -> (y, cache) and
-backward(grad_y, cache, input_grad=True) -> (grad_x, param_grads). With
-input_grad False no caller reads grad_x, and a learned stage skips it and
-returns None: the network backward tells its first stage so, and returns
-parameter gradients only, so it never computes the gradient with respect to
-its input batch. In train mode a stage's cache holds only what its own
-backward reads; in eval mode it holds no array.
-A learned stage's cache also carries its gain pair ("gain"): the input batch X
-and the bias-free linear outputs Z that the gain machinery consumes. The
-network forward moves every pair into StepCaches, so a stage cache that
-reaches backward never holds one.
+residual blocks included, has forward(x, mode, rng=None, gain=None) ->
+(y, cache) and backward(grad_y, cache, input_grad=True) -> (grad_x,
+param_grads). With input_grad False no caller reads grad_x, and a learned
+stage skips it and returns None: the network backward tells its first stage
+so, and returns parameter gradients only, so it never computes the gradient
+with respect to its input batch. In train mode a stage's cache holds only
+what its own backward reads; in eval mode it holds no array.
+A learned stage's cache also carries, as "gain", its gain pair: the input
+batch X and the bias-free linear outputs Z. Given gain, it carries gain(X, Z)
+instead, measured as it runs so that Z dies with it; residual blocks pass
+gain on. The network forward moves these into StepCaches, and the network
+backward drops each stage's cache once it has used it.
 
 Each stage class describes itself once, for config JSON, checkpoints and
 every walk over a network (STAGE_TYPES lists the classes):
@@ -167,6 +168,16 @@ class Stage:
         return 1.0
 
 
+def _biased(x, z, bias, gain):
+    """(z + bias, "gain" cache entry) of a learned stage with input x and
+    bias-free output z: the entry is (x, z), or gain(x, z) when gain is
+    given, and then the bias is added into z itself, as no cache keeps it."""
+    if gain is None:
+        return z + bias, (x, z)
+    entry = gain(x, z)
+    return np.add(z, bias, out=z), entry
+
+
 class Dense(Stage):
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
@@ -198,12 +209,11 @@ class Dense(Stage):
     def operator_norm(self, p, in_shape):
         return float(np.linalg.norm(self.w, 2)) if p == 2 else operator_norm_exact(self.w, p)
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         _check_batch(x, 2, "dense")
         self.out_shape(x.shape[1:])
-        z = x @ self.w.T
-        y = z + self.b
-        return y, {"gain": (x, z), "x": x} if mode == "train" else {"gain": (x, z)}
+        y, entry = _biased(x, x @ self.w.T, self.b, gain)
+        return y, {"gain": entry, "x": x} if mode == "train" else {"gain": entry}
 
     def backward(self, grad_y, cache, input_grad=True):
         grads = {"w": grad_y.T @ cache["x"], "b": grad_y.sum(axis=0)}
@@ -350,7 +360,7 @@ class Conv2d(Stage):
             grad_x[blk] = gt[:, p:p + h, p:p + w, :]
         return grad_x.transpose(0, 3, 1, 2)
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         """The stage keeps xc, x stored channels-last: x's own memory when x
         is stored so already (a conv's output, and what the elementwise
         stages after one return), else one unpadded copy. The gain input is
@@ -359,9 +369,8 @@ class Conv2d(Stage):
         _check_batch(x, 4, "conv")
         xc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
         x = xc.transpose(0, 3, 1, 2)
-        z = self._linear(x)
-        y = z + self.b[None, :, None, None]
-        return y, {"gain": (x, z), "xc": xc} if mode == "train" else {"gain": (x, z)}
+        y, entry = _biased(x, self._linear(x), self.b[None, :, None, None], gain)
+        return y, {"gain": entry, "xc": xc} if mode == "train" else {"gain": entry}
 
     def backward(self, grad_y, cache, input_grad=True):
         xc = cache["xc"]
@@ -454,7 +463,7 @@ class BatchNorm(Stage):
     def operator_norm(self, p, in_shape):
         return float(np.max(np.abs(self.scale)))
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         self.out_shape(x.shape[1:])
         _check_batch(x, x.ndim, "batchnorm")
         # per-channel statistics reduce over every axis but 1
@@ -476,19 +485,25 @@ class BatchNorm(Stage):
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
             z = x * self.scale.reshape(bshape)
-            return y, {"gain": (x, z), "x": x, "mu": mu, "inv_std": inv_std}
+            entry = (x, z) if gain is None else gain(x, z)
+            return y, {"gain": entry, "x": x, "mu": mu, "inv_std": inv_std}
         scale = self.scale
-        z = x * scale.reshape(bshape)
-        y = z + (self.beta - scale * self.running_mean).reshape(bshape)
-        return y, {"gain": (x, z)}
+        shift = (self.beta - scale * self.running_mean).reshape(bshape)
+        y, entry = _biased(x, x * scale.reshape(bshape), shift, gain)
+        return y, {"gain": entry}
 
     def backward(self, grad_y, cache, input_grad=True):
-        x, inv_std = cache["x"], cache["inv_std"]
+        """Two input-sized temporaries: xhat is rebuilt into prod wherever
+        needed, so each sum reads prod's layout, whatever x's."""
+        x = cache["x"]
         axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
-        xhat = x - cache["mu"].reshape(bshape)
-        xhat *= inv_std.reshape(bshape)
+        mu, inv_std = cache["mu"].reshape(bshape), cache["inv_std"].reshape(bshape)
+
+        def xhat(out):
+            return np.multiply(np.subtract(x, mu, out=out), inv_std, out=out)
+
         m = x.size // self.channels
-        prod = grad_y * xhat
+        prod = grad_y * xhat(np.empty_like(x))
         grads = {"alpha": prod.sum(axis=axes), "beta": grad_y.sum(axis=axes)}
         if not input_grad:
             return None, grads
@@ -496,11 +511,11 @@ class BatchNorm(Stage):
         # inv_std / m * (m * gxhat - gsum - xhat * gdot)
         gxhat = grad_y * self.alpha.reshape(bshape)
         gsum = gxhat.sum(axis=axes).reshape(bshape)
-        gdot = np.multiply(gxhat, xhat, out=prod).sum(axis=axes).reshape(bshape)
+        gdot = np.multiply(xhat(prod), gxhat, out=prod).sum(axis=axes).reshape(bshape)
         gxhat *= m
         gxhat -= gsum
-        gxhat -= np.multiply(xhat, gdot, out=prod)
-        gxhat *= inv_std.reshape(bshape) / m
+        gxhat -= np.multiply(xhat(prod), gdot, out=prod)
+        gxhat *= inv_std / m
         return gxhat, grads
 
 
@@ -522,7 +537,7 @@ class Dropout(Stage):
     def operator_norm(self, p, in_shape):
         return 1.0 - self.rate
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         if mode == "train":
             if rng is None:
                 raise InvalidValueError("train-mode dropout needs an rng")
@@ -537,7 +552,7 @@ class Dropout(Stage):
 class ReLU(Stage):
     kind = "relu"
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         return np.maximum(x, 0.0), {"mask": x > 0.0} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
@@ -584,7 +599,7 @@ class MaxPool2d(Stage):
         k, s = self.kernel, self.stride
         return [a[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         """A running maximum over the taps: no window is copied. Train mode
         also records the index of the tap that reached it, in the smallest
         unsigned dtype that holds kernel**2 - 1 (uint8 up to kernel 16).
@@ -619,7 +634,7 @@ class Flatten(Stage):
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         _check_batch(x, x.ndim, "flatten")
         if x.ndim < 2:
             raise ShapeError(f"flatten expects a batch, got shape {x.shape}")
@@ -657,10 +672,10 @@ class ResidualBlock(Stage):
         return sum(stages_operator_norm(getattr(self, part), p, in_shape)
                    for part in self.parts)
 
-    def forward(self, x, mode, rng=None):
+    def forward(self, x, mode, rng=None, gain=None):
         self.out_shape(x.shape[1:])
-        y_main, caches_main = _forward_stages(self.main, x, mode, rng)
-        y_short, caches_short = _forward_stages(self.shortcut, x, mode, rng)
+        y_main, caches_main = _forward_stages(self.main, x, mode, rng, gain)
+        y_short, caches_short = _forward_stages(self.shortcut, x, mode, rng, gain)
         return y_main + y_short, {"main": caches_main, "shortcut": caches_short}
 
     def backward(self, grad_y, cache, input_grad=True):
@@ -719,14 +734,12 @@ def _learned(stages, tree=None):
 class StepCaches:
     """Everything one forward pass recorded.
 
-    xs[j] / zs[j] are the input batch and bias-free linear output batch of the
-    j-th learned layer, in Network.learned_layers() order: the gain pairs. In
-    train mode each x is also what its stage's backward reads (the input
-    itself, or a view of a conv's cached channels-last input), so only the
-    zs live only here. stage_caches mirrors the stage tree and feeds
-    backward(); each holds only what its stage's backward reads, so backward
-    needs neither list, and train_step sets both to None once it has measured
-    the gains, before backward runs.
+    Without gain, xs[j] / zs[j] are the input batch and bias-free linear
+    output batch of the j-th learned layer, in learned_layers() order (the
+    gain pairs), and gains is None. With gain, gains[j] is gain(x, z) of
+    that pair, measured as the stage ran, and xs and zs are None.
+    stage_caches mirrors the stage tree, each holding only what its stage's
+    backward reads; backward() takes it out, so a second backward raises.
     """
 
     net_id: int
@@ -735,12 +748,13 @@ class StepCaches:
     stage_caches: list = field(default_factory=list)
     xs: list = field(default_factory=list)
     zs: list = field(default_factory=list)
+    gains: list = None
 
 
-def _forward_stages(stages, x, mode, rng):
+def _forward_stages(stages, x, mode, rng, gain):
     caches = []
     for st in stages:
-        x, cache = st.forward(x, mode, rng)
+        x, cache = st.forward(x, mode, rng, gain)
         caches.append(cache)
     return x, caches
 
@@ -748,30 +762,34 @@ def _forward_stages(stages, x, mode, rng):
 def _backward_stages(stages, grad, caches, input_grad):
     """(input gradient, per-stage param_grads in stage order). Only the
     first stage is told input_grad; every later one's input gradient is what
-    the stage before it reads."""
+    the stage before it reads. Each cache is dropped once its stage is done."""
     if len(caches) != len(stages):
         raise CacheError("stage caches do not cover every learned layer")
     grads = [None] * len(stages)
     for i in reversed(range(len(stages))):
         grad, grads[i] = stages[i].backward(grad, caches[i], input_grad=input_grad or i > 0)
+        caches[i] = None
     return grad, grads
 
 
-def forward(net, x, mode, rng=None):
+def forward(net, x, mode, rng=None, gain=None):
     """Run the network on a batch; returns (output, StepCaches).
 
     Train mode updates BatchNorm running statistics as a side effect and needs
-    an rng whenever a Dropout stage is present. Each learned stage's gain pair
-    moves from its stage cache into StepCaches.xs / zs.
+    an rng whenever a Dropout stage is present. gain(x, z), if given, maps
+    each learned layer's gain pair to its StepCaches.gains entry as the layer
+    runs, so no z outlives its stage; else the pairs go to xs / zs.
     """
     _check_mode(mode)
     x = as_tensor(x, "network input")
     if x.shape[0] == 0:
         raise ShapeError("network got an empty batch")
-    y, stage_caches = _forward_stages(net.stages, x, mode, rng)
-    pairs = [cache.pop("gain") for _, cache in _learned(net.stages, stage_caches)]
+    y, stage_caches = _forward_stages(net.stages, x, mode, rng, gain)
+    entries = [cache.pop("gain") for _, cache in _learned(net.stages, stage_caches)]
+    if gain is not None:
+        return y, StepCaches(id(net), mode, x.shape[0], stage_caches, None, None, entries)
     return y, StepCaches(id(net), mode, x.shape[0], stage_caches,
-                         [gx for gx, _ in pairs], [gz for _, gz in pairs])
+                         [gx for gx, _ in entries], [gz for _, gz in entries])
 
 
 def backward(net, caches, loss_grad):
@@ -780,15 +798,18 @@ def backward(net, caches, loss_grad):
     Returns one dict per learned layer, in Network.learned_layers() order,
     mapping its param_names to their gradients; the gradient with respect
     to the network input is never computed. The caches must come from a
-    train-mode forward pass on this very network; anything else raises
-    CacheError.
+    train-mode forward pass on this very network, and are used up: anything
+    else raises CacheError.
     """
     if not isinstance(caches, StepCaches) or caches.net_id != id(net):
         raise CacheError("caches were not produced by this network")
     if caches.mode != "train":
         raise CacheError("backward needs caches from a train-mode forward pass")
+    stage_caches, caches.stage_caches = caches.stage_caches, None
+    if stage_caches is None:
+        raise CacheError("caches were already used by a backward pass")
     loss_grad = np.asarray(loss_grad, dtype=DTYPE)
-    _, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches, False)
+    _, grads = _backward_stages(net.stages, loss_grad, stage_caches, False)
     return [g for _, g in _learned(net.stages, grads)]
 
 

@@ -2,9 +2,9 @@
 
 The projection scales a learned layer's weight array by 1 / max(1, gamma_hat /
 gamma) after the ordinary optimizer update, where gamma_hat is the largest
-per-instance gain the layer showed on the step's minibatch, measured from the
-caches recorded at the pre-update weights. Bias-like parameters (dense/conv
-bias, BatchNorm beta) are never rescaled.
+per-instance gain the layer showed on the step's minibatch, measured by the
+forward pass as the layer runs, at the pre-update weights. Bias-like
+parameters (dense/conv bias, BatchNorm beta) are never rescaled.
 
 fit scores the test split after every epoch with evaluate.eval_metrics, so
 its ledger's last test row is the final weights' test loss and accuracy.
@@ -158,20 +158,21 @@ class StepReport:
 def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     """One minibatch step: forward, backward, optimizer update, projection.
 
-    gamma_hat for each learned layer is measured from the gain pairs this
-    step's forward pass recorded (the pre-update weights), which are released
-    before backward; the projection is applied to the freshly updated weights.
+    The forward measures each learned layer's gamma_hat as it runs (at the
+    pre-update weights), so no linear output outlives its stage; the loss
+    judges the logits before gamma_hat is. Backward frees each stage's cache
+    once used; the projection is applied to the freshly updated weights.
     Returns a StepReport.
     """
-    logits, caches = forward(net, x, "train", rng=rng)
+    gain = (lambda gx, gz: None) if maxgain is None else lambda gx, gz: batch_max_gain(gx, gz, maxgain.p)
+    logits, caches = forward(net, x, "train", rng=rng, gain=gain)
     loss, loss_grad = softmax_cross_entropy(logits, y)
     gamma_hats = None
     if maxgain is not None:
-        gamma_hats = [batch_max_gain(xs, zs, maxgain.p) for xs, zs in zip(caches.xs, caches.zs)]
+        gamma_hats = caches.gains
         for j, gh in enumerate(gamma_hats):
             if not math.isfinite(gh):
                 raise DivergenceError(f"non-finite gain of layer {j}")
-    caches.xs = caches.zs = None
     grads = backward(net, caches, loss_grad)
     layers = net.learned_layers()
     names = [(j, name) for j, layer in enumerate(layers) for name in layer.param_names]

@@ -259,7 +259,8 @@ def test_03_gradient_checks():
         x = rng.normal(size=(batch, width)) + 0.5
         y, caches = forward(net, x, "train")
         r = rng.normal(size=y.shape)
-        grad_x, _ = backward_with_input_grad(net, caches, r)
+        # backward uses its caches up, so the oracle walk gets a forward of its own
+        grad_x, _ = backward_with_input_grad(net, forward(net, x, "train")[1], r)
 
         def through_block(v):
             return float((forward(net, v, "train")[0] * r).sum())

@@ -217,7 +217,8 @@ class TestGainReports:
         train = synth_blobs(16, make_rng(17), centers=[(0.0, 0.0), (2.0, 2.0)])
         test = synth_blobs(8, make_rng(18), centers=[(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)])
         passes = []
-        monkeypatch.setattr(evaluate, "forward", lambda *args: passes.append(args) or forward(*args))
+        monkeypatch.setattr(evaluate, "forward",
+                            lambda *args, **kwargs: passes.append(args) or forward(*args, **kwargs))
         with pytest.raises(ConfigError, match=r"^bad test split: dense expects shape \(2,\), got \(3,\)$"):
             gain_report(net, train, test, 2)
         assert passes == []

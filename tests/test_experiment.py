@@ -275,10 +275,10 @@ class TestRunConfig:
         seen = []
         dense_forward = Dense.forward
 
-        def counting_forward(self, x, mode, rng=None):
+        def counting_forward(self, x, mode, rng=None, gain=None):
             if mode == "eval":
                 seen.append(x.shape[0])
-            return dense_forward(self, x, mode, rng)
+            return dense_forward(self, x, mode, rng, gain)
 
         monkeypatch.setattr(Dense, "forward", counting_forward)
         run_config(base_config(model=[{"type": "dense", "in": 2, "out": 2}], epochs=epochs,

@@ -484,6 +484,15 @@ class TestNetworkPlumbing:
         with pytest.raises(CacheError):
             backward(net, caches, np.ones((2, 2)))
 
+    def test_backward_uses_its_caches_up(self):
+        rng = make_rng(23)
+        net = Network([ResidualBlock([Dense(rng.normal(size=(2, 2)), np.zeros(2)), ReLU()]),
+                       Dense(np.eye(2), np.zeros(2))])
+        _, caches = forward(net, np.ones((2, 2)), "train")
+        backward(net, caches, np.ones((2, 2)))
+        with pytest.raises(CacheError, match="^caches were already used by a backward pass$"):
+            backward(net, caches, np.ones((2, 2)))
+
     def test_backward_rejects_foreign_caches(self):
         w = np.eye(2)
         net_a = Network([Dense(w, np.zeros(2))])

@@ -12,6 +12,7 @@ on purpose, so they cannot share a walk with the package."""
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from maxgain import (
     backward,
     batch_max_gain,
     forward,
+    instance_gains,
     layer_operator_norm,
     lipschitz_upper_bound,
     make_rng,
@@ -229,7 +231,8 @@ def test_gradients_come_back_per_learned_layer(case):
     y, caches = forward(net, x, "train", rng=make_rng(1))
     r = make_rng(2).normal(size=y.shape)
     grads = backward(net, caches, r)
-    grad_x, _ = backward_with_input_grad(net, caches, r)
+    # backward uses its caches up, so the oracle walk gets a forward of its own
+    grad_x, _ = backward_with_input_grad(net, forward(net, x, "train", rng=make_rng(1))[1], r)
     layers = net.learned_layers()
     assert len(grads) == len(layers)
     for layer, pgrads in zip(layers, grads):
@@ -263,12 +266,13 @@ def test_gradients_come_back_per_learned_layer(case):
 def test_the_input_gradient_is_computed_only_on_request(case):
     # backward's parameter gradients are the same bits as those of a walk
     # that asks every stage for its input gradient, and neither writes into
-    # the loss gradient it was given
+    # the loss gradient it was given; each walk uses up the caches of its
+    # own forward, and both forwards record the same bits
     net, x, _ = case
     y, caches = forward(net, x, "train", rng=make_rng(1))
     r = make_rng(2).normal(size=y.shape)
     grad_x, asked = backward_with_input_grad(net, caches, r)
-    skipped = backward(net, caches, r)
+    skipped = backward(net, forward(net, x, "train", rng=make_rng(1))[1], r)
     assert grad_x.shape == x.shape and len(skipped) == len(asked) == len(net.learned_layers())
     for got, want in zip(skipped, asked):
         assert tuple(got) == tuple(want)
@@ -472,15 +476,20 @@ KIND_STAGES = {
 CACHE_KINDS = sorted(KIND_STAGES)
 
 
-@pytest.fixture(params=CACHE_KINDS)
-def kind_net(request):
-    """(kind, net, x): a network of relu and the kind's stages, so a stage
-    never sees the network input itself, with a dense classifier."""
-    rng = make_rng(CACHE_KINDS.index(request.param))
-    stages = [ReLU()] + KIND_STAGES[request.param](rng)
+def kind_network(kind):
+    """(net, x): a network of relu and the kind's stages, so a stage never
+    sees the network input itself, with a dense classifier."""
+    rng = make_rng(CACHE_KINDS.index(kind))
+    stages = [ReLU()] + KIND_STAGES[kind](rng)
     out = int(np.prod(chain_shape(stages, (2, 6, 5))))
     net = Network(stages + [Flatten(), Dense(rng.normal(size=(CLASSES, out)), np.zeros(CLASSES))])
-    return request.param, net, rng.normal(size=(4, 2, 6, 5))
+    return net, rng.normal(size=(4, 2, 6, 5))
+
+
+@pytest.fixture(params=CACHE_KINDS)
+def kind_net(request):
+    """(kind, net, x) of kind_network."""
+    return request.param, *kind_network(request.param)
 
 
 def test_every_kind_is_covered():
@@ -491,12 +500,87 @@ def test_train_caches_hold_only_what_backward_reads(kind_net):
     _, net, x = kind_net
     y, caches = forward(net, x, "train", rng=make_rng(1))
     caches.stage_caches = recorded(caches.stage_caches)
+    # backward drops each stage cache once read, so hold on to them here
+    kept = list(dicts(caches.stage_caches))
+    assert kept
     backward(net, caches, make_rng(2).normal(size=y.shape))
-    for cache in dicts(caches.stage_caches):
+    for cache in kept:
         assert "gain" not in cache
         unread = [key for key, value in cache.items() if isinstance(value, np.ndarray)
                   and key not in cache.read]
         assert unread == [], f"kept but never read by backward: {unread}"
+
+
+@pytest.mark.parametrize("kind", CACHE_KINDS)
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5), mode=st.sampled_from(["train", "eval"]),
+       p=st.sampled_from([1, 2, math.inf]))
+def test_gains_measured_at_the_stage_are_those_of_the_gain_pairs(kind, seed, n, mode, p):
+    # each learned stage measures the same (x, z) arrays the unmeasured
+    # forward hands out as its gain pair, before the bias or anything else
+    # touches z, so the gains agree bit for bit
+    net, _ = kind_network(kind)
+    x = make_rng(seed).normal(size=(n, 2, 6, 5))
+    plain, measured = twin(net), twin(net)
+    y_plain, pairs = forward(plain, x, mode, rng=make_rng(1))
+    y, caches = forward(measured, x, mode, rng=make_rng(1),
+                        gain=lambda gx, gz: (batch_max_gain(gx, gz, p), instance_gains(gx, gz, p)))
+    np.testing.assert_array_equal(y, y_plain)
+    assert pairs.gains is None and caches.zs is None
+    assert len(caches.gains) == len(pairs.zs) == len(net.learned_layers())
+    for (got_max, got), gx, gz in zip(caches.gains, pairs.xs, pairs.zs):
+        assert got_max == batch_max_gain(gx, gz, p)
+        np.testing.assert_array_equal(got, instance_gains(gx, gz, p))
+
+
+def retained_bytes(*trees):
+    """Bytes of every array in the trees, counting each buffer once by its
+    base array, as the benchmark sizes a forward's StepCaches."""
+    roots = {}
+    for arr in arrays(list(trees)):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        roots[id(arr)] = arr.nbytes
+    return sum(roots.values())
+
+
+def test_a_measured_train_forward_keeps_no_linear_output(kind_net):
+    # a measured forward keeps what an unmeasured one keeps but the zs: in
+    # train mode every layer input is an array its stage's backward reads
+    _, net, x = kind_net
+    plain, measured = twin(net), twin(net)
+    _, pairs = forward(plain, x, "train", rng=make_rng(1))
+    _, caches = forward(measured, x, "train", rng=make_rng(1), gain=lambda gx, gz: batch_max_gain(gx, gz, 2))
+    assert caches.xs is None and caches.zs is None and len(caches.gains) == len(net.learned_layers())
+    kept = retained_bytes(caches.stage_caches, caches.gains)
+    assert (kept == retained_bytes(pairs.stage_caches, pairs.xs)
+            < retained_bytes(pairs.stage_caches, pairs.xs, pairs.zs))
+
+
+@pytest.mark.parametrize("maxgain", [None, MaxGainConfig(gamma=1.0)])
+def test_a_train_step_peaks_at_a_few_activations(maxgain):
+    # conv, batchnorm and a residual block on 32 8x16x16 images peak at 8.3
+    # activation-sized arrays; keeping every linear output until the loss
+    # reads 12.4, and keeping every stage cache through backward 9.8
+    rng = make_rng(31)
+
+    def conv():
+        return Conv2d(0.2 * rng.normal(size=(8, 8, 3, 3)), np.zeros(8), pad=1)
+
+    net = Network([conv(), BatchNorm(np.ones(8), np.zeros(8)), ReLU(),
+                   ResidualBlock([conv(), BatchNorm(np.ones(8), np.zeros(8)), ReLU(), conv()]),
+                   ReLU(), MaxPool2d(2), Flatten(),
+                   Dense(0.01 * rng.normal(size=(CLASSES, 512)), np.zeros(CLASSES))])
+    x, y = rng.normal(size=(32, 8, 16, 16)), rng.integers(0, CLASSES, size=32)
+    optimizer = SgdNesterov()
+    train_step(net, x, y, optimizer, 0.01, maxgain)  # the optimizer's state exists from here on
+    tracemalloc.start()
+    try:
+        train_step(net, x, y, optimizer, 0.01, maxgain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"
 
 
 def test_eval_caches_hold_no_array(kind_net):
@@ -525,9 +609,9 @@ def test_conv_gain_input_is_a_view_of_its_padded_copy(kind_net, monkeypatch):
     convs = [(j, layer) for j, layer in enumerate(net.learned_layers()) if isinstance(layer, Conv2d)]
     inputs = {}
     for j, conv in convs:
-        def record(x, mode, rng=None, j=j, run=conv.forward):
+        def record(x, mode, rng=None, gain=None, j=j, run=conv.forward):
             inputs[j] = x
-            return run(x, mode, rng)
+            return run(x, mode, rng, gain)
         monkeypatch.setattr(conv, "forward", record)
     _, caches = forward(net, x, "train", rng=make_rng(1))
     # stage caches in tree order meet the convs in learned_layers() order
