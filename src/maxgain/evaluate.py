@@ -15,7 +15,7 @@ from .data import tsv
 from .errors import (ConfigError, DegenerateSampleError, DivergenceError, EmptySampleError, InvalidValueError,
                      ShapeError, naming, where)
 from .gain import GainStats, gain_stats, instance_gains
-from .layers import chain_shape, forward, softmax_cross_entropy
+from .layers import chain_shape, forward, no_gain, softmax_cross_entropy
 from .tensor import DTYPE, check_finite
 
 # Instances per eval-mode forward pass.
@@ -114,9 +114,10 @@ def paired_t_test(a, b):
 # --- eval-mode passes and gain reports -------------------------------------
 
 
-def _eval_batches(net, x, what, gain=None):
-    """(instance slice, logits, caches) of each eval-mode forward over x with
-    gain, one _EVAL_BATCH slice at a time; an empty x is an EmptySampleError naming what."""
+def _eval_batches(net, x, what, gain):
+    """(instance slice, logits, caches) of each eval-mode forward over x,
+    measured by gain (no_gain for none), one _EVAL_BATCH slice at a time; an
+    empty x is an EmptySampleError naming what."""
     if x.shape[0] == 0:
         raise EmptySampleError(f"{what} needs at least one instance")
     for i in range(0, x.shape[0], _EVAL_BATCH):
@@ -133,7 +134,7 @@ def eval_metrics(net, x, y):
     """
     loss_sum = 0.0
     correct = 0
-    for rows, logits, _ in _eval_batches(net, x, "eval_metrics"):
+    for rows, logits, _ in _eval_batches(net, x, "eval_metrics", no_gain):
         yb = y[rows]
         loss, _ = softmax_cross_entropy(logits, yb)
         loss_sum += loss * yb.shape[0]

@@ -58,10 +58,10 @@ def instance_gains(xs, zs, p):
 
 
 def batch_max_gain(xs, zs, p):
-    """Largest per-instance gain over cached (input, linear output) pairs.
+    """Largest per-instance gain over one learned layer's gain pair.
 
-    xs and zs are the X/Z caches one learned layer recorded during a forward
-    pass; the linear outputs are not recomputed here.
+    xs and zs are what the layer hands a forward's gain callback as it runs:
+    its input batch and bias-free linear outputs, not recomputed here.
     """
     xs = np.asarray(xs, dtype=DTYPE)
     zs = np.asarray(zs, dtype=DTYPE)

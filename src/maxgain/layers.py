@@ -1,18 +1,18 @@
 """Network stages with explicit forward/backward passes.
 
 Stages are plain objects holding float64 parameter arrays. Every stage,
-residual blocks included, has forward(x, mode, rng=None, gain=None) ->
+residual blocks included, has forward(x, mode, rng=None, gain=no_gain) ->
 (y, cache) and backward(grad_y, cache, input_grad=True) -> (grad_x,
 param_grads). With input_grad False no caller reads grad_x, and a learned
 stage skips it and returns None: the network backward tells its first stage
 so, and returns parameter gradients only, so it never computes the gradient
 with respect to its input batch. In train mode a stage's cache holds only
 what its own backward reads; in eval mode it holds no array.
-A learned stage's cache also carries, as "gain", its gain pair: the input
-batch X and the bias-free linear outputs Z. Given gain, it carries gain(X, Z)
-instead, measured as it runs so that Z dies with it; residual blocks pass
-gain on. The network forward moves these into StepCaches, and the network
-backward drops each stage's cache once it has used it.
+A learned stage hands gain(x, z) its input batch x and bias-free linear
+outputs z as soon as it has run, then adds its bias into z in place, so no
+z outlives it (a callback that keeps z must copy it); residual blocks pass
+gain on. The network forward collects the results in StepCaches, and the
+network backward drops each stage's cache once it has used it.
 
 Each stage class describes itself once, for config JSON, checkpoints and
 every walk over a network (STAGE_TYPES lists the classes):
@@ -36,7 +36,7 @@ every walk over a network (STAGE_TYPES lists the classes):
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,14 +168,8 @@ class Stage:
         return 1.0
 
 
-def _biased(x, z, bias, gain):
-    """(z + bias, "gain" cache entry) of a learned stage with input x and
-    bias-free output z: the entry is (x, z), or gain(x, z) when gain is
-    given, and then the bias is added into z itself, as no cache keeps it."""
-    if gain is None:
-        return z + bias, (x, z)
-    entry = gain(x, z)
-    return np.add(z, bias, out=z), entry
+def no_gain(x, z):
+    """The gain callback that measures nothing, every stage's default."""
 
 
 class Dense(Stage):
@@ -209,11 +203,12 @@ class Dense(Stage):
     def operator_norm(self, p, in_shape):
         return float(np.linalg.norm(self.w, 2)) if p == 2 else operator_norm_exact(self.w, p)
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         _check_batch(x, 2, "dense")
         self.out_shape(x.shape[1:])
-        y, entry = _biased(x, x @ self.w.T, self.b, gain)
-        return y, {"gain": entry, "x": x} if mode == "train" else {"gain": entry}
+        z = x @ self.w.T
+        gain(x, z)
+        return np.add(z, self.b, out=z), {"x": x} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
         grads = {"w": grad_y.T @ cache["x"], "b": grad_y.sum(axis=0)}
@@ -360,7 +355,7 @@ class Conv2d(Stage):
             grad_x[blk] = gt[:, p:p + h, p:p + w, :]
         return grad_x.transpose(0, 3, 1, 2)
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         """The stage keeps xc, x stored channels-last: x's own memory when x
         is stored so already (a conv's output, and what the elementwise
         stages after one return), else one unpadded copy. The gain input is
@@ -369,8 +364,9 @@ class Conv2d(Stage):
         _check_batch(x, 4, "conv")
         xc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
         x = xc.transpose(0, 3, 1, 2)
-        y, entry = _biased(x, self._linear(x), self.b[None, :, None, None], gain)
-        return y, {"gain": entry, "xc": xc} if mode == "train" else {"gain": entry}
+        z = self._linear(x)
+        gain(x, z)
+        return np.add(z, self.b[None, :, None, None], out=z), {"xc": xc} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
         xc = cache["xc"]
@@ -402,10 +398,10 @@ class BatchNorm(Stage):
     """Per-channel normalization with learned scale alpha and shift beta.
 
     Train mode normalizes with minibatch statistics (and the gradient flows
-    through them); the recorded linear-output cache Z instead uses the running
-    standard-deviation estimates, the same ones eval-mode predictions use, so
-    gain measurements stay stable across minibatches. Running averages are
-    updated before Z is recorded. Variance is the biased (1/N) estimate
+    through them); the linear output z of its gain pair instead uses the
+    running standard-deviation estimates, the same ones eval-mode predictions
+    use, so gain measurements stay stable across minibatches. Running averages
+    are updated before z is made. Variance is the biased (1/N) estimate
     throughout. The running statistics start at mean 0 and variance 1 unless
     given. A train-mode cache keeps the input x (the gain pair's own array),
     the batch mean and the inverse deviations, no normalized copy: backward
@@ -463,7 +459,7 @@ class BatchNorm(Stage):
     def operator_norm(self, p, in_shape):
         return float(np.max(np.abs(self.scale)))
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         self.out_shape(x.shape[1:])
         _check_batch(x, x.ndim, "batchnorm")
         # per-channel statistics reduce over every axis but 1
@@ -484,13 +480,12 @@ class BatchNorm(Stage):
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
-            z = x * self.scale.reshape(bshape)
-            entry = (x, z) if gain is None else gain(x, z)
-            return y, {"gain": entry, "x": x, "mu": mu, "inv_std": inv_std}
+            gain(x, x * self.scale.reshape(bshape))
+            return y, {"x": x, "mu": mu, "inv_std": inv_std}
         scale = self.scale
-        shift = (self.beta - scale * self.running_mean).reshape(bshape)
-        y, entry = _biased(x, x * scale.reshape(bshape), shift, gain)
-        return y, {"gain": entry}
+        z = x * scale.reshape(bshape)
+        gain(x, z)
+        return np.add(z, (self.beta - scale * self.running_mean).reshape(bshape), out=z), {}
 
     def backward(self, grad_y, cache, input_grad=True):
         """Two input-sized temporaries: xhat is rebuilt into prod wherever
@@ -537,7 +532,7 @@ class Dropout(Stage):
     def operator_norm(self, p, in_shape):
         return 1.0 - self.rate
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         if mode == "train":
             if rng is None:
                 raise InvalidValueError("train-mode dropout needs an rng")
@@ -552,7 +547,7 @@ class Dropout(Stage):
 class ReLU(Stage):
     kind = "relu"
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         return np.maximum(x, 0.0), {"mask": x > 0.0} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
@@ -599,7 +594,7 @@ class MaxPool2d(Stage):
         k, s = self.kernel, self.stride
         return [a[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         """A running maximum over the taps: no window is copied. Train mode
         also records the index of the tap that reached it, in the smallest
         unsigned dtype that holds kernel**2 - 1 (uint8 up to kernel 16).
@@ -634,11 +629,11 @@ class Flatten(Stage):
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         _check_batch(x, x.ndim, "flatten")
         if x.ndim < 2:
             raise ShapeError(f"flatten expects a batch, got shape {x.shape}")
-        return x.reshape(x.shape[0], -1), {"x_shape": x.shape}
+        return x.reshape(x.shape[0], -1), {"x_shape": x.shape} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
         return grad_y.reshape(cache["x_shape"]), None
@@ -672,7 +667,7 @@ class ResidualBlock(Stage):
         return sum(stages_operator_norm(getattr(self, part), p, in_shape)
                    for part in self.parts)
 
-    def forward(self, x, mode, rng=None, gain=None):
+    def forward(self, x, mode, rng=None, gain=no_gain):
         self.out_shape(x.shape[1:])
         y_main, caches_main = _forward_stages(self.main, x, mode, rng, gain)
         y_short, caches_short = _forward_stages(self.shortcut, x, mode, rng, gain)
@@ -721,7 +716,7 @@ class Network:
 
 def _learned(stages, tree=None):
     """(stage, entry) per learned stage under stages, in learned_layers() order;
-    entries come from tree if given, which mirrors stages (caches or param_grads)."""
+    entries come from tree if given, which mirrors stages (a backward's param_grads)."""
     for i, st in enumerate(stages):
         entry = None if tree is None else tree[i]
         for part in st.parts:
@@ -734,10 +729,10 @@ def _learned(stages, tree=None):
 class StepCaches:
     """Everything one forward pass recorded.
 
-    Without gain, xs[j] / zs[j] are the input batch and bias-free linear
-    output batch of the j-th learned layer, in learned_layers() order (the
-    gain pairs), and gains is None. With gain, gains[j] is gain(x, z) of
-    that pair, measured as the stage ran, and xs and zs are None.
+    With gain, gains[j] is gain(x, z) of the j-th learned layer's gain pair,
+    in learned_layers() order, measured as the stage ran, and xs and zs are
+    None. Without gain, xs[j] / zs[j] are that pair's input batch and a copy
+    of its bias-free linear output batch, and gains is None.
     stage_caches mirrors the stage tree, each holding only what its stage's
     backward reads; backward() takes it out, so a second backward raises.
     """
@@ -745,10 +740,10 @@ class StepCaches:
     net_id: int
     mode: str
     batch_size: int
-    stage_caches: list = field(default_factory=list)
-    xs: list = field(default_factory=list)
-    zs: list = field(default_factory=list)
-    gains: list = None
+    stage_caches: list
+    xs: list
+    zs: list
+    gains: list
 
 
 def _forward_stages(stages, x, mode, rng, gain):
@@ -778,18 +773,21 @@ def forward(net, x, mode, rng=None, gain=None):
     Train mode updates BatchNorm running statistics as a side effect and needs
     an rng whenever a Dropout stage is present. gain(x, z), if given, maps
     each learned layer's gain pair to its StepCaches.gains entry as the layer
-    runs, so no z outlives its stage; else the pairs go to xs / zs.
+    runs, so no z outlives its stage. Without gain, xs / zs get each pair, z
+    copied in its own layout (so its norms sum alike) before its bias goes in.
     """
+    if gain is None:
+        y, caches = forward(net, x, mode, rng, lambda gx, gz: (gx, gz.copy(order="K")))
+        pairs, caches.gains = caches.gains, None
+        caches.xs, caches.zs = [gx for gx, _ in pairs], [gz for _, gz in pairs]
+        return y, caches
     _check_mode(mode)
     x = as_tensor(x, "network input")
     if x.shape[0] == 0:
         raise ShapeError("network got an empty batch")
-    y, stage_caches = _forward_stages(net.stages, x, mode, rng, gain)
-    entries = [cache.pop("gain") for _, cache in _learned(net.stages, stage_caches)]
-    if gain is not None:
-        return y, StepCaches(id(net), mode, x.shape[0], stage_caches, None, None, entries)
-    return y, StepCaches(id(net), mode, x.shape[0], stage_caches,
-                         [gx for gx, _ in entries], [gz for _, gz in entries])
+    entries = []
+    y, stage_caches = _forward_stages(net.stages, x, mode, rng, lambda gx, gz: entries.append(gain(gx, gz)))
+    return y, StepCaches(id(net), mode, x.shape[0], stage_caches, None, None, entries)
 
 
 def backward(net, caches, loss_grad):

@@ -24,7 +24,7 @@ from .data import tsv
 from .errors import ConfigError, DivergenceError, InvalidValueError, where
 from .evaluate import eval_metrics
 from .gain import batch_max_gain
-from .layers import backward, forward, softmax_cross_entropy
+from .layers import backward, forward, no_gain, softmax_cross_entropy
 from .tensor import check_norm_order, spawn_rngs
 
 
@@ -164,7 +164,7 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
     once used; the projection is applied to the freshly updated weights.
     Returns a StepReport.
     """
-    gain = (lambda gx, gz: None) if maxgain is None else lambda gx, gz: batch_max_gain(gx, gz, maxgain.p)
+    gain = no_gain if maxgain is None else lambda gx, gz: batch_max_gain(gx, gz, maxgain.p)
     logits, caches = forward(net, x, "train", rng=rng, gain=gain)
     loss, loss_grad = softmax_cross_entropy(logits, y)
     gamma_hats = None

@@ -69,6 +69,17 @@ def apply_linear(layer, x):
     return layer.apply_linear(x)
 
 
+def pair_forward(layer, x, mode):
+    """(y, cache, (x, z)) of one forward of a learned stage: the gain pair is
+    what the stage handed its gain callback, exactly once, with z copied in
+    its own layout, as the stage adds its bias into z once the callback
+    returns."""
+    seen = []
+    y, cache = layer.forward(x, mode, gain=lambda gx, gz: seen.append((gx, gz.copy(order="K"))))
+    (pair,) = seen
+    return y, cache, pair
+
+
 def gain(layer, x, p):
     """Gain of one learned layer on one instance; zero input has gain 0."""
     x = np.asarray(x, dtype=np.float64)

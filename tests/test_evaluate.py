@@ -1,19 +1,26 @@
-"""The paired t-test and its incomplete-beta engine, gain reports."""
+"""The paired t-test and its incomplete-beta engine, gain reports, and what
+an eval pass holds."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from maxgain import (
+    BatchNorm,
     ConfigError,
+    Conv2d,
     DegenerateSampleError,
     Dense,
     EmptySampleError,
+    Flatten,
     InvalidValueError,
+    MaxPool2d,
     Network,
     ReLU,
+    ResidualBlock,
     ShapeError,
     batch_max_gain,
     forward,
@@ -25,7 +32,7 @@ from maxgain import (
     synth_blobs,
 )
 from maxgain import evaluate
-from maxgain.evaluate import regularized_incomplete_beta
+from maxgain.evaluate import eval_metrics, regularized_incomplete_beta
 from oracles import paired_t_oracle
 
 mpmath.mp.dps = 50
@@ -232,3 +239,33 @@ class TestGainReports:
             by_layer.setdefault(row.layer_index, []).append(row.stats)
         for stats in by_layer.values():
             assert stats[0] == stats[1]
+
+
+def traced_peak(run):
+    """Peak bytes tracemalloc sees while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_metrics_holds_no_more_than_a_gain_pass():
+    # both run the same measured eval forward, and eval_metrics measures
+    # nothing, so it holds no layer's linear output past its stage: on 64
+    # 8x16x16 images it peaks at 3.2 input batches against per_layer_gains'
+    # 3.5; keeping every layer's (x, z) pair until the loss would take 12.0
+    rng = make_rng(31)
+
+    def conv():
+        return Conv2d(0.2 * rng.normal(size=(8, 8, 3, 3)), np.zeros(8), pad=1)
+
+    net = Network([conv(), BatchNorm(np.ones(8), np.zeros(8)), ReLU(),
+                   ResidualBlock([conv(), BatchNorm(np.ones(8), np.zeros(8)), ReLU(), conv()]),
+                   ReLU(), MaxPool2d(2), Flatten(), Dense(0.01 * rng.normal(size=(3, 512)), np.zeros(3))])
+    x, y = rng.normal(size=(64, 8, 16, 16)), rng.integers(0, 3, size=64)
+    slack = x.nbytes // 4  # the loss's and the gain norms' small temporaries
+    metrics = traced_peak(lambda: eval_metrics(net, x, y))
+    gains = traced_peak(lambda: per_layer_gains(net, x, 2))
+    assert metrics <= gains + slack, f"{metrics / x.nbytes:.2f} against {gains / x.nbytes:.2f} input batches"

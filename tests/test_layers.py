@@ -30,6 +30,7 @@ from oracles import (
     batchnorm_train_oracle,
     gradient_rel_error,
     numeric_gradient,
+    pair_forward,
 )
 
 GRAD_TOL = 1e-6
@@ -43,23 +44,23 @@ def scalar_loss(y, weights):
 class TestDense:
     def test_doubling_weights(self):
         layer = Dense(2.0 * np.eye(2), np.zeros(2))
-        y, cache = layer.forward(np.array([[1.0, 1.0]]), "eval")
+        y, _, (_, z) = pair_forward(layer, np.array([[1.0, 1.0]]), "eval")
         assert np.array_equal(y, [[2.0, 2.0]])
-        assert np.array_equal(cache["gain"][1], [[2.0, 2.0]])
+        assert np.array_equal(z, [[2.0, 2.0]])
 
     def test_bias_excluded_from_z_cache(self):
         rng = make_rng(0)
         layer = Dense(rng.normal(size=(3, 4)), rng.normal(size=3))
         x = rng.normal(size=(5, 4))
-        y, cache = layer.forward(x, "train")
-        np.testing.assert_allclose(y - cache["gain"][1], np.broadcast_to(layer.b, (5, 3)), rtol=1e-15)
+        y, _, (_, z) = pair_forward(layer, x, "train")
+        np.testing.assert_allclose(y - z, np.broadcast_to(layer.b, (5, 3)), rtol=1e-15)
 
     def test_apply_linear_matches_forward_minus_bias(self):
         rng = make_rng(1)
         layer = Dense(rng.normal(size=(6, 3)), rng.normal(size=6))
         x = rng.normal(size=3)
-        _, cache = layer.forward(x[None], "eval")
-        np.testing.assert_allclose(apply_linear(layer, x), cache["gain"][1][0], rtol=1e-15)
+        _, _, (_, z) = pair_forward(layer, x[None], "eval")
+        np.testing.assert_allclose(apply_linear(layer, x), z[0], rtol=1e-15)
 
     def test_gradients(self):
         rng = make_rng(2)
@@ -187,19 +188,19 @@ class TestBatchNorm:
         layer.running_mean = np.array([1.0, -1.0])
         layer.running_var = np.array([4.0, 0.25])
         x = np.array([[3.0, 0.0]])
-        y, cache = layer.forward(x, "eval")
+        y, _, (_, z) = pair_forward(layer, x, "eval")
         scale = 2.0 / np.sqrt(np.array([4.0, 0.25]) + layer.eps)
         np.testing.assert_allclose(y[0], scale * (x[0] - layer.running_mean) + 1.0, rtol=1e-12)
-        np.testing.assert_allclose(cache["gain"][1][0], scale * x[0], rtol=1e-12)
+        np.testing.assert_allclose(z[0], scale * x[0], rtol=1e-12)
 
     def test_z_cache_uses_running_stats_in_train_mode(self):
         # the linear-output cache must be reproducible from apply_linear alone
         rng = make_rng(8)
         layer = BatchNorm(rng.normal(size=4), rng.normal(size=4))
         x = rng.normal(size=(16, 4))
-        _, cache = layer.forward(x, "train")
+        _, _, (_, z) = pair_forward(layer, x, "train")
         expected = np.stack([apply_linear(layer, xi) for xi in x])
-        np.testing.assert_allclose(cache["gain"][1], expected, rtol=1e-12)
+        np.testing.assert_allclose(z, expected, rtol=1e-12)
 
     def test_single_instance_train_batch_rejected(self):
         layer = BatchNorm(np.ones(2), np.zeros(2))
@@ -259,13 +260,13 @@ def test_batchnorm_train_pass_is_bitwise_the_formulas(seed, rank, n, c, hw, x_la
     layer = BatchNorm(rng.normal(size=c), rng.normal(size=c), rng.normal(size=c), rng.uniform(0.1, 3.0, size=c))
     x = stored(3.0 * rng.normal(size=shape) + rng.normal(size=c).reshape((1, c) + (1,) * (rank - 2)), x_last)
     y_want, mu, xhat, inv_std, z, mean, var = batchnorm_train_oracle(layer, x)
-    y, cache = layer.forward(x, "train")
+    y, cache, (x_in, z_in) = pair_forward(layer, x, "train")
     for got, want in [(y, y_want), (cache["mu"], mu), (cache["inv_std"], inv_std),
-                      (cache["gain"][1], z), (layer.running_mean, mean), (layer.running_var, var)]:
+                      (z_in, z), (layer.running_mean, mean), (layer.running_var, var)]:
         np.testing.assert_array_equal(got, want)
     # the stage keeps its input itself, no normalized copy; backward rebuilds xhat
-    assert cache["gain"][0] is x and cache["x"] is x
-    assert set(cache) == {"gain", "x", "mu", "inv_std"}
+    assert x_in is x and cache["x"] is x
+    assert set(cache) == {"x", "mu", "inv_std"}
     grad_y = stored(rng.normal(size=shape), g_last)
     held = grad_y.copy()
     grad_x, grads = layer.backward(grad_y, cache)

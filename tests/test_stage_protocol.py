@@ -509,6 +509,15 @@ def test_train_caches_hold_only_what_backward_reads(kind_net):
         unread = [key for key, value in cache.items() if isinstance(value, np.ndarray)
                   and key not in cache.read]
         assert unread == [], f"kept but never read by backward: {unread}"
+    # each stage's own forward, at its default gain, keeps no gain pair either,
+    # and in eval mode no array at all
+    for mode in ("train", "eval"):
+        h = x
+        for st in net.stages:
+            h, cache = st.forward(h, mode, make_rng(1))
+            assert not [c for c in dicts(cache) if "gain" in c], f"{st.kind} {mode}: {cache}"
+            if mode == "eval":
+                assert list(arrays(cache)) == [], f"{st.kind} eval cache holds arrays"
 
 
 @pytest.mark.parametrize("kind", CACHE_KINDS)
