@@ -2,8 +2,9 @@
 
 The training loop measures, for every learned layer and minibatch, the largest
 ratio ||Wx||_p / ||x||_p over the batch, and after each optimizer update
-rescales the layer's weights by 1 / max(1, gamma_hat / gamma) so the measured
-gain never exceeds the target gamma. The package also ships the measurement
+rescales the layer's weights by 1 / max(1, gamma_hat / gamma), gamma_hat taken
+at the weights before the update: gains after it, or on unseen instances, are
+not bounded by the target gamma. The package also ships the measurement
 tools (gain reports, closed-form operator norms and the Lipschitz bound they
 give, and power iteration to cross-check them), a disjoint-folds evaluation
 protocol with a paired t-test, and a CLI.

@@ -7,12 +7,12 @@ param_grads). With input_grad False no caller reads grad_x, and a learned
 stage skips it and returns None: the network backward tells its first stage
 so, and returns parameter gradients only, so it never computes the gradient
 with respect to its input batch. In train mode a stage's cache holds only
-what its own backward reads; in eval mode it holds no array.
+what its own backward reads, and backward takes it out, so a second
+backward on the same cache raises CacheError; in eval mode it holds no array.
 A learned stage hands gain(x, z) its input batch x and bias-free linear
 outputs z as soon as it has run, then adds its bias into z in place, so no
 z outlives it (a callback that keeps z must copy it); residual blocks pass
-gain on. The network forward collects the results in StepCaches, and the
-network backward drops each stage's cache once it has used it.
+gain on. The network forward collects the results in StepCaches.
 
 Each stage class describes itself once, for config JSON, checkpoints and
 every walk over a network (STAGE_TYPES lists the classes):
@@ -172,6 +172,13 @@ def no_gain(x, z):
     """The gain callback that measures nothing, every stage's default."""
 
 
+def _take(cache, key):
+    """cache[key], taken out: backward uses a stage cache up, so a second backward raises."""
+    if key not in cache:
+        raise CacheError(f"stage cache holds no {key!r}: a backward pass used it up, or it is not from train mode")
+    return cache.pop(key)
+
+
 class Dense(Stage):
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
@@ -211,7 +218,7 @@ class Dense(Stage):
         return np.add(z, self.b, out=z), {"x": x} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        grads = {"w": grad_y.T @ cache["x"], "b": grad_y.sum(axis=0)}
+        grads = {"w": grad_y.T @ _take(cache, "x"), "b": grad_y.sum(axis=0)}
         return (grad_y @ self.w if input_grad else None), grads
 
 
@@ -369,7 +376,7 @@ class Conv2d(Stage):
         return np.add(z, self.b[None, :, None, None], out=z), {"xc": xc} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        xc = cache["xc"]
+        xc = _take(cache, "xc")
         n, oc, oh, ow = grad_y.shape
         g = grad_y.transpose(0, 2, 3, 1)
         nb, blocks = _blocks(n, oh, ow)
@@ -379,8 +386,10 @@ class Conv2d(Stage):
             gb = g[blk].reshape(-1, oc)
             for i, j, r in self._tap_rows(xc[blk], xt, rows):
                 grad_kernel[:, :, i, j] += gb.T @ r
+        x_shape = xc.shape
+        del xc, xt, rows, r  # the input and tap buffers go before the input gradient is made
         grad_b = grad_y.sum(axis=(0, 2, 3))
-        grad_x = self._grad_input(g, xc.shape) if input_grad else None
+        grad_x = self._grad_input(g, x_shape) if input_grad else None
         return grad_x, {"kernel": grad_kernel, "b": grad_b}
 
     def apply_linear(self, x):
@@ -403,9 +412,9 @@ class BatchNorm(Stage):
     use, so gain measurements stay stable across minibatches. Running averages
     are updated before z is made. Variance is the biased (1/N) estimate
     throughout. The running statistics start at mean 0 and variance 1 unless
-    given. A train-mode cache keeps the input x (the gain pair's own array),
-    the batch mean and the inverse deviations, no normalized copy: backward
-    rebuilds xhat by the forward's own two operations, bitwise.
+    given. A train-mode forward makes two input-sized arrays, the normalized
+    input xhat and one buffer that holds x's square, then z, then y; its
+    cache keeps xhat and the inverse deviations, not x.
     """
 
     kind = "batchnorm"
@@ -468,50 +477,45 @@ class BatchNorm(Stage):
             if x.shape[0] < self.min_batch:
                 raise ShapeError(f"train-mode batchnorm needs a batch of at least {self.min_batch}")
             # x.var's own steps, keeping the centred copy and its square:
-            # xhat is then built in the first and y in the second
+            # xhat is then built in the first, and z and y in the second
             mu = x.mean(axis=axes)
             xhat = x - mu.reshape(bshape)
-            y = np.square(xhat)
-            var = y.sum(axis=axes) / (x.size // self.channels)
+            buf = np.square(xhat)
+            var = buf.sum(axis=axes) / (x.size // self.channels)
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat *= inv_std.reshape(bshape)
-            np.multiply(self.alpha.reshape(bshape), xhat, out=y)
-            y += self.beta.reshape(bshape)
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mu
             self.running_var = m * self.running_var + (1.0 - m) * var
-            gain(x, x * self.scale.reshape(bshape))
-            return y, {"x": x, "mu": mu, "inv_std": inv_std}
+            gain(x, np.multiply(x, self.scale.reshape(bshape), out=buf))
+            y = np.multiply(self.alpha.reshape(bshape), xhat, out=buf)
+            y += self.beta.reshape(bshape)
+            return y, {"xhat": xhat, "inv_std": inv_std}
         scale = self.scale
         z = x * scale.reshape(bshape)
         gain(x, z)
         return np.add(z, (self.beta - scale * self.running_mean).reshape(bshape), out=z), {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        """Two input-sized temporaries: xhat is rebuilt into prod wherever
-        needed, so each sum reads prod's layout, whatever x's."""
-        x = cache["x"]
-        axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
-        mu, inv_std = cache["mu"].reshape(bshape), cache["inv_std"].reshape(bshape)
-
-        def xhat(out):
-            return np.multiply(np.subtract(x, mu, out=out), inv_std, out=out)
-
-        m = x.size // self.channels
-        prod = grad_y * xhat(np.empty_like(x))
-        grads = {"alpha": prod.sum(axis=axes), "beta": grad_y.sum(axis=axes)}
+        """One input-sized temporary t, which becomes grad_x; xhat is used up in place. A sum follows
+        its operand's layout, so gdot's product goes in t only if xhat is laid out alike, as in a conv net."""
+        xhat, inv_std = _take(cache, "xhat"), _take(cache, "inv_std")
+        axes, bshape = (0, *range(2, xhat.ndim)), (1, -1) + (1,) * (xhat.ndim - 2)
+        grads = {"alpha": (grad_y * xhat).sum(axis=axes), "beta": grad_y.sum(axis=axes)}
         if not input_grad:
             return None, grads
-        # gradient through the minibatch mean and variance, in place in gxhat:
-        # inv_std / m * (m * gxhat - gsum - xhat * gdot)
-        gxhat = grad_y * self.alpha.reshape(bshape)
-        gsum = gxhat.sum(axis=axes).reshape(bshape)
-        gdot = np.multiply(xhat(prod), gxhat, out=prod).sum(axis=axes).reshape(bshape)
-        gxhat *= m
-        gxhat -= gsum
-        gxhat -= np.multiply(xhat(prod), gdot, out=prod)
-        gxhat *= inv_std / m
-        return gxhat, grads
+        # gradient through the minibatch mean and variance, built in t:
+        # inv_std / m * (m * gxhat - gsum - xhat * gdot), gxhat = grad_y * alpha
+        alpha, m = self.alpha.reshape(bshape), xhat.size // self.channels
+        t = grad_y * alpha
+        gsum = t.sum(axis=axes).reshape(bshape)
+        gdot = np.multiply(xhat, t, out=t if t.strides == xhat.strides else None).sum(axis=axes).reshape(bshape)
+        np.multiply(grad_y, alpha, out=t)
+        t *= m
+        t -= gsum
+        t -= np.multiply(xhat, gdot, out=xhat)
+        t *= inv_std.reshape(bshape) / m
+        return t, grads
 
 
 class Dropout(Stage):
@@ -541,7 +545,7 @@ class Dropout(Stage):
         return x * (1.0 - self.rate), {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        return grad_y * cache["mask"], None
+        return grad_y * _take(cache, "mask"), None
 
 
 class ReLU(Stage):
@@ -551,7 +555,7 @@ class ReLU(Stage):
         return np.maximum(x, 0.0), {"mask": x > 0.0} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        return grad_y * cache["mask"], None
+        return grad_y * _take(cache, "mask"), None
 
 
 class MaxPool2d(Stage):
@@ -616,8 +620,8 @@ class MaxPool2d(Stage):
         return y, {"x_shape": x.shape, "idx": idx} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        idx = cache["idx"]
-        grad_x = np.zeros_like(idx, dtype=DTYPE, shape=cache["x_shape"])
+        idx = _take(cache, "idx")
+        grad_x = np.zeros_like(idx, dtype=DTYPE, shape=_take(cache, "x_shape"))
         for t, tap in enumerate(self._taps(grad_x, *idx.shape[2:])):
             tap += np.where(idx == t, grad_y, 0.0)
         return grad_x, None
@@ -636,7 +640,7 @@ class Flatten(Stage):
         return x.reshape(x.shape[0], -1), {"x_shape": x.shape} if mode == "train" else {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        return grad_y.reshape(cache["x_shape"]), None
+        return grad_y.reshape(_take(cache, "x_shape")), None
 
 
 class ResidualBlock(Stage):
@@ -674,8 +678,8 @@ class ResidualBlock(Stage):
         return y_main + y_short, {"main": caches_main, "shortcut": caches_short}
 
     def backward(self, grad_y, cache, input_grad=True):
-        grad_main, grads_main = _backward_stages(self.main, grad_y, cache["main"], input_grad)
-        grad_short, grads_short = _backward_stages(self.shortcut, grad_y, cache["shortcut"], input_grad)
+        grad_main, grads_main = _backward_stages(self.main, grad_y, _take(cache, "main"), input_grad)
+        grad_short, grads_short = _backward_stages(self.shortcut, grad_y, _take(cache, "shortcut"), input_grad)
         grad_x = grad_main + grad_short if input_grad else None
         return grad_x, {"main": grads_main, "shortcut": grads_short}
 
@@ -734,7 +738,7 @@ class StepCaches:
     None. Without gain, xs[j] / zs[j] are that pair's input batch and a copy
     of its bias-free linear output batch, and gains is None.
     stage_caches mirrors the stage tree, each holding only what its stage's
-    backward reads; backward() takes it out, so a second backward raises.
+    backward reads and takes out, so a second backward raises.
     """
 
     net_id: int
@@ -757,13 +761,12 @@ def _forward_stages(stages, x, mode, rng, gain):
 def _backward_stages(stages, grad, caches, input_grad):
     """(input gradient, per-stage param_grads in stage order). Only the
     first stage is told input_grad; every later one's input gradient is what
-    the stage before it reads. Each cache is dropped once its stage is done."""
+    the stage before it reads."""
     if len(caches) != len(stages):
         raise CacheError("stage caches do not cover every learned layer")
     grads = [None] * len(stages)
     for i in reversed(range(len(stages))):
         grad, grads[i] = stages[i].backward(grad, caches[i], input_grad=input_grad or i > 0)
-        caches[i] = None
     return grad, grads
 
 
@@ -803,11 +806,8 @@ def backward(net, caches, loss_grad):
         raise CacheError("caches were not produced by this network")
     if caches.mode != "train":
         raise CacheError("backward needs caches from a train-mode forward pass")
-    stage_caches, caches.stage_caches = caches.stage_caches, None
-    if stage_caches is None:
-        raise CacheError("caches were already used by a backward pass")
     loss_grad = np.asarray(loss_grad, dtype=DTYPE)
-    _, grads = _backward_stages(net.stages, loss_grad, stage_caches, False)
+    _, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches, False)
     return [g for _, g in _learned(net.stages, grads)]
 
 

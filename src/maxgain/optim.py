@@ -51,10 +51,9 @@ def projection_scale(gamma_hat, gamma):
 
 
 def project(w, gamma_hat, gamma):
-    """Scale weights down just enough to bring the measured gain to gamma.
-
-    Returns w itself (bitwise untouched) when gamma_hat <= gamma.
-    """
+    """w / (gamma_hat / gamma) when that ratio exceeds 1, else w itself (bitwise
+    untouched). train_step passes the gain measured before the update and the
+    updated weights, so the gain of what it returns is not bounded by gamma."""
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise InvalidValueError(f"gamma must be positive and finite, got {gamma}")
     if not (math.isfinite(gamma_hat) and gamma_hat >= 0.0):
@@ -160,8 +159,8 @@ def train_step(net, x, y, optimizer, lr, maxgain=None, rng=None):
 
     The forward measures each learned layer's gamma_hat as it runs (at the
     pre-update weights), so no linear output outlives its stage; the loss
-    judges the logits before gamma_hat is. Backward frees each stage's cache
-    once used; the projection is applied to the freshly updated weights.
+    judges the logits before gamma_hat is. Backward uses each stage's cache
+    up; the projection is applied to the freshly updated weights.
     Returns a StepReport.
     """
     gain = no_gain if maxgain is None else lambda gx, gz: batch_max_gain(gx, gz, maxgain.p)

@@ -271,7 +271,7 @@ def augment_oracle(x, rng, flip=False, pad=0, crop=None):
 
 def batchnorm_train_oracle(layer, x):
     """One train-mode BatchNorm forward by the textbook formulas, leaving the
-    layer alone: (y, mu, xhat, inv_std, z, running_mean, running_var), with
+    layer alone: (y, xhat, inv_std, z, running_mean, running_var), with
     the running statistics the layer holds after the step and z = x times
     the eval-mode scale they give."""
     axes, bshape = (0, *range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
@@ -284,7 +284,7 @@ def batchnorm_train_oracle(layer, x):
     running_mean = m * layer.running_mean + (1.0 - m) * mu
     running_var = m * layer.running_var + (1.0 - m) * var
     z = x * (layer.alpha / np.sqrt(running_var + layer.eps)).reshape(bshape)
-    return y, mu, xhat, inv_std, z, running_mean, running_var
+    return y, xhat, inv_std, z, running_mean, running_var
 
 
 def batchnorm_backward_oracle(layer, xhat, inv_std, grad_y):

@@ -259,14 +259,15 @@ def test_batchnorm_train_pass_is_bitwise_the_formulas(seed, rank, n, c, hw, x_la
     shape = (n, c) + (hw if rank == 4 else ())
     layer = BatchNorm(rng.normal(size=c), rng.normal(size=c), rng.normal(size=c), rng.uniform(0.1, 3.0, size=c))
     x = stored(3.0 * rng.normal(size=shape) + rng.normal(size=c).reshape((1, c) + (1,) * (rank - 2)), x_last)
-    y_want, mu, xhat, inv_std, z, mean, var = batchnorm_train_oracle(layer, x)
+    y_want, xhat, inv_std, z, mean, var = batchnorm_train_oracle(layer, x)
     y, cache, (x_in, z_in) = pair_forward(layer, x, "train")
-    for got, want in [(y, y_want), (cache["mu"], mu), (cache["inv_std"], inv_std),
+    for got, want in [(y, y_want), (cache["xhat"], xhat), (cache["inv_std"], inv_std),
                       (z_in, z), (layer.running_mean, mean), (layer.running_var, var)]:
         np.testing.assert_array_equal(got, want)
-    # the stage keeps its input itself, no normalized copy; backward rebuilds xhat
-    assert x_in is x and cache["x"] is x
-    assert set(cache) == {"x", "mu", "inv_std"}
+    # the gain pair's x is the input itself; the stage keeps the normalized
+    # input in its place, and backward uses it up
+    assert x_in is x
+    assert set(cache) == {"xhat", "inv_std"}
     grad_y = stored(rng.normal(size=shape), g_last)
     held = grad_y.copy()
     grad_x, grads = layer.backward(grad_y, cache)
@@ -274,7 +275,8 @@ def test_batchnorm_train_pass_is_bitwise_the_formulas(seed, rank, n, c, hw, x_la
     for got, w in zip((grad_x, grads["alpha"], grads["beta"]), want):
         np.testing.assert_array_equal(got, w)
     np.testing.assert_array_equal(grad_y, held)
-    no_input, same = layer.backward(grad_y, cache, input_grad=False)
+    # a fresh forward's cache: the batch statistics, and so xhat, are the same
+    no_input, same = layer.backward(grad_y, layer.forward(x, "train")[1], input_grad=False)
     assert no_input is None
     np.testing.assert_array_equal(same["alpha"], grads["alpha"])
     np.testing.assert_array_equal(same["beta"], grads["beta"])
@@ -310,8 +312,9 @@ class TestDropout:
         layer = Dropout(0.5)
         x = np.ones((6, 6))
         y, cache = layer.forward(x, "train", rng=make_rng(15))
+        mask = cache["mask"]
         grad, _ = layer.backward(np.ones_like(y), cache)
-        np.testing.assert_array_equal(grad, cache["mask"])
+        np.testing.assert_array_equal(grad, mask)
 
     def test_rate_domain(self):
         with pytest.raises(InvalidValueError):
@@ -491,7 +494,7 @@ class TestNetworkPlumbing:
                        Dense(np.eye(2), np.zeros(2))])
         _, caches = forward(net, np.ones((2, 2)), "train")
         backward(net, caches, np.ones((2, 2)))
-        with pytest.raises(CacheError, match="^caches were already used by a backward pass$"):
+        with pytest.raises(CacheError, match="^stage cache holds no 'x': a backward pass used it up"):
             backward(net, caches, np.ones((2, 2)))
 
     def test_backward_rejects_foreign_caches(self):

@@ -67,9 +67,9 @@ def test_no_buffer_holds_a_window_per_tap(kernel, stride):
     layer = MaxPool2d(kernel, stride)
     x = rng.normal(size=(8, 8, 32, 32))
     (y, cache), forward_peak = traced_peak(lambda: layer.forward(x, "train"))
+    forward_out = y.nbytes + cache["idx"].nbytes
     grad_y = rng.normal(size=y.shape)
     (grad_x, _), backward_peak = traced_peak(lambda: layer.backward(grad_y, cache))
-    forward_out = y.nbytes + cache["idx"].nbytes
     backward_out = grad_x.nbytes + grad_y.nbytes
     assert forward_peak <= 2 * forward_out, f"forward peak {forward_peak} against {forward_out}"
     assert backward_peak <= 2.5 * backward_out, f"backward peak {backward_peak} against {backward_out}"

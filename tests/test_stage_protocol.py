@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from maxgain import (
     BatchNorm,
+    CacheError,
     Conv2d,
     Dense,
     Dropout,
@@ -415,7 +416,7 @@ def test_caches_match_linear_maps_and_norms_after_batchnorm_statistics_train(cas
 
 
 class ReadRecorder(dict):
-    """A stage cache that records the keys read from it."""
+    """A stage cache that records the keys read or taken from it."""
 
     def __init__(self, items):
         super().__init__(items)
@@ -424,6 +425,10 @@ class ReadRecorder(dict):
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
+
+    def pop(self, key, *default):
+        self.read.add(key)
+        return super().pop(key, *default)
 
 
 def recorded(tree):
@@ -500,15 +505,15 @@ def test_train_caches_hold_only_what_backward_reads(kind_net):
     _, net, x = kind_net
     y, caches = forward(net, x, "train", rng=make_rng(1))
     caches.stage_caches = recorded(caches.stage_caches)
-    # backward drops each stage cache once read, so hold on to them here
     kept = list(dicts(caches.stage_caches))
-    assert kept
+    assert kept and not [cache for cache in kept if "gain" in cache]
+    held = [[key for key, value in cache.items() if isinstance(value, np.ndarray)] for cache in kept]
     backward(net, caches, make_rng(2).normal(size=y.shape))
-    for cache in kept:
-        assert "gain" not in cache
-        unread = [key for key, value in cache.items() if isinstance(value, np.ndarray)
-                  and key not in cache.read]
+    for cache, keys in zip(kept, held):
+        unread = [key for key in keys if key not in cache.read]
         assert unread == [], f"kept but never read by backward: {unread}"
+        # backward takes out what it reads, so it leaves every cache empty
+        assert cache == {}, f"left in the cache by backward: {list(cache)}"
     # each stage's own forward, at its default gain, keeps no gain pair either,
     # and in eval mode no array at all
     for mode in ("train", "eval"):
@@ -554,23 +559,64 @@ def retained_bytes(*trees):
 
 
 def test_a_measured_train_forward_keeps_no_linear_output(kind_net):
-    # a measured forward keeps what an unmeasured one keeps but the zs: in
-    # train mode every layer input is an array its stage's backward reads
+    # a measured forward keeps the unmeasured one's stage caches and nothing
+    # else: no z, and no layer input its stage's backward does not read. A
+    # batchnorm's backward reads its normalized input, not the input itself,
+    # which is the one layer input the stage caches do not hold
     _, net, x = kind_net
     plain, measured = twin(net), twin(net)
     _, pairs = forward(plain, x, "train", rng=make_rng(1))
     _, caches = forward(measured, x, "train", rng=make_rng(1), gain=lambda gx, gz: batch_max_gain(gx, gz, 2))
     assert caches.xs is None and caches.zs is None and len(caches.gains) == len(net.learned_layers())
     kept = retained_bytes(caches.stage_caches, caches.gains)
-    assert (kept == retained_bytes(pairs.stage_caches, pairs.xs)
-            < retained_bytes(pairs.stage_caches, pairs.xs, pairs.zs))
+    assert kept == retained_bytes(pairs.stage_caches) < retained_bytes(pairs.stage_caches, pairs.zs)
+    has_batchnorm = any(isinstance(layer, BatchNorm) for layer in net.learned_layers())
+    assert (kept < retained_bytes(pairs.stage_caches, pairs.xs)) == has_batchnorm
+
+
+def test_a_second_backward_on_a_stage_cache_raises(kind_net):
+    _, net, x = kind_net
+    h = x
+    for st in net.stages:
+        y, cache = st.forward(h, "train", make_rng(1))
+        grad_y = make_rng(2).normal(size=y.shape)
+        st.backward(grad_y, cache)
+        with pytest.raises(CacheError, match="a backward pass used it up"):
+            st.backward(grad_y, cache)
+        h = y
+
+
+def traced_peak(run):
+    """(run(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batchnorm_trains_in_three_input_sized_arrays():
+    # on a conv's channels-last output, the train forward makes xhat and one
+    # buffer (x's square, then z, then y) beside x; backward makes the input
+    # gradient alone beside grad_y and the cached xhat, which it uses up
+    rng = make_rng(32)
+    layer = BatchNorm(rng.normal(size=8), rng.normal(size=8))
+    x, grad_y = (np.ascontiguousarray(rng.normal(size=(32, 32, 32, 8))).transpose(0, 3, 1, 2) for _ in range(2))
+    (y, cache), forward_peak = traced_peak(lambda: layer.forward(x, "train"))
+    del y
+    (grad_x, _), backward_peak = traced_peak(lambda: layer.backward(grad_y, cache))
+    # a tenth of an input covers numpy's reduction buffers (64 KiB here)
+    assert forward_peak <= 2.1 * x.nbytes, f"forward peak {forward_peak / x.nbytes:.2f} inputs"
+    assert backward_peak <= 1.1 * x.nbytes, f"backward peak {backward_peak / x.nbytes:.2f} inputs"
+    assert grad_x.strides == grad_y.strides
 
 
 @pytest.mark.parametrize("maxgain", [None, MaxGainConfig(gamma=1.0)])
 def test_a_train_step_peaks_at_a_few_activations(maxgain):
-    # conv, batchnorm and a residual block on 32 8x16x16 images peak at 8.3
-    # activation-sized arrays; keeping every linear output until the loss
-    # reads 12.4, and keeping every stage cache through backward 9.8
+    # conv, batchnorm and a residual block on 32 8x16x16 images peak at 7.5
+    # activation-sized arrays; with batchnorm keeping its input and rebuilding
+    # xhat in backward 8.3, keeping every linear output until the loss 12.4,
+    # and keeping every stage cache through backward 9.8
     rng = make_rng(31)
 
     def conv():
@@ -583,13 +629,8 @@ def test_a_train_step_peaks_at_a_few_activations(maxgain):
     x, y = rng.normal(size=(32, 8, 16, 16)), rng.integers(0, CLASSES, size=32)
     optimizer = SgdNesterov()
     train_step(net, x, y, optimizer, 0.01, maxgain)  # the optimizer's state exists from here on
-    tracemalloc.start()
-    try:
-        train_step(net, x, y, optimizer, 0.01, maxgain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"
+    _, peak = traced_peak(lambda: train_step(net, x, y, optimizer, 0.01, maxgain))
+    assert peak <= 8 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"
 
 
 def test_eval_caches_hold_no_array(kind_net):
