@@ -9,6 +9,10 @@ so, and returns parameter gradients only, so it never computes the gradient
 with respect to its input batch. In train mode a stage's cache holds only
 what its own backward reads, and backward takes it out, so a second
 backward on the same cache raises CacheError; in eval mode it holds no array.
+A conv after a batchnorm, or a relu of one, keeps a Rebuild over that
+batchnorm's cache in place of its input. A stage may write into a
+writeable grad_y; the caller's gradient, and one both residual branches
+read, come read-only.
 A learned stage hands gain(x, z) its input batch x and bias-free linear
 outputs z as soon as it has run, then adds its bias into z in place, so no
 z outlives it (a callback that keeps z must copy it); residual blocks pass
@@ -32,11 +36,14 @@ every walk over a network (STAGE_TYPES lists the classes):
 - config_keys and initial(scheme, rng, *sizes): the config fields that size
   a new stage (a parse_fields table), and the constructor arguments made
   from them (by default the values themselves, as a residual block's parts);
-- out_shape(in_shape): the instance shape it maps an instance shape to.
+- out_shape(in_shape): the instance shape it maps an instance shape to;
+- rebuild(cache, source): after a train-mode forward, given source, the
+  Rebuild of its input or None, the Rebuild of its output or None; a stage
+  that keeps its input may keep source in its place.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,7 +154,7 @@ def parse_value(what, name, typ, value, error):
 class Stage:
     """Declaration defaults: no hyperparameters, no arrays, not learned, no
     parts, config values passed to the constructor as they are, instances
-    keep their shape, and operator norm 1."""
+    keep their shape, operator norm 1, and no Rebuild of the output."""
 
     hyper = {}
     param_names = ()
@@ -166,6 +173,37 @@ class Stage:
 
     def operator_norm(self, p, in_shape):
         return 1.0
+
+    def rebuild(self, cache, source):
+        return None
+
+
+@dataclass(frozen=True, eq=False)
+class Rebuild:
+    """A batchnorm's train-mode output alpha * xhat + beta, then max(., 0)
+    after a relu, remade from the xhat its cache keeps with the forward's own
+    ufuncs, so it comes back bitwise. Indexing takes images; a conv reads it
+    channels-last, as it keeps its input."""
+
+    xhat: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    relu: bool = False
+
+    @property
+    def shape(self):
+        n, c, h, w = self.xhat.shape
+        return n, h, w, c
+
+    def __getitem__(self, images):
+        return replace(self, xhat=self.xhat[images])
+
+    def fill(self, out):
+        """Writes the images channels-last into out."""
+        np.multiply(self.alpha, self.xhat.transpose(0, 2, 3, 1), out=out)
+        out += self.beta
+        if self.relu:
+            np.maximum(out, 0.0, out=out)
 
 
 def no_gain(x, z):
@@ -244,7 +282,9 @@ class Conv2d(Stage):
     cache-sized blocks of images, each block zero-padded channels-last into
     one reused buffer: no padded or unfolded (im2col) copy of the batch is
     ever built, and each block's tap rows and products stay in cache;
-    backward and the adjoint reuse the same taps and blocks.
+    backward and the adjoint reuse the same taps and blocks. After a
+    batchnorm, or a relu of one, the stage keeps that batchnorm's Rebuild
+    instead of its input, and backward fills each padded block from it.
     """
 
     kind = "conv"
@@ -316,11 +356,16 @@ class Conv2d(Stage):
 
     def _tap_rows(self, xb, xt, rows):
         """(i, j, rows) per kernel tap: the (m*oh*ow, C) input rows tap (i, j)
-        reads from the m-image channels-last block xb, zero-padded into
-        xt[:m] (whose border is never written) and copied into rows[:m]."""
+        reads from the m-image channels-last block xb (an array or a
+        Rebuild), zero-padded into xt[:m] (whose border is never written)
+        and copied into rows[:m]."""
         m, h, w, _ = xb.shape
         xt, rows, p = xt[:m], rows[:m], self.pad
-        xt[:, p:p + h, p:p + w, :] = xb
+        inner = xt[:, p:p + h, p:p + w, :]
+        if isinstance(xb, Rebuild):
+            xb.fill(inner)
+        else:
+            inner[...] = xb
         for i, j, tap in self._taps(xt, *rows.shape[1:3]):
             np.copyto(rows, tap)
             yield i, j, rows.reshape(-1, rows.shape[3])
@@ -363,9 +408,10 @@ class Conv2d(Stage):
         return grad_x.transpose(0, 3, 1, 2)
 
     def forward(self, x, mode, rng=None, gain=no_gain):
-        """The stage keeps xc, x stored channels-last: x's own memory when x
-        is stored so already (a conv's output, and what the elementwise
-        stages after one return), else one unpadded copy. The gain input is
+        """The stage keeps xc, x stored channels-last (until rebuild swaps in
+        a Rebuild of x): x's own memory when x is stored so already (a
+        conv's output, and what the elementwise stages after one return),
+        else one unpadded copy. The gain input is
         xc's (N, C, H, W) view, so the stage keeps no second copy of x, and
         batch_norms sums every conv's gain input in the same storage order."""
         _check_batch(x, 4, "conv")
@@ -375,8 +421,13 @@ class Conv2d(Stage):
         gain(x, z)
         return np.add(z, self.b[None, :, None, None], out=z), {"xc": xc} if mode == "train" else {}
 
+    def rebuild(self, cache, source):
+        """Keeps source, a Rebuild of the input, in place of xc."""
+        if source is not None:
+            cache["xc"] = source
+
     def backward(self, grad_y, cache, input_grad=True):
-        xc = _take(cache, "xc")
+        xc = _take(cache, "xc")  # the channels-last input, or a Rebuild of it
         n, oc, oh, ow = grad_y.shape
         g = grad_y.transpose(0, 2, 3, 1)
         nb, blocks = _blocks(n, oh, ow)
@@ -414,7 +465,9 @@ class BatchNorm(Stage):
     throughout. The running statistics start at mean 0 and variance 1 unless
     given. A train-mode forward makes two input-sized arrays, the normalized
     input xhat and one buffer that holds x's square, then z, then y; its
-    cache keeps xhat and the inverse deviations, not x.
+    cache keeps xhat and the inverse deviations, not x. A conv after it, or
+    after a relu of it, keeps a Rebuild over xhat in place of its input; that
+    conv's backward runs before this one's, which uses xhat up.
     """
 
     kind = "batchnorm"
@@ -496,6 +549,9 @@ class BatchNorm(Stage):
         gain(x, z)
         return np.add(z, (self.beta - scale * self.running_mean).reshape(bshape), out=z), {}
 
+    def rebuild(self, cache, source):
+        return Rebuild(cache["xhat"], self.alpha.copy(), self.beta.copy())
+
     def backward(self, grad_y, cache, input_grad=True):
         """One input-sized temporary t, which becomes grad_x; xhat is used up in place. A sum follows
         its operand's layout, so gdot's product goes in t only if xhat is laid out alike, as in a conv net."""
@@ -523,6 +579,7 @@ class Dropout(Stage):
 
     Standard (non-inverted) form: train mode applies the binary mask with no
     rescaling, eval mode multiplies by the keep probability (1 - rate).
+    Backward writes the masked gradient into grad_y when the walk owns it.
     """
 
     kind = "dropout"
@@ -545,17 +602,31 @@ class Dropout(Stage):
         return x * (1.0 - self.rate), {}
 
     def backward(self, grad_y, cache, input_grad=True):
-        return grad_y * _take(cache, "mask"), None
+        return _masked(grad_y, _take(cache, "mask")), None
 
 
 class ReLU(Stage):
+    """max(x, 0). It passes a Rebuild of its input on as one of its output,
+    and backward writes into grad_y as dropout's does."""
+
     kind = "relu"
 
     def forward(self, x, mode, rng=None, gain=no_gain):
         return np.maximum(x, 0.0), {"mask": x > 0.0} if mode == "train" else {}
 
+    def rebuild(self, cache, source):
+        return None if source is None else replace(source, relu=True)
+
     def backward(self, grad_y, cache, input_grad=True):
-        return grad_y * _take(cache, "mask"), None
+        return _masked(grad_y, _take(cache, "mask")), None
+
+
+def _masked(grad_y, mask):
+    """grad_y * mask, written into grad_y when the walk owns it (it is
+    writeable) and it is laid out as mask, so the product keeps the layout
+    grad_y * mask would have."""
+    owned = grad_y.flags.writeable and grad_y.strides == tuple(grad_y.itemsize * s for s in mask.strides)
+    return np.multiply(grad_y, mask, out=grad_y if owned else None)
 
 
 class MaxPool2d(Stage):
@@ -648,7 +719,10 @@ class ResidualBlock(Stage):
 
     The block itself is not a learned layer; gain constraints see only the
     learned stages inside it, main path first, then the shortcut. Config JSON
-    and checkpoints nest both stage lists.
+    and checkpoints nest both stage lists. The forward adds the shortcut's
+    output into the main path's where that changes no input and no layout;
+    the first stage of each branch is handed the Rebuild of the block input.
+    Backward hands both branches one read-only gradient.
     """
 
     kind = "residual"
@@ -675,9 +749,20 @@ class ResidualBlock(Stage):
         self.out_shape(x.shape[1:])
         y_main, caches_main = _forward_stages(self.main, x, mode, rng, gain)
         y_short, caches_short = _forward_stages(self.shortcut, x, mode, rng, gain)
-        return y_main + y_short, {"main": caches_main, "shortcut": caches_short}
+        # into y_main only where it is memory of its own laid out as y_short,
+        # so the sum is laid out as y_main + y_short would be
+        own = not (np.may_share_memory(y_main, x) or np.may_share_memory(y_main, y_short))
+        y = np.add(y_main, y_short, out=y_main if own and y_main.strides == y_short.strides else None)
+        return y, {"main": caches_main, "shortcut": caches_short}
+
+    def rebuild(self, cache, source):
+        """Hands source to each branch's first stage, which its branch's walk told None."""
+        for part in self.parts:
+            if getattr(self, part):
+                getattr(self, part)[0].rebuild(cache[part][0], source)
 
     def backward(self, grad_y, cache, input_grad=True):
+        grad_y = _read_only(grad_y)
         grad_main, grads_main = _backward_stages(self.main, grad_y, _take(cache, "main"), input_grad)
         grad_short, grads_short = _backward_stages(self.shortcut, grad_y, _take(cache, "shortcut"), input_grad)
         grad_x = grad_main + grad_short if input_grad else None
@@ -751,17 +836,29 @@ class StepCaches:
 
 
 def _forward_stages(stages, x, mode, rng, gain):
-    caches = []
+    """(output, per-stage caches). In train mode each stage is told the
+    Rebuild of its input, if any, once it has run."""
+    caches, source = [], None
     for st in stages:
         x, cache = st.forward(x, mode, rng, gain)
         caches.append(cache)
+        source = st.rebuild(cache, source) if mode == "train" else None
     return x, caches
+
+
+def _read_only(grad):
+    """A read-only view of grad: a gradient the walk does not own."""
+    grad = grad.view()
+    grad.flags.writeable = False
+    return grad
 
 
 def _backward_stages(stages, grad, caches, input_grad):
     """(input gradient, per-stage param_grads in stage order). Only the
     first stage is told input_grad; every later one's input gradient is what
-    the stage before it reads."""
+    the stage before it reads. A writeable grad is the walk's own, for the
+    stage to write into: each stage returns a new gradient or a view of the
+    one it was handed, and the caller's or a shared one comes read-only."""
     if len(caches) != len(stages):
         raise CacheError("stage caches do not cover every learned layer")
     grads = [None] * len(stages)
@@ -807,7 +904,7 @@ def backward(net, caches, loss_grad):
     if caches.mode != "train":
         raise CacheError("backward needs caches from a train-mode forward pass")
     loss_grad = np.asarray(loss_grad, dtype=DTYPE)
-    _, grads = _backward_stages(net.stages, loss_grad, caches.stage_caches, False)
+    _, grads = _backward_stages(net.stages, _read_only(loss_grad), caches.stage_caches, False)
     return [g for _, g in _learned(net.stages, grads)]
 
 

@@ -6,7 +6,9 @@ exceptions: the one-instance probes of a learned layer (apply_linear, gain,
 materialize_linear) call a conv's own apply_linear, one instance or basis
 vector at a time, so tests can compare the package's batched measurements
 with them; backward_with_input_grad runs the stages' own backward
-passes, asking each for its input gradient; and conv2d_padded_oracle keeps
+passes, asking each for its input gradient; kept_input_forward and
+kept_input_backward run each stage by itself, so every stage keeps its own
+input and gets its own copy of its gradient; and conv2d_padded_oracle keeps
 the conv's former full-batch padded formulation, GEMM for GEMM, to pin the
 bits of the stage's own.
 """
@@ -19,6 +21,7 @@ import numpy as np
 from maxgain import (
     BatchNorm,
     Dense,
+    ResidualBlock,
     StepReport,
     backward,
     batch_max_gain,
@@ -110,15 +113,60 @@ def _learned_grads(stages, grads):
             yield g
 
 
+def read_only(a):
+    """A read-only view of a, which no stage may write into."""
+    a = np.asarray(a, dtype=np.float64).view()
+    a.flags.writeable = False
+    return a
+
+
 def backward_with_input_grad(net, caches, loss_grad):
     """The network backward with every stage asked for its input gradient:
     (gradient with respect to the network input, one param_grads dict per
-    learned layer in learned_layers() order)."""
-    grad, grads = np.asarray(loss_grad, dtype=np.float64), []
+    learned layer in learned_layers() order). Like the network backward, it
+    hands the last stage loss_grad read-only."""
+    grad, grads = read_only(loss_grad), []
     for stage, cache in zip(reversed(net.stages), reversed(caches.stage_caches)):
         grad, g = stage.backward(grad, cache, input_grad=True)
         grads.insert(0, g)
     return grad, list(_learned_grads(net.stages, grads))
+
+
+def kept_input_forward(stages, x, rng):
+    """A train-mode forward of stages on x that calls each stage's own
+    forward by itself, a residual block's branches included, and sums each
+    block's branches into a new array: (output, caches mirroring stages),
+    where every conv keeps its own input, since no walk tells it of a
+    batchnorm it could rebuild that input from."""
+    caches = []
+    for stage in stages:
+        if isinstance(stage, ResidualBlock):
+            y_main, main = kept_input_forward(stage.main, x, rng)
+            y_short, short = kept_input_forward(stage.shortcut, x, rng)
+            x, cache = y_main + y_short, {"main": main, "shortcut": short}
+        else:
+            x, cache = stage.forward(x, "train", rng)
+        caches.append(cache)
+    return x, caches
+
+
+def kept_input_backward(stages, caches, grad):
+    """The backward of kept_input_forward's caches, asking every stage for
+    its input gradient and handing each a copy of its gradient in the same
+    layout, so no stage can write into a gradient another one reads:
+    (input gradient, one param_grads dict per learned layer under stages in
+    learned_layers() order)."""
+    learned = []
+    for stage, cache in zip(reversed(stages), reversed(caches)):
+        if isinstance(stage, ResidualBlock):
+            grad_main, main = kept_input_backward(stage.main, cache["main"], grad)
+            grad_short, short = kept_input_backward(stage.shortcut, cache["shortcut"], grad)
+            grad, learned = grad_main + grad_short, main + short + learned
+        else:
+            grad, g = stage.backward(grad.copy(order="K"), cache, input_grad=True)
+            if stage.weight_param is not None:
+                learned.insert(0, g)
+    return grad, learned
 
 
 def numeric_gradient(f, x, h=1e-5):
