@@ -53,8 +53,8 @@ class DivergenceError(MaxGainError, RuntimeError):
     softmax_cross_entropy raises it for non-finite logits or loss, in training
     and evaluation alike; a training step also for a gain or gradient, and
     per_layer_gains for an eval-mode gain. The callers above it add where it
-    happened through `where` (fit's step loop inline): the step and epoch,
-    the split of an eval pass, the sweep gamma or the fold.
+    happened through `where`: the step and epoch, the split of an eval pass,
+    the sweep gamma or the fold.
 
     Attributes:
         step: global step index at which the failure was detected (None

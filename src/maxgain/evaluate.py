@@ -152,14 +152,11 @@ def per_layer_gains(net, x, p):
     pass as the layer runs. A non-finite gain (an input whose norm
     overflows, say) raises DivergenceError naming the first such layer.
     """
-    n_layers = len(net.learned_layers())
-    if n_layers == 0:
+    if not net.learned_layers():
         raise EmptySampleError("network has no learned layers")
-    chunks = [[] for _ in range(n_layers)]
-    for _, _, caches in _eval_batches(net, x, "per_layer_gains", lambda gx, gz: instance_gains(gx, gz, p)):
-        for chunk, g in zip(chunks, caches.gains):
-            chunk.append(g)
-    gains = [np.concatenate(c) for c in chunks]
+    batches = [caches.gains for _, _, caches in
+               _eval_batches(net, x, "per_layer_gains", lambda gx, gz: instance_gains(gx, gz, p))]
+    gains = [np.concatenate(g) for g in zip(*batches)]
     for j, g in enumerate(gains):
         if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gain of layer {j}")

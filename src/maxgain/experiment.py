@@ -17,7 +17,8 @@ from .data import augment, cell, load_csv, load_idx, make_folds, synth_blobs, sy
 from .errors import ConfigError, EmptySampleError, FormatError, InvalidValueError, ShapeError, naming, where
 from .evaluate import eval_metrics, per_layer_gains
 from .layers import (
-    REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, integer, of_type, one_of, parse_fields, real)
+    REQUIRED, SIZE, STAGE_TYPES, Network, at_least, chain_shape, indexable, integer, of_type, one_of, parse_fields,
+    real)
 from .optim import Adam, MaxGainConfig, Schedule, SgdNesterov, fit
 from .tensor import INIT_SCHEMES, make_rng
 
@@ -74,7 +75,7 @@ DATASET_FIELDS = {
             "feature_cols": (_columns, None)}}
 DROP_FIELDS = {"epoch": (integer, REQUIRED), "factor": (real, REQUIRED)}
 MAXGAIN_FIELDS = {"gamma": (real, REQUIRED), "p": (parse_norm_order, 2)}
-AUGMENT_FIELDS = {"flip": (of_type(bool), False), "pad": (at_least(0, integer), 0),
+AUGMENT_FIELDS = {"flip": (of_type(bool), False), "pad": (at_least(0, indexable), 0),
                   "crop": (at_least(1, integer), None)}
 FOLD_FIELDS = {"k": SIZE, "train_per_fold": SIZE, "test_per_fold": SIZE, "seed": (integer, 0)}
 CONFIG_FIELDS = {

@@ -50,14 +50,6 @@ import numpy as np
 from .errors import CacheError, DivergenceError, InvalidValueError, ShapeError
 from .tensor import DTYPE, as_tensor, init_weights, operator_norm_exact
 
-MODES = ("train", "eval")
-
-
-def _check_mode(mode):
-    if mode not in MODES:
-        raise InvalidValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-
 def _check_batch(x, rank, what):
     if x.ndim != rank:
         raise ShapeError(f"{what} expects a rank-{rank} batch, got shape {x.shape}")
@@ -69,6 +61,13 @@ def integer(value):
     """int(value), refusing a fractional number, a bool or a non-integer string."""
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def indexable(value):
+    """integer(value), refusing one above intp's maximum, the longest axis numpy can index."""
+    if integer(value) > np.iinfo(np.intp).max:
+        raise ValueError(f"expected at most {np.iinfo(np.intp).max}, got {value!r}")
     return int(value)
 
 
@@ -101,7 +100,7 @@ def at_least(low, typ):
 # The default of a field that has none, and a required integer field (a size
 # or a count).
 REQUIRED = object()
-SIZE = (at_least(1, integer), REQUIRED)
+SIZE = (at_least(1, indexable), REQUIRED)
 
 
 def of_type(typ):
@@ -217,6 +216,17 @@ def _take(cache, key):
     return cache.pop(key)
 
 
+def _weights(kind, name, w, b, rank):
+    """Finite copies of a learned stage's weights w, of the given rank, and bias b, one entry per row of w."""
+    w = as_tensor(w, f"{kind} {name}").copy()
+    b = as_tensor(b, f"{kind} bias").copy()
+    if w.ndim != rank:
+        raise ShapeError(f"{kind} {name} must be rank {rank}, got {w.shape}")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"{kind} bias shape {b.shape} does not match {name} {w.shape}")
+    return w, b
+
+
 class Dense(Stage):
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
@@ -230,14 +240,7 @@ class Dense(Stage):
         return init_weights((n_out, n_in), scheme, rng), np.zeros(n_out)
 
     def __init__(self, w, b):
-        w = as_tensor(w, "dense weights").copy()
-        b = as_tensor(b, "dense bias").copy()
-        if w.ndim != 2:
-            raise ShapeError(f"dense weights must be rank 2, got {w.shape}")
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"dense bias shape {b.shape} does not match weights {w.shape}")
-        self.w = w
-        self.b = b
+        self.w, self.b = _weights("dense", "weights", w, b, 2)
 
     def out_shape(self, in_shape):
         out, n_in = self.w.shape
@@ -288,7 +291,7 @@ class Conv2d(Stage):
     """
 
     kind = "conv"
-    hyper = {"stride": (integer, 1), "pad": (integer, 0)}
+    hyper = {"stride": (integer, 1), "pad": (indexable, 0)}
     param_names = ("kernel", "b")
     weight_param = "kernel"
     config_keys = {"in": SIZE, "out": SIZE, "kernel": SIZE}
@@ -298,16 +301,9 @@ class Conv2d(Stage):
         return init_weights((n_out, n_in, k, k), scheme, rng), np.zeros(n_out)
 
     def __init__(self, kernel, b, stride=1, pad=0):
-        kernel = as_tensor(kernel, "conv kernel").copy()
-        b = as_tensor(b, "conv bias").copy()
-        if kernel.ndim != 4:
-            raise ShapeError(f"conv kernel must be rank 4, got {kernel.shape}")
-        if b.shape != (kernel.shape[0],):
-            raise ShapeError(f"conv bias shape {b.shape} does not match kernel {kernel.shape}")
+        self.kernel, self.b = _weights("conv", "kernel", kernel, b, 4)
         if stride < 1 or pad < 0:
             raise InvalidValueError(f"bad conv geometry: stride={stride} pad={pad}")
-        self.kernel = kernel
-        self.b = b
         self.stride = int(stride)
         self.pad = int(pad)
 
@@ -881,7 +877,8 @@ def forward(net, x, mode, rng=None, gain=None):
         pairs, caches.gains = caches.gains, None
         caches.xs, caches.zs = [gx for gx, _ in pairs], [gz for _, gz in pairs]
         return y, caches
-    _check_mode(mode)
+    if mode not in ("train", "eval"):
+        raise InvalidValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = as_tensor(x, "network input")
     if x.shape[0] == 0:
         raise ShapeError("network got an empty batch")

@@ -249,7 +249,6 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
         raise ConfigError(f"{n} training instances at batch_size {batch_size} leave a batch of "
                           f"{smallest}, but the model needs train batches of at least {need}")
     rng_shuffle, rng_dropout, rng_augment = spawn_rngs(seed, 3)
-    n_layers = len(layers)
     ledger = TrainingLedger()
     global_step = 0
     for epoch in range(1, int(epochs) + 1):
@@ -257,19 +256,15 @@ def fit(net, train, *, optimizer, schedule, epochs, batch_size=64,
         perm = rng_shuffle.permutation(n)
         loss_sum = 0.0
         correct = 0
-        gh_max = [-math.inf] * n_layers
+        gh_max = [-math.inf] * len(layers)
         for i in range(0, n, int(batch_size)):
             idx = perm[i:i + int(batch_size)]
             global_step += 1
             xb = train.x[idx]
             if augment_fn is not None:
                 xb = augment_fn(xb, rng_augment)
-            try:
-                report = train_step(net, xb, train.y[idx], optimizer, lr,
-                                    maxgain=maxgain, rng=rng_dropout)
-            except DivergenceError as err:
-                raise DivergenceError(f"{err} at step {global_step} (epoch {epoch})",
-                                      step=global_step, ledger=ledger) from None
+            with where(suffix=f" at step {global_step} (epoch {epoch})", step=global_step, ledger=ledger):
+                report = train_step(net, xb, train.y[idx], optimizer, lr, maxgain=maxgain, rng=rng_dropout)
             loss_sum += report.loss * report.batch_size
             correct += report.n_correct
             if report.gamma_hats is not None:

@@ -72,13 +72,19 @@ def apply_linear(layer, x):
     return layer.apply_linear(x)
 
 
+def keep_pair(x, z):
+    """A gain callback that keeps the gain pair it is handed: x itself and z
+    copied in its own layout, as the stage adds its bias into z once the
+    callback returns. A network forward run with it holds each learned
+    layer's pair in StepCaches.gains."""
+    return x, z.copy(order="K")
+
+
 def pair_forward(layer, x, mode):
     """(y, cache, (x, z)) of one forward of a learned stage: the gain pair is
-    what the stage handed its gain callback, exactly once, with z copied in
-    its own layout, as the stage adds its bias into z once the callback
-    returns."""
+    what the stage handed its gain callback, exactly once, kept by keep_pair."""
     seen = []
-    y, cache = layer.forward(x, mode, gain=lambda gx, gz: seen.append((gx, gz.copy(order="K"))))
+    y, cache = layer.forward(x, mode, gain=lambda gx, gz: seen.append(keep_pair(gx, gz)))
     (pair,) = seen
     return y, cache, pair
 
@@ -398,9 +404,9 @@ def train_step_oracle(net, x, y, optimizer, lr, maxgain=None, rng=None):
     """One training step with a per-array oracle optimizer: forward,
     backward, one update per learned array keyed (layer index, name), each
     result set on the layer as a new array, then each layer's gain measured
-    from the forward's caches and its weights divided by gamma_hat / gamma
-    where that ratio exceeds 1."""
-    logits, caches = forward(net, x, "train", rng=rng)
+    from the gain pair its forward handed keep_pair and its weights divided
+    by gamma_hat / gamma where that ratio exceeds 1."""
+    logits, caches = forward(net, x, "train", rng=rng, gain=keep_pair)
     loss, loss_grad = softmax_cross_entropy(logits, y)
     grads = backward(net, caches, loss_grad)
     layers = net.learned_layers()
@@ -412,7 +418,7 @@ def train_step_oracle(net, x, y, optimizer, lr, maxgain=None, rng=None):
     if maxgain is not None:
         gamma_hats, scales = [], []
         for j, layer in enumerate(layers):
-            gh = batch_max_gain(caches.xs[j], caches.zs[j], maxgain.p)
+            gh = batch_max_gain(*caches.gains[j], maxgain.p)
             ratio = gh / maxgain.gamma
             if ratio > 1.0:
                 setattr(layer, layer.weight_param, getattr(layer, layer.weight_param) / ratio)

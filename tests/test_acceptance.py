@@ -52,6 +52,7 @@ from oracles import (
     brute_force_operator_norm_pinf,
     gain,
     gradient_rel_error,
+    keep_pair,
     materialize_linear,
     numeric_gradient,
     paired_t_oracle,
@@ -326,8 +327,8 @@ def test_04_projection_exactness():
         x = rng.normal(size=(batch,) + in_shape)
         y = rng.integers(0, n_out, size=batch)
 
-        _, probe = forward(net, x, "eval")
-        rough = batch_max_gain(probe.xs[0], probe.zs[0], p)
+        _, probe = forward(net, x, "eval", gain=keep_pair)
+        rough = batch_max_gain(*probe.gains[0], p)
         if i % 2 == 0:
             gamma = rough * float(rng.uniform(0.3, 0.9))
         else:
@@ -338,8 +339,8 @@ def test_04_projection_exactness():
                             maxgain=MaxGainConfig(gamma=gamma, p=p))
         gamma_hat = report.gamma_hats[0]
         target = min(gamma_hat, gamma)
-        _, caches = forward(net, x, "eval")
-        post = batch_max_gain(caches.xs[0], caches.zs[0], p)
+        _, caches = forward(net, x, "eval", gain=keep_pair)
+        post = batch_max_gain(*caches.gains[0], p)
         worst = max(worst, abs(post - target) / max(1.0, target))
         if gamma_hat > gamma:
             clipped += 1

@@ -119,6 +119,21 @@ class TestTrain:
         assert capsys.readouterr().err == ("error: bad 'crop' in augment: 6x6 crops and (1, 8, 8) instances "
                                            "give different output shapes\n")
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"model": [{"type": "dense", "in": 2, "out": 10**30}]}, "'out' in dense stage"),
+        ({"model": [{"type": "batchnorm", "channels": 10**30}]}, "'channels' in batchnorm stage"),
+        ({"dataset": {"type": "spirals", "n": 1e308}}, "'n' in spirals dataset"),
+        ({"model": [{"type": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 10**30}]}, "'pad' in conv stage"),
+        ({"augment": {"pad": 10**30}}, "'pad' in augment"),
+    ], ids=["dense out", "batchnorm channels", "spirals n", "conv pad", "augment pad"])
+    def test_a_size_numpy_cannot_index_exits_2_naming_it(self, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path, **{"test_dataset": None, "dataset": write_8x8_idx(tmp_path),
+                                           "model": [{"type": "flatten"}, {"type": "dense", "in": 64, "out": 2}],
+                                           **overrides})
+        assert main(["train", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and f"bad {key}: expected at most {np.iinfo(np.intp).max}, got " in err
+
     def test_test_split_the_model_cannot_take_exits_2_naming_it(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -33,7 +33,7 @@ from maxgain import (
 )
 from maxgain import evaluate
 from maxgain.evaluate import eval_metrics, regularized_incomplete_beta
-from oracles import paired_t_oracle
+from oracles import keep_pair, paired_t_oracle
 
 mpmath.mp.dps = 50
 
@@ -174,10 +174,10 @@ class TestGainReports:
         monkeypatch.setattr(evaluate, "_EVAL_BATCH", 16)
         gains = per_layer_gains(net, data.x, 2)
         assert len(gains) == 2
-        _, caches = forward(net, data.x, "eval")
+        _, caches = forward(net, data.x, "eval", gain=keep_pair)
         for j in range(len(net.learned_layers())):
             assert gains[j].max() == pytest.approx(
-                batch_max_gain(caches.xs[j], caches.zs[j], 2), rel=1e-12)
+                batch_max_gain(*caches.gains[j], 2), rel=1e-12)
             assert gains[j].shape == (40,)
 
     def test_per_layer_gains_batch_size_invariant(self, monkeypatch):

@@ -40,6 +40,7 @@ from oracles import (
     brute_force_operator_norm_p1,
     brute_force_operator_norm_pinf,
     gain,
+    keep_pair,
     materialize_linear,
     quartiles_oracle,
 )
@@ -115,8 +116,8 @@ class TestGain:
         layer = Conv2d(rng.normal(size=(2, 1, 3, 3)), np.zeros(2), pad=1)
         net = Network([layer])
         x = rng.normal(size=(6, 1, 5, 5))
-        _, caches = forward(net, x, "train")
-        g = batch_max_gain(caches.xs[0], caches.zs[0], 2)
+        _, caches = forward(net, x, "train", gain=keep_pair)
+        g = batch_max_gain(*caches.gains[0], 2)
         expected = max(gain(layer, xi, 2) for xi in x)
         assert g == pytest.approx(expected, rel=1e-12)
 

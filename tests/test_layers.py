@@ -93,6 +93,36 @@ class TestDense:
             Dense(np.ones((2, 3)), np.zeros(5))
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Dense(np.ones(3), np.zeros(3)), ShapeError, "dense weights must be rank 2, got (3,)"),
+    (lambda: Dense(np.ones((2, 3)), np.zeros(3)), ShapeError,
+     "dense bias shape (3,) does not match weights (2, 3)"),
+    (lambda: Dense(np.ones((2, 3)), np.zeros((2, 1))), ShapeError,
+     "dense bias shape (2, 1) does not match weights (2, 3)"),
+    (lambda: Dense([[1.0, np.inf]], np.zeros(1)), InvalidValueError, "dense weights contains non-finite values"),
+    (lambda: Dense(np.ones((1, 2)), [np.nan]), InvalidValueError, "dense bias contains non-finite values"),
+    (lambda: Conv2d(np.ones((2, 1, 3)), np.zeros(2)), ShapeError, "conv kernel must be rank 4, got (2, 1, 3)"),
+    (lambda: Conv2d(np.ones((2, 1, 3)), np.zeros(2), stride=0, pad=-1), ShapeError,
+     "conv kernel must be rank 4, got (2, 1, 3)"),
+    (lambda: Conv2d(np.ones((2, 1, 3, 3)), np.zeros(3)), ShapeError,
+     "conv bias shape (3,) does not match kernel (2, 1, 3, 3)"),
+    (lambda: Conv2d(np.ones((2, 1, 3, 3)), np.zeros(3), stride=0), ShapeError,
+     "conv bias shape (3,) does not match kernel (2, 1, 3, 3)"),
+    (lambda: Conv2d(np.full((1, 1, 1, 1), -np.inf), np.zeros(1)), InvalidValueError,
+     "conv kernel contains non-finite values"),
+    (lambda: Conv2d(np.ones((1, 1, 1, 1)), [np.nan], pad=-1), InvalidValueError,
+     "conv bias contains non-finite values"),
+    (lambda: Conv2d(np.ones((1, 1, 1, 1)), np.zeros(1), stride=0), InvalidValueError,
+     "bad conv geometry: stride=0 pad=0"),
+], ids=["dense rank", "dense bias length", "dense bias rank", "dense weights non-finite", "dense bias non-finite",
+        "conv rank", "conv rank before geometry", "conv bias", "conv bias before geometry",
+        "conv kernel non-finite", "conv bias non-finite before geometry", "conv geometry"])
+def test_learned_stages_refuse_bad_arrays_with_one_message(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
+
+
 class TestConv2d:
     def test_one_by_one_identity_kernel(self):
         layer = Conv2d(np.ones((1, 1, 1, 1)), np.zeros(1))
@@ -462,8 +492,9 @@ class TestResidualBlock:
 class TestNetworkPlumbing:
     def test_mode_validation(self):
         net = Network([ReLU()])
-        with pytest.raises(InvalidValueError):
+        with pytest.raises(InvalidValueError) as err:
             forward(net, np.ones((1, 2)), "predict")
+        assert str(err.value) == "mode must be 'train' or 'eval', got 'predict'"
 
     def test_empty_batch_rejected(self):
         net = Network([ReLU()])

@@ -44,7 +44,7 @@ from maxgain import (
     train_step,
 )
 from maxgain import evaluate, optim, tensor
-from oracles import AdamOracle, SgdNesterovOracle, train_step_oracle
+from oracles import AdamOracle, SgdNesterovOracle, keep_pair, train_step_oracle
 
 
 def small_mlp(seed, n_in=2, hidden=16, n_out=2):
@@ -275,15 +275,15 @@ class TestTrainStep:
         # recompute what the gains were for the old weights on this batch
         _, caches = forward(Network([Dense(w_before[0], np.zeros(16)), ReLU(),
                                      Dense(w_before[1], np.zeros(2))]),
-                            data.x, "train")
-        for j, layer_caches in enumerate(zip(caches.xs, caches.zs)):
-            xs, zs = layer_caches
+                            data.x, "train", gain=keep_pair)
+        for j, (xs, zs) in enumerate(caches.gains):
             expected = float(np.max(np.linalg.norm(zs, axis=1)
                                     / np.linalg.norm(xs.reshape(xs.shape[0], -1), axis=1)))
             assert report.gamma_hats[j] == pytest.approx(expected, rel=1e-12)
         # and the big lr really moved the weights, so post-update gains differ
         for j, layer in enumerate(net.learned_layers()):
-            post = batch_max_gain(caches.xs[j], caches.xs[j] @ layer.w.T, 2)
+            xs = caches.gains[j][0]
+            post = batch_max_gain(xs, xs @ layer.w.T, 2)
             assert post != pytest.approx(report.gamma_hats[j], rel=1e-6)
 
     def test_projection_applies_to_post_update_weights(self):
